@@ -3,12 +3,15 @@
 Prints "s SATISFIABLE" with a "v" model line (exit 10), "s
 UNSATISFIABLE" with a one-sided failure-probability comment (exit 20),
 or "s UNKNOWN" when the configuration is unusable (exit 0).  Input or
-flag errors exit 1.
+flag errors exit 1.  The failure probability is a union bound over the
+quantum groups whose every retry missed, capped at 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,7 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rho", type=float, default=None, help="cover radius fraction (default 1/K)")
     parser.add_argument("--A", type=float, default=1.0, help="resource-curve constant")
     parser.add_argument("--B", type=float, default=1.0, help="resource-curve constant")
-    parser.add_argument("--workers", type=int, default=None, help="worker count (default 2^k)")
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for compatibility; must be >= 1, dispatch runs inline",
+    )
     parser.add_argument("--retries", type=int, default=3, help="quantum retries per call")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
@@ -51,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_model(model: Assignment) -> None:
     lits = [i + 1 if bit else -(i + 1) for i, bit in enumerate(model)]
-    print("v " + " ".join(map(str, lits)) + " 0")
+    print(" ".join(["v", *map(str, lits), "0"]))
 
 
 def _read_input(path: str) -> str:
@@ -102,20 +108,25 @@ def run(argv: list[str] | None = None) -> int:
         mode=args.mode,
         cover_cache=args.cover_cache,
     )
+    # opened before solving so an unwritable path fails before the work
     try:
-        rm = None
-        if args.r_max is None:
-            rm = solve_resource(args.A, args.B, args.c if args.c is not None else 0.3)
-        result = solve(formula, cfg, rm)
-    except ConfigError as exc:
-        print(f"c {exc}", file=sys.stderr)
-        print("s UNKNOWN")
-        return EXIT_UNKNOWN
-
-    if args.stats:
-        with open(args.stats, "w") as fh:
+        stats_file = open(args.stats, "w") if args.stats else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    with stats_file as fh:
+        try:
+            rm = None
+            if args.r_max is None:
+                rm = solve_resource(args.A, args.B, args.c if args.c is not None else 0.3)
+            result = solve(formula, cfg, rm)
+        except ConfigError as exc:
+            print(f"c {exc}", file=sys.stderr)
+            print("s UNKNOWN")
+            return EXIT_UNKNOWN
+        if fh is not None:
             for record in result.stats.records:
-                fh.write(json.dumps(record.as_json_dict()) + "\n")
+                fh.write(json.dumps(dataclasses.asdict(record)) + "\n")
 
     if result.status == "SAT":
         if not evaluate(formula, result.model):

@@ -18,7 +18,15 @@ import numpy as np
 
 Word = tuple[int, ...]
 
+# largest word space any exhaustive pass (cover build, cover check, leaf
+# marking) enumerates; the solver checks its inputs against it up front
 _SPACE_LIMIT = 10**7
+
+
+def check_space(alphabet: int, length: int) -> None:
+    """Reject a word space {alphabet}^length larger than the shared limit."""
+    if alphabet**length > _SPACE_LIMIT:
+        raise ValueError(f"space {alphabet}^{length} too large")
 
 
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -128,8 +136,7 @@ def build_binary_cover(
     block_len = word_length // block_divisor
     frac = rho if rho is not None else radius / word_length
     block_radius = math.floor(frac * block_len) if block_divisor > 1 else radius
-    if word_length > 24:
-        raise ValueError("word length too large for exhaustive greedy cover")
+    check_space(2, word_length)
     block_code = _greedy_cover_ints(block_len, block_radius)
     block_words = [_int_to_bits(x, block_len) for x in block_code]
     codewords = tuple(
@@ -191,8 +198,7 @@ def build_kary_cover(
         raise ValueError(f"alphabet {k} too small")
     if not 0 <= s <= t:
         raise ValueError(f"radius={s} outside [0, {t}]")
-    if k**t > _SPACE_LIMIT:
-        raise ValueError(f"space {k}^{t} too large")
+    check_space(k, t)
     if t == 0:
         return KaryCoveringCode(k, 0, 0, ((),), 1, False)
     rng = random.Random(seed)
@@ -263,10 +269,8 @@ def verify_cover(
     k, t = code.alphabet, code.word_length
     if t == 0:
         return (True, None) if code.codewords else (False, ())
-    total = k**t
-    if total > _SPACE_LIMIT:
-        raise ValueError(f"space {k}^{t} too large")
-    covered = bytearray(total)
+    check_space(k, t)
+    covered = bytearray(k**t)
     for cw in code.codewords:
         for idx in _kary_ball_indices(cw, code.radius, k):
             covered[idx] = 1

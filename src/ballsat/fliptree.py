@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
+from .codes import check_space
 from .formula import Assignment, Formula, first_unsat_clause
 
 FlipSequence = tuple[int, ...]
-
-_SPACE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -50,18 +51,27 @@ def walk(f: Formula, center: Assignment, seq: FlipSequence) -> FlipOutcome:
     return FlipOutcome(frozenset(flipped), tuple(bits), 1 if satisfied else 0)
 
 
-def marked_fraction(
-    f: Formula, center: Assignment, radius: int, alphabet: int
-) -> tuple[float, int]:
-    """Fraction and count of length-`radius` words whose walk satisfies f."""
+def marked_mask(f: Formula, center: Assignment, radius: int, alphabet: int) -> np.ndarray:
+    """Per-word walk success over {1..K}^radius, words in lexicographic order."""
     if radius < 0:
         raise ValueError("negative radius")
     if alphabet < 1:
         raise ValueError("alphabet too small")
-    total = alphabet**radius
-    if total > _SPACE_LIMIT:
-        raise ValueError(f"flip-word space {alphabet}^{radius} too large")
-    marked = 0
-    for seq in product(range(1, alphabet + 1), repeat=radius):
-        marked += walk(f, center, seq).value
-    return marked / total, marked
+    check_space(alphabet, radius)
+    return np.fromiter(
+        (
+            walk(f, center, seq).value
+            for seq in product(range(1, alphabet + 1), repeat=radius)
+        ),
+        dtype=bool,
+        count=alphabet**radius,
+    )
+
+
+def marked_fraction(
+    f: Formula, center: Assignment, radius: int, alphabet: int
+) -> tuple[float, int]:
+    """Fraction and count of length-`radius` words whose walk satisfies f."""
+    mask = marked_mask(f, center, radius, alphabet)
+    marked = int(mask.sum())
+    return marked / mask.size, marked

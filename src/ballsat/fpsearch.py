@@ -13,15 +13,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .fliptree import FlipSequence, walk
+from .codes import _kary_word
+from .fliptree import FlipSequence, marked_mask
 from .formula import Assignment, Formula
 
 _NORM_TOL = 1e-9
-_SPACE_LIMIT = 10**7
 
 
 def chebyshev_t(order: float, x: float) -> float:
@@ -96,30 +95,10 @@ class FlipState:
         return len(self.amplitudes)
 
 
-def _decode_sequence(index: int, alphabet: int, radius: int) -> FlipSequence:
-    syms = []
-    for _ in range(radius):
-        index, rem = divmod(index, alphabet)
-        syms.append(rem + 1)
-    return tuple(reversed(syms))
-
-
 def prepare(f: Formula, center: Assignment, radius: int, alphabet: int) -> FlipState:
     """Uniform superposition over flip words, marking satisfying walks."""
-    if radius < 0:
-        raise ValueError("negative radius")
-    total = alphabet**radius
-    if total > _SPACE_LIMIT:
-        raise ValueError(f"flip-word space {alphabet}^{radius} too large")
-    marked = np.fromiter(
-        (
-            walk(f, center, seq).value
-            for seq in product(range(1, alphabet + 1), repeat=radius)
-        ),
-        dtype=bool,
-        count=total,
-    )
-    amps = np.full(total, 1.0 / math.sqrt(total), dtype=complex)
+    marked = marked_mask(f, center, radius, alphabet)
+    amps = np.full(marked.size, 1.0 / math.sqrt(marked.size), dtype=complex)
     return FlipState(f, center, radius, alphabet, amps, marked)
 
 
@@ -176,35 +155,7 @@ def sample_sequence(state: FlipState, rng: np.random.Generator) -> FlipSequence:
     probs = np.abs(state.amplitudes) ** 2
     probs /= probs.sum()
     index = int(rng.choice(state.size, p=probs))
-    return _decode_sequence(index, state.alphabet, state.radius)
-
-
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def run_search(
-    f: Formula,
-    center: Assignment,
-    radius: int,
-    alphabet: int,
-    epsilon: float,
-    rng: np.random.Generator | int | None = None,
-    trace: list[tuple[int, float]] | None = None,
-) -> tuple[Assignment, int, int]:
-    """One search shot: amplify, measure, walk, verify.
-
-    Returns (candidate, success bit, oracle queries = L - 1).
-    """
-    generator = _as_rng(rng)
-    schedule = make_schedule(epsilon, 1.0 / alphabet**radius)
-    state = prepare(f, center, radius, alphabet)
-    state = apply_schedule(state, schedule, trace)
-    seq = sample_sequence(state, generator)
-    out = walk(f, center, seq)
-    return out.candidate, out.value, schedule.queries
+    return _kary_word(index, state.alphabet, state.radius)
 
 
 def success_probability_exact(

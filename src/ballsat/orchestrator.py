@@ -1,19 +1,18 @@
-"""Top-level solve: decomposition, cover sweep, and worker dispatch.
+"""Top-level solve: decomposition, cover sweep, and dispatch.
 
 The formula splits over the most-occurring variables into prefix
 subproblems; each codeword of a binary covering code over the free
-variables seeds a ball search.  Workers share nothing, messages carry
-only formulas, assignments, and counts, and the first satisfying model
-cancels the rest.  A FALSE answer is one-sided with an explicit
-failure-probability bound.
+variables seeds a ball search.  Each dispatch is an independent
+subproblem whose messages carry only formulas, assignments, and
+counts; dispatches run one at a time in a seeded order, and the first
+verified model ends the solve.  A FALSE answer is one-sided with an
+explicit failure-probability bound.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 from .codes import (
     BinaryCoveringCode,
     build_binary_cover,
-    build_kary_cover,
+    check_space,
     read_cover,
     verify_cover,
     write_cover,
@@ -32,7 +31,6 @@ from .formula import (
     Assignment,
     Formula,
     decompose,
-    evaluate,
     top_k_vars,
     unsat_count,
 )
@@ -42,9 +40,11 @@ from .pbs import (
     PbsInstance,
     PbsRuntime,
     QuantumAttempt,
+    descent_params,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
+    lift_and_verify,
     quantum_kpbs,
 )
 
@@ -106,7 +106,7 @@ class SolveConfig:
     epsilon: float = 0.1
     alphabet: int | None = None       # clause width K; derived from the formula if None
     rho: float | None = None          # cover radius fraction; defaults to 1/K
-    workers: int | None = None        # defaults to 2^k
+    workers: int | None = None        # validated (>= 1) but unused: dispatch runs inline
     retries: int = 3
     seed: int = 0
     r_max: int | None = None          # overrides the resource model when set
@@ -124,20 +124,16 @@ class QuantumCallRecord:
     outcome: str
     attempt: int
 
-    def as_json_dict(self) -> dict:
-        return {
-            "prefix": self.prefix,
-            "codeword": self.codeword,
-            "radius": self.radius,
-            "L": self.L,
-            "queries": self.queries,
-            "outcome": self.outcome,
-            "attempt": self.attempt,
-        }
-
 
 @dataclass
 class SolveStats:
+    """Counters of one solve.
+
+    failure_bound = min(1, groups_failed * epsilon^(2 * retries)) is a
+    union bound over the quantum groups whose every retry missed: the
+    chance that a FALSE answer hides a model one of them should have found.
+    """
+
     quantum_calls: int = 0
     total_queries: int = 0
     branches: int = 0
@@ -155,8 +151,8 @@ class SolveResult:
     stats: SolveStats
 
 
-# Messages between the orchestrator and workers carry only formulas,
-# assignments, and counts; see the structural test in the suite.
+# A dispatch's input and output carry only formulas, assignments, and
+# counts; see the structural test in the suite.
 @dataclass(frozen=True)
 class WorkItem:
     prefix: str
@@ -216,8 +212,8 @@ def _descent_params(alphabet: int, radius: int, seed: int, cache_dir) -> Descent
     if key not in _KARY_MEMO:
         _KARY_MEMO[key] = _load_or_build_cover(
             cache_dir,
-            f"kary-{alphabet}-t{t}-s{s}.cover",
-            lambda: build_kary_cover(alphabet, t, s, mixed),
+            f"kary-{alphabet}-t{t}-s{s}-m{mixed}.cover",
+            lambda: descent_params(alphabet, radius, mixed).kary_code,
         )
     return DescentParams(t, _KARY_MEMO[key])
 
@@ -231,11 +227,6 @@ def _lift_center(
     for var, bit in zip(kvars, prefix_bits):
         bits[var - 1] = bit
     return tuple(bits)
-
-
-def _chunks(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
 
 
 def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> SolveResult:
@@ -258,8 +249,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     rho = cfg.rho if cfg.rho is not None else 1.0 / alphabet
     if not 0.0 < rho < 0.5:
         raise ConfigError(f"rho={rho} outside (0, 1/2)")
-    workers = cfg.workers if cfg.workers is not None else max(1, 2**cfg.k)
-    if workers < 1:
+    if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError("need at least one worker")
     word_length = n - cfg.k
     radius = math.floor(rho * word_length)
@@ -273,6 +263,14 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError("need a resource model or an explicit r_max")
     if r_cap < 0:
         raise ConfigError(f"r_max={r_cap} negative")
+    # the word spaces the sweep cover, repair code and quantum leaf enumerate
+    try:
+        check_space(2, word_length)
+        if cfg.mode == "hybrid":
+            check_space(alphabet, descent_t(alphabet, radius))
+            check_space(alphabet, min(radius, r_cap))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     cover = _binary_cover(word_length, radius, cfg.cover_cache)
@@ -289,10 +287,11 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     order = order_rng.permutation(len(entries))
 
     stats = SolveStats()
-    cancel = threading.Event()
 
     def finish(status: str, model: Assignment | None) -> SolveResult:
-        stats.failure_bound = stats.groups_failed * cfg.epsilon ** (2 * cfg.retries)
+        stats.failure_bound = min(
+            1.0, stats.groups_failed * cfg.epsilon ** (2 * cfg.retries)
+        )
         stats.wall_time = time.perf_counter() - t_start
         return SolveResult(status, model, stats)
 
@@ -301,7 +300,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
             np.random.SeedSequence([seed, 1 + item.prefix_pos, item.codeword_index])
         )
         log = CallLog()
-        rt = PbsRuntime(rng=rng, retries=cfg.retries, log=log, cancel=cancel)
+        rt = PbsRuntime(rng=rng, retries=cfg.retries, log=log)
         inst = PbsInstance(
             item.formula, item.center, item.radius, item.r_max, cfg.epsilon, alphabet
         )
@@ -319,66 +318,35 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         for att in result.attempts:
             stats.records.append(
                 QuantumCallRecord(
-                    result.item.prefix,
-                    result.item.codeword_index,
-                    att.radius,
-                    att.L,
-                    att.queries,
-                    att.outcome,
-                    att.attempt,
+                    result.item.prefix, result.item.codeword_index, **vars(att)
                 )
             )
             stats.quantum_calls += 1
             stats.total_queries += att.queries
 
-    def accept(model: Assignment | None, prefix_bits) -> Assignment | None:
-        if model is None:
-            return None
-        lifted = list(model)
-        for var, bit in zip(kvars, prefix_bits):
-            lifted[var - 1] = bit
-        candidate = tuple(lifted)
-        return candidate if evaluate(f, candidate) else None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for prefix_pos in order:
-            prefix_bits, sub = entries[prefix_pos]
-            if sub is CONFLICT:
-                continue
-            prefix_str = "".join(map(str, prefix_bits))
-            scored = []
-            for ci, word in enumerate(cover.codewords):
-                center = _lift_center(word, free_vars, prefix_bits, kvars, n)
-                score = unsat_count(sub, center)
-                if score == 0:
-                    model = accept(center, prefix_bits)
-                    if model is not None:
-                        return finish("SAT", model)
-                scored.append((score, ci, center))
-            scored.sort(key=lambda sc: (sc[0], sc[1]))
-            for batch in _chunks(scored, workers):
-                items = [
-                    WorkItem(prefix_str, int(prefix_pos), ci, sub, center, radius, r_cap)
-                    for _, ci, center in batch
-                ]
-                stats.dispatches += len(items)
-                futures = [pool.submit(run_item, it) for it in items]
-                batch_pos = {it.codeword_index: i for i, it in enumerate(items)}
-                results: list[WorkResult] = []
-                winner: WorkResult | None = None
-                for fut in as_completed(futures):
-                    res = fut.result()
-                    results.append(res)
-                    if res.model is not None and winner is None:
-                        winner = res
-                        cancel.set()
-                # merge metrics in dispatch order so runs are reproducible
-                results.sort(key=lambda r: batch_pos[r.item.codeword_index])
-                for res in results:
-                    absorb(res)
-                if winner is not None:
-                    model = accept(winner.model, prefix_bits)
-                    if model is not None:
-                        return finish("SAT", model)
-                    cancel.clear()  # defensive: winner failed re-verification
+    for prefix_pos in order:
+        prefix_bits, sub = entries[prefix_pos]
+        if sub is CONFLICT:
+            continue
+        prefix_str = "".join(map(str, prefix_bits))
+        prefix_binding = dict(zip(kvars, prefix_bits))
+        scored = []
+        for ci, word in enumerate(cover.codewords):
+            center = _lift_center(word, free_vars, prefix_bits, kvars, n)
+            score = unsat_count(sub, center)
+            if score == 0:
+                model = lift_and_verify(f, center, prefix_binding)
+                if model is not None:
+                    return finish("SAT", model)
+            scored.append((score, ci, center))
+        scored.sort(key=lambda sc: (sc[0], sc[1]))
+        for _, ci, center in scored:
+            stats.dispatches += 1
+            result = run_item(
+                WorkItem(prefix_str, int(prefix_pos), ci, sub, center, radius, r_cap)
+            )
+            absorb(result)
+            model = lift_and_verify(f, result.model, prefix_binding)
+            if model is not None:
+                return finish("SAT", model)
     return finish("FALSE", None)

@@ -11,9 +11,9 @@ one-sided: each quantum group errs with probability at most eps^(2R).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from itertools import product
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .formula import (
     restrict,
     unsat_count,
 )
-from .fpsearch import apply_schedule, prepare, make_schedule, sample_sequence
+from .fpsearch import sample_sequence, search_state
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,11 @@ class CallLog:
 
 @dataclass
 class PbsRuntime:
-    """Per-worker context: randomness, retry budget, metrics, cancellation."""
+    """Per-dispatch context: randomness, retry budget, metrics."""
 
     rng: np.random.Generator
     retries: int = 3
     log: CallLog = field(default_factory=CallLog)
-    cancel: threading.Event | None = None
-
-    def cancelled(self) -> bool:
-        return self.cancel is not None and self.cancel.is_set()
 
     def count_branch(self) -> None:
         self.log.branches += 1
@@ -117,9 +113,9 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     The amplified state is computed once; each retry is a fresh
     measurement of it, so retries multiply only the query count.
     """
-    schedule = make_schedule(inst.epsilon, 1.0 / inst.alphabet**inst.radius)
-    state = prepare(inst.formula, inst.center, inst.radius, inst.alphabet)
-    state = apply_schedule(state, schedule)
+    state, schedule = search_state(
+        inst.formula, inst.center, inst.radius, inst.alphabet, inst.epsilon
+    )
     for attempt in range(max(1, rt.retries)):
         seq = sample_sequence(state, rt.rng)
         out = walk(inst.formula, inst.center, seq)
@@ -147,8 +143,6 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     takes over at radius r_max.  Returned assignments are re-lifted with
     the branch binding and verified before propagating.
     """
-    if rt.cancelled():
-        return None
     f, center = inst.formula, inst.center
     if evaluate(f, center):
         return center
@@ -158,26 +152,45 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
         return quantum_kpbs(replace(inst, radius=inst.r_max), rt)
     clause_idx = first_unsat_clause(f, center)
     assert clause_idx is not None
-    clause = f.clauses[clause_idx]
+    bindings = ({abs(lit): 1 if lit > 0 else 0} for lit in f.clauses[clause_idx])
+    return _descend(inst, rt, bindings, inst.radius - 1)
+
+
+def lift_and_verify(
+    f: Formula, model: Assignment | None, binding: Mapping[int, int]
+) -> Assignment | None:
+    """Overwrite `model` with `binding` and return it only if it satisfies f."""
+    if model is None:
+        return None
+    lifted = list(model)
+    for var, bit in binding.items():
+        lifted[var - 1] = bit
+    candidate = tuple(lifted)
+    return candidate if evaluate(f, candidate) else None
+
+
+def _descend(
+    inst: PbsInstance, rt: PbsRuntime, bindings: Iterable[dict[int, int]], radius: int
+) -> Assignment | None:
+    """Classical descent into each binding that does not conflict.
+
+    Branches run fewest-falsified-clauses first under the center, ties
+    in the order given; each runs kqcpbs at `radius`, and its answer is
+    lifted with the binding and verified against the unrestricted formula.
+    """
+    f, center = inst.formula, inst.center
     branches = []
-    for pos, lit in enumerate(clause):
-        var, val = abs(lit), (1 if lit > 0 else 0)
-        sub = restrict(f, {var: val})
-        if sub is CONFLICT:
-            continue
-        branches.append((unsat_count(sub, center), pos, var, val, sub))
-    branches.sort(key=lambda b: (b[0], b[1]))
-    for _, _, var, val, sub in branches:
-        if rt.cancelled():
-            return None
+    for binding in bindings:
+        sub = restrict(f, binding)
+        if sub is not CONFLICT:
+            branches.append((unsat_count(sub, center), binding, sub))
+    branches.sort(key=lambda b: b[0])
+    for _, binding, sub in branches:
         rt.count_branch()
-        got = kqcpbs(replace(inst, formula=sub, radius=inst.radius - 1), rt)
-        if got is not None:
-            lifted = list(got)
-            lifted[var - 1] = val
-            candidate = tuple(lifted)
-            if evaluate(f, candidate):
-                return candidate
+        got = kqcpbs(replace(inst, formula=sub, radius=radius), rt)
+        model = lift_and_verify(f, got, binding)
+        if model is not None:
+            return model
     return None
 
 
@@ -223,8 +236,6 @@ def kpbs_hybrid(
     r0 = inst.radius if _initial_radius is None else _initial_radius
     if _depth > r0:
         raise RuntimeError("descent exceeded initial radius")
-    if rt.cancelled():
-        return None
     f, center = inst.formula, inst.center
     if evaluate(f, center):
         return center
@@ -236,26 +247,11 @@ def kpbs_hybrid(
     group = max_disjoint_unsat(f, center)
     if len(group) <= dp.t:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
-        cands = []
-        for bits in product((0, 1), repeat=len(block_vars)):
-            sub = restrict(f, dict(zip(block_vars, bits)))
-            if sub is CONFLICT:
-                continue
-            cands.append((unsat_count(sub, center), bits, sub))
-        cands.sort(key=lambda c: c[0])
-        for _, bits, sub in cands:
-            if rt.cancelled():
-                return None
-            rt.count_branch()
-            got = kqcpbs(replace(inst, formula=sub), rt)
-            if got is not None:
-                lifted = list(got)
-                for var, bit in zip(block_vars, bits):
-                    lifted[var - 1] = bit
-                candidate = tuple(lifted)
-                if evaluate(f, candidate):
-                    return candidate
-        return None
+        bindings = (
+            dict(zip(block_vars, bits))
+            for bits in product((0, 1), repeat=len(block_vars))
+        )
+        return _descend(inst, rt, bindings, inst.radius)
     batch = group[: dp.t]
     moves = []
     for ci, word in enumerate(dp.kary_code.codewords):
@@ -263,8 +259,6 @@ def kpbs_hybrid(
         moves.append((unsat_count(f, moved), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
-        if rt.cancelled():
-            return None
         rt.count_branch()
         got = kpbs_hybrid(
             replace(inst, center=moved, radius=inst.radius - dp.step),

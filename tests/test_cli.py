@@ -1,10 +1,13 @@
 import io
 import json
+import random
 
 import pytest
 
 from ballsat import evaluate, parse_dimacs
 from ballsat.cli import run
+
+from helpers import planted_ksat
 
 SAT6 = "p cnf 6 4\n1 2 3 0\n-1 4 0\n-2 5 6 0\n-3 -6 0\n"
 
@@ -55,11 +58,38 @@ class TestExitCodes:
         assert "s UNSATISFIABLE" in out
         assert "c one-sided: failure-prob <=" in out
 
+    def test_failure_bound_capped_at_one(self, unsat_file, capsys):
+        argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--seed", "7"]
+        assert run(argv + ["--epsilon", "0.9", "--retries", "1"]) == 20
+        assert "c one-sided: failure-prob <= 1\n" in capsys.readouterr().out
+
     def test_unknown_on_config_failure(self, sat_file, capsys):
         # k wider than the variable count cannot be decomposed
         code = run(["--input", sat_file, "--r-max", "1", "--k", "99"])
         assert code == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("oversize", ["free-vars", "width-8"])
+    def test_unknown_on_oversize_input(self, oversize, tmp_path, capsys):
+        if oversize == "free-vars":
+            f, _ = planted_ksat(25, 100, 3, random.Random(0))
+            lines = [" ".join(map(str, c)) + " 0" for c in f.clauses]
+            text = f"p cnf 25 {len(lines)}\n" + "\n".join(lines) + "\n"
+        else:
+            text = "p cnf 10 2\n1 2 3 4 5 6 7 8 0\n-3 -4 -5 -6 -7 -8 -9 -10 0\n"
+        p = tmp_path / "big.cnf"
+        p.write_text(text)
+        assert run(["--input", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert "s UNKNOWN" in out
+        assert "too large" in err and "Traceback" not in err
+
+    def test_unwritable_stats_fails_before_solving(self, sat_file, tmp_path, capsys):
+        stats = tmp_path / "missing" / "calls.jsonl"
+        assert run(["--input", sat_file, "--r-max", "2", "--stats", str(stats)]) == 1
+        out, err = capsys.readouterr()
+        assert f"error: cannot write {stats}" in err
+        assert out == ""
 
     def test_bad_flags(self, sat_file, capsys):
         assert run(["--input", sat_file, "--mode", "nonsense"]) == 1
@@ -97,6 +127,13 @@ class TestModes:
         p.write_text("p cnf 30 1\n1 2 3 0\n")
         assert run(["--input", str(p), "--mode", "brute"]) == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["hybrid", "brute"])
+    def test_empty_model_line(self, mode, tmp_path, capsys):
+        p = tmp_path / "empty.cnf"
+        p.write_text("p cnf 0 0\n")
+        assert run(["--input", str(p), "--mode", mode]) == 10
+        assert capsys.readouterr().out.splitlines() == ["s SATISFIABLE", "v 0"]
 
     def test_classical(self, sat_file, capsys):
         code = run(["--input", sat_file, "--mode", "classical", "--seed", "1"])

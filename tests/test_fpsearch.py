@@ -13,11 +13,11 @@ from ballsat.fpsearch import (
     make_schedule,
     marked_probability,
     prepare,
-    run_search,
     sample_sequence,
     search_state,
     success_probability_exact,
 )
+from ballsat.pbs import PbsInstance, PbsRuntime, quantum_kpbs
 
 from helpers import random_assignment, random_ksat
 
@@ -140,13 +140,13 @@ class TestSampling:
         # per-draw hit probability >= 0.99
         assert hits >= 280
 
-    def test_run_search_contract(self):
-        candidate, success, queries = run_search(
-            NARROW, (0,) * 6, 3, 3, epsilon=0.1, rng=7
-        )
+    def test_quantum_kpbs_contract(self):
+        rt = PbsRuntime(rng=np.random.default_rng(7), retries=1)
+        candidate = quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)
         schedule = make_schedule(0.1, 1 / 27)
-        assert queries == schedule.L - 1
-        assert success == 1
+        [attempt] = rt.log.attempts
+        assert attempt.queries == schedule.L - 1
+        assert attempt.outcome == "sat"
         assert candidate == (1, 1, 1, 0, 0, 0)
 
 

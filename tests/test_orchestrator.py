@@ -96,6 +96,14 @@ class TestSolve:
         expect = res.stats.groups_failed * cfg.epsilon ** (2 * cfg.retries)
         assert res.stats.failure_bound == pytest.approx(expect)
 
+    def test_failure_bound_clamped_to_one(self):
+        cfg = SolveConfig(k=1, r_max=1, epsilon=0.9, retries=1, seed=7, workers=1)
+        res = solve(UNSAT3, cfg)
+        assert res.status == "FALSE"
+        # the unclamped union bound exceeds 1 here
+        assert res.stats.groups_failed * cfg.epsilon ** (2 * cfg.retries) > 1
+        assert res.stats.failure_bound == 1.0
+
     def test_k_zero_single_worker_degenerates(self):
         res = solve(SAT6, SolveConfig(k=0, r_max=2, seed=3, workers=1))
         assert res.status == "SAT" and evaluate(SAT6, res.model) == 1
@@ -106,8 +114,20 @@ class TestSolve:
         assert res.stats.quantum_calls == 0
 
     def test_multiworker_agrees(self):
-        res = solve(SAT6, SolveConfig(k=2, r_max=2, seed=7, workers=4))
-        assert res.status == "SAT" and evaluate(SAT6, res.model) == 1
+        # the worker count is validated but must not change a seeded result
+        rng = random.Random(5)
+        formulas = [SAT6, UNSAT3] + [planted_ksat(10, 42, 3, rng)[0] for _ in range(4)]
+        for f in formulas:
+            one, four = (
+                solve(f, SolveConfig(k=2, r_max=2, seed=7, workers=w)) for w in (1, 4)
+            )
+            assert one.status == four.status
+            assert one.model == four.model
+            if one.status == "SAT":
+                assert evaluate(f, one.model) == 1
+            assert dataclasses.replace(one.stats, wall_time=0.0) == dataclasses.replace(
+                four.stats, wall_time=0.0
+            )
 
     def test_resource_model_argument(self):
         rm = solve_resource(1.0, 1.0, 0.8)
@@ -126,9 +146,7 @@ class TestSolve:
         cfg = SolveConfig(k=1, r_max=1, seed=11, workers=1)
         a = solve(UNSAT3, cfg)
         b = solve(UNSAT3, cfg)
-        assert [r.as_json_dict() for r in a.stats.records] == [
-            r.as_json_dict() for r in b.stats.records
-        ]
+        assert a.stats.records == b.stats.records
 
     def test_small_corpus_agrees_with_brute(self):
         rng = random.Random(99)
@@ -194,6 +212,15 @@ class TestCoverCache:
         after = {p.name: p.read_text() for p in tmp_path.glob("*.cover")}
         assert before == after
 
+    def test_kary_file_per_seed(self, tmp_path):
+        for seed in (1, 2):
+            solve(
+                UNSAT3,
+                SolveConfig(k=1, r_max=1, seed=seed, workers=1, cover_cache=tmp_path),
+            )
+        kary = sorted(p.name for p in tmp_path.glob("kary-*.cover"))
+        assert len(kary) == 2, kary
+
     def test_corrupt_cache_rejected(self, tmp_path):
         (tmp_path / "bin-2-r0.cover").write_text("cover 2 2 0 1\n00\n")
         with pytest.raises(ConfigError):
@@ -219,7 +246,7 @@ class TestMessageTypes:
 
     def test_record_serialization_schema(self):
         rec = QuantumCallRecord("01", 3, 2, 13, 12, "sat", 0)
-        d = rec.as_json_dict()
+        d = dataclasses.asdict(rec)
         assert list(d) == [
             "prefix", "codeword", "radius", "L", "queries", "outcome", "attempt",
         ]

@@ -1,5 +1,4 @@
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -166,14 +165,6 @@ class TestClassicalDescent:
                 hits += 1
         assert hits > 0  # the quantum leaf must actually fire somewhere
 
-    def test_cancellation_stops_work(self):
-        ev = threading.Event()
-        ev.set()
-        inst = PbsInstance(UNSAT3, (0, 0, 0), 3, 0, 0.1, 3)
-        rt = runtime(0, cancel=ev)
-        assert kqcpbs(inst, rt) is None
-        assert rt.log.branches == 0
-
 
 class TestHybridDescent:
     def test_small_group_path(self):
@@ -213,12 +204,3 @@ class TestHybridDescent:
                 assert evaluate(f, got) == 1
             elif ball_promise(f, center, radius) is not None:
                 pytest.fail("hybrid missed a promised ball twice in a row")
-
-    def test_cancellation(self):
-        ev = threading.Event()
-        ev.set()
-        dp = descent_params(3, 3, seed=0)
-        inst = PbsInstance(UNSAT3, (0, 0, 0), 3, 1, 0.1, 3)
-        rt = runtime(0, cancel=ev)
-        assert kpbs_hybrid(inst, dp, rt) is None
-        assert rt.log.branches == 0
