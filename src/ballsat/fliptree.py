@@ -9,7 +9,6 @@ no-ops, so every satisfying prefix stays satisfying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -52,20 +51,48 @@ def walk(f: Formula, center: Assignment, seq: FlipSequence) -> FlipOutcome:
 
 
 def marked_mask(f: Formula, center: Assignment, radius: int, alphabet: int) -> np.ndarray:
-    """Per-word walk success over {1..K}^radius, words in lexicographic order."""
+    """Per-word walk success over {1..K}^radius, words in lexicographic order.
+
+    One depth-first pass over the flip-word trie, which is the walk tree:
+    each edge flips and unflips one bit of a single assignment, and each
+    node looks for the first falsified clause once.  A node that already
+    satisfies f marks its whole span of K^(radius - depth) words, since
+    the walk ignores the symbols left.  Symbols that wrap onto the same
+    literal of a narrow clause copy the span of the first such symbol.
+    """
     if radius < 0:
         raise ValueError("negative radius")
     if alphabet < 1:
         raise ValueError("alphabet too small")
+    if len(center) != f.num_vars:
+        raise ValueError("center length mismatch")
     check_space(alphabet, radius)
-    return np.fromiter(
-        (
-            walk(f, center, seq).value
-            for seq in product(range(1, alphabet + 1), repeat=radius)
-        ),
-        dtype=bool,
-        count=alphabet**radius,
-    )
+    mask = np.zeros(alphabet**radius, dtype=bool)
+    bits = list(center)
+
+    def visit(depth: int, lo: int, span: int) -> None:
+        idx = first_unsat_clause(f, bits)
+        if idx is None:
+            mask[lo : lo + span] = True
+            return
+        if depth == radius:
+            return
+        clause = f.clauses[idx]
+        width = len(clause)
+        span //= alphabet
+        for choice in range(alphabet):
+            start = lo + choice * span
+            if choice < width:
+                var = abs(clause[choice]) - 1
+                bits[var] ^= 1
+                visit(depth + 1, start, span)
+                bits[var] ^= 1
+            else:
+                src = lo + (choice % width) * span
+                mask[start : start + span] = mask[src : src + span]
+
+    visit(0, 0, alphabet**radius)
+    return mask
 
 
 def marked_fraction(

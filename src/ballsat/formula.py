@@ -73,7 +73,9 @@ def parse_dimacs(text: str) -> Formula:
     clauses per line are all accepted.  Duplicate literals inside a
     clause are dropped (first occurrence kept); a clause holding both a
     literal and its negation is kept verbatim.  A clause-count mismatch
-    against the header warns instead of failing.
+    against the header warns instead of failing.  A line holding only
+    '%' ends the input, as in the SATLIB uf/uuf files; what follows it
+    (their trailing '0') is ignored.
     """
     num_vars: int | None = None
     declared = 0
@@ -85,6 +87,8 @@ def parse_dimacs(text: str) -> Formula:
         stripped = raw.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped == "%":
+            break
         last_line = line_no
         if stripped.startswith("p"):
             if num_vars is not None:

@@ -1,4 +1,4 @@
-"""Fixed-point amplitude amplification, simulated exactly.
+"""Fixed-point amplitude amplification over flip words.
 
 The register is the flip-word space {1..K}^r; a word is "marked" when
 its walk ends on a satisfying assignment.  The iterate alternates a
@@ -6,6 +6,14 @@ phase on marked words with a phase about the uniform start state, with
 angles from the fractional-order Chebyshev construction, so the success
 probability stays above 1 - eps^2 once the marked fraction reaches
 lambda_min = K^-r.
+
+The iterate only ever mixes two vectors, the uniform superpositions
+over marked and unmarked words, so the production leaf is two-level:
+`success_probability_exact` gives the marked probability p from a 2x2
+product, every marked word has probability p/M and every unmarked one
+(1-p)/(N-M), and `word_cdf` and `measure` sample from that.  The full state
+vector (`prepare`, `apply_g`, `apply_schedule`, `sample_sequence`,
+`search_state`) is kept as the exact reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +62,11 @@ class SearchSchedule:
         return self.L - 1
 
 
+@lru_cache(maxsize=256)
 def make_schedule(epsilon: float, lambda_min: float) -> SearchSchedule:
     """Angle schedule for tolerance epsilon and marked-fraction floor lambda_min.
+
+    Cached: a solve asks for the same few (epsilon, K^-r) pairs at every leaf.
 
     L is the smallest odd integer >= log2(2/eps) / sqrt(lambda_min);
     gamma^-1 = T_{1/L}(1/eps); alpha_j = 2*arccot(tan(2*pi*j/L) *
@@ -151,7 +163,7 @@ def search_state(
 
 
 def sample_sequence(state: FlipState, rng: np.random.Generator) -> FlipSequence:
-    """Measure the register: one flip word by Born probabilities."""
+    """Measure the state vector: one flip word by Born probabilities."""
     probs = np.abs(state.amplitudes) ** 2
     probs /= probs.sum()
     index = int(rng.choice(state.size, p=probs))
@@ -179,3 +191,30 @@ def success_probability_exact(
         overlap = start[0].real * state[0] + start[1].real * state[1]
         state = -(state - (1.0 - cmath.exp(-1j * alpha)) * overlap * start)
     return float(abs(state[1]) ** 2)
+
+
+def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarray:
+    """Normalised cumulative measurement probabilities of the amplified register.
+
+    With M of N words marked, the 2x2 form gives the marked probability
+    p; each marked word gets p/M and each unmarked word (1-p)/(N-M).
+    With M = 0 or M = N the distribution is uniform.  The arithmetic
+    after the per-word probabilities is that of `Generator.choice`, so
+    `measure` draws the word `sample_sequence` would draw from the state
+    vector.
+    """
+    n = marked.size
+    m = int(np.count_nonzero(marked))
+    if m in (0, n):
+        probs = np.full(n, 1.0 / n)
+    else:
+        p = success_probability_exact(m / n, epsilon, lambda_min)
+        probs = np.where(marked, p / m, (1.0 - p) / (n - m))
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def measure(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of one measured word: one uniform draw located in the CDF."""
+    return int(cdf.searchsorted(rng.random(), side="right"))

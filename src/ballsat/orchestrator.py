@@ -20,6 +20,7 @@ import numpy as np
 
 from .codes import (
     BinaryCoveringCode,
+    KaryCoveringCode,
     build_binary_cover,
     check_space,
     read_cover,
@@ -174,48 +175,74 @@ class WorkResult:
 
 
 _BINARY_MEMO: dict[tuple[int, int], BinaryCoveringCode] = {}
-_KARY_MEMO: dict[tuple[int, int, int, int], object] = {}
+_KARY_MEMO: dict[tuple[int, int, int, int], KaryCoveringCode] = {}
 
 
-def _load_or_build_cover(cache_dir, name, build):
-    if cache_dir is None:
-        return build()
-    path = Path(cache_dir) / name
-    if path.exists():
-        code = read_cover(path.read_text())
-        ok, witness = verify_cover(code)
-        if not ok:
-            raise ConfigError(f"cached cover {path} does not cover {witness}")
-        return code
-    code = build()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(write_cover(code))
+def _load_or_build_cover(memo, key, cache_dir, name, build, check):
+    """The cover for `key`: from the process memo, else the cache file, else `build`.
+
+    With a cache directory, a missing file is written even when the memo
+    already holds the code.  A cached file that does not parse, fails
+    `check` (which raises ValueError), or leaves a word uncovered raises
+    ConfigError.
+    """
+    path = None if cache_dir is None else Path(cache_dir) / name
+    code = memo.get(key)
+    if code is None:
+        if path is not None and path.exists():
+            try:
+                code = read_cover(path.read_text())
+                check(code)
+            except ValueError as exc:
+                raise ConfigError(f"cached cover {path}: {exc}") from None
+            ok, witness = verify_cover(code)
+            if not ok:
+                raise ConfigError(f"cached cover {path} does not cover {witness}")
+        else:
+            code = build()
+        memo[key] = code
+    if path is not None and not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(write_cover(code))
     return code
 
 
 def _binary_cover(word_length: int, radius: int, cache_dir) -> BinaryCoveringCode:
-    key = (word_length, radius)
-    if key not in _BINARY_MEMO:
-        _BINARY_MEMO[key] = _load_or_build_cover(
-            cache_dir,
-            f"bin-{word_length}-r{radius}.cover",
-            lambda: build_binary_cover(word_length, radius=radius),
-        )
-    return _BINARY_MEMO[key]
+    def check(code) -> None:
+        if not isinstance(code, BinaryCoveringCode) or (
+            code.word_length, code.radius
+        ) != (word_length, radius):
+            raise ValueError(f"not a binary cover of length {word_length}, radius {radius}")
+
+    return _load_or_build_cover(
+        _BINARY_MEMO,
+        (word_length, radius),
+        cache_dir,
+        f"bin-{word_length}-r{radius}.cover",
+        lambda: build_binary_cover(word_length, radius=radius),
+        check,
+    )
 
 
 def _descent_params(alphabet: int, radius: int, seed: int, cache_dir) -> DescentParams:
     t = descent_t(alphabet, radius)
     s = t // alphabet
     mixed = ((seed & 0xFFFFFFFF) * 1000003 + alphabet * 10007 + t * 101 + s) & 0x7FFFFFFF
-    key = (alphabet, t, s, mixed)
-    if key not in _KARY_MEMO:
-        _KARY_MEMO[key] = _load_or_build_cover(
-            cache_dir,
-            f"kary-{alphabet}-t{t}-s{s}-m{mixed}.cover",
-            lambda: descent_params(alphabet, radius, mixed).kary_code,
-        )
-    return DescentParams(t, _KARY_MEMO[key])
+
+    def check(code) -> None:
+        if not isinstance(code, KaryCoveringCode) or code.alphabet != alphabet:
+            raise ValueError(f"not a {alphabet}-ary cover")
+        DescentParams(t, code)
+
+    code = _load_or_build_cover(
+        _KARY_MEMO,
+        (alphabet, t, s, mixed),
+        cache_dir,
+        f"kary-{alphabet}-t{t}-s{s}-m{mixed}.cover",
+        lambda: descent_params(alphabet, radius, mixed).kary_code,
+        check,
+    )
+    return DescentParams(t, code)
 
 
 def _lift_center(

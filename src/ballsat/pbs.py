@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .codes import KaryCoveringCode, build_kary_cover
-from .fliptree import walk
+from .codes import KaryCoveringCode, _kary_word, build_kary_cover
+from .fliptree import marked_mask, walk
 from .formula import (
     CONFLICT,
     Assignment,
@@ -29,7 +29,7 @@ from .formula import (
     restrict,
     unsat_count,
 )
-from .fpsearch import sample_sequence, search_state
+from .fpsearch import make_schedule, measure, word_cdf
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,25 @@ class PbsRuntime:
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
-    The amplified state is computed once; each retry is a fresh
-    measurement of it, so retries multiply only the query count.
+    The amplified register is two-level: the trie pass marks the M of
+    N = K^r words whose walk succeeds, the 2x2 form gives the marked
+    probability p, and each retry measures a word from p/M per marked
+    and (1-p)/(N-M) per unmarked word.  Retries multiply only the query
+    count.  The measured word is walked once more for its candidate,
+    which must agree with its mark.
     """
-    state, schedule = search_state(
-        inst.formula, inst.center, inst.radius, inst.alphabet, inst.epsilon
-    )
+    f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
+    marked = marked_mask(f, center, radius, k)
+    schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
+    cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
     for attempt in range(max(1, rt.retries)):
-        seq = sample_sequence(state, rt.rng)
-        out = walk(inst.formula, inst.center, seq)
+        index = measure(cdf, rt.rng)
+        out = walk(f, center, _kary_word(index, k, radius))
+        if out.value != marked[index]:
+            raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
         rt.log.attempts.append(
             QuantumAttempt(
-                inst.radius,
+                radius,
                 schedule.L,
                 schedule.queries,
                 "sat" if out.value else "false",

@@ -105,11 +105,47 @@ class TestExitCodes:
         assert run(["--input", "/nonexistent/x.cnf"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_satlib_trailer(self, tmp_path, capsys):
+        p = tmp_path / "uf.cnf"
+        p.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
+        assert run(["--input", str(p), "--k", "1", "--r-max", "1"]) == 10
+        assert "s SATISFIABLE" in capsys.readouterr().out
+
     def test_parse_error_line_number(self, tmp_path, capsys):
         p = tmp_path / "bad.cnf"
         p.write_text("p cnf 2 1\n1 bogus 0\n")
         assert run(["--input", str(p)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("fresh_cover_memos")
+class TestCoverCache:
+    # SAT6 at k=3: a length-3, radius-1 sweep cover and a 3-ary repair code
+    ARGV = ["--k", "3", "--r-max", "1", "--seed", "7"]
+
+    def _run(self, sat_file, cache, capsys):
+        code = run(["--input", sat_file, *self.ARGV, "--cover-cache", str(cache)])
+        return code, *capsys.readouterr()
+
+    def test_garbage_binary_cover_is_unknown(self, sat_file, tmp_path, capsys):
+        (tmp_path / "bin-3-r1.cover").write_text("garbage\n")
+        code, out, err = self._run(sat_file, tmp_path, capsys)
+        assert code == 0 and "s UNKNOWN" in out
+        assert "missing cover header" in err and "Traceback" not in err
+
+    def test_misshapen_kary_cover_is_unknown(self, sat_file, tmp_path, capsys):
+        import ballsat.orchestrator as orch
+
+        assert self._run(sat_file, tmp_path, capsys)[0] == 10
+        [kary] = tmp_path.glob("kary-3-*.cover")
+        header, *body = kary.read_text().splitlines()
+        assert header.startswith("cover 3 3 1 ")
+        kary.write_text("\n".join([header.replace("cover 3 3 1 ", "cover 3 3 2 "), *body]))
+        orch._BINARY_MEMO.clear()
+        orch._KARY_MEMO.clear()
+        code, out, err = self._run(sat_file, tmp_path, capsys)
+        assert code == 0 and "s UNKNOWN" in out
+        assert "shape does not match" in err
 
 
 class TestModes:

@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 from ballsat import parse_dimacs
-from ballsat.fliptree import marked_fraction, walk
+from ballsat.fliptree import marked_fraction, marked_mask, walk
 from ballsat.oracle import ball_promise
 
-from helpers import random_assignment, random_ksat
+from helpers import planted_ksat, random_assignment, random_ksat
 
 SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 
@@ -93,3 +93,56 @@ class TestMarkedFraction:
             frac, _ = marked_fraction(f, center, r, 3)
             witness = ball_promise(f, center, r)
             assert (frac > 0) == (witness is not None)
+
+
+def walk_mask(f, center, radius, alphabet):
+    """Reference marking: one walk per word, lexicographic order."""
+    return [
+        walk(f, center, seq).value
+        for seq in product(range(1, alphabet + 1), repeat=radius)
+    ]
+
+
+class TestMarkedMask:
+    @pytest.mark.parametrize("alphabet", [3, 4])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_trie_matches_per_word_walks(self, alphabet, radius, planted):
+        rng = random.Random(1000 * alphabet + 10 * radius + planted)
+        n = 7
+        for _ in range(12):
+            m = rng.randrange(2 * n, (5 if alphabet == 3 else 10) * n)
+            if planted:
+                f, hidden = planted_ksat(n, m, alphabet, rng)
+                center = list(hidden)
+                for var in rng.sample(range(n), radius):
+                    center[var] ^= 1
+                center = tuple(center)
+            else:
+                f = random_ksat(n, m, alphabet, rng)
+                center = random_assignment(n, rng)
+            mask = marked_mask(f, center, radius, alphabet)
+            assert mask.dtype == bool and mask.size == alphabet**radius
+            assert mask.tolist() == walk_mask(f, center, radius, alphabet)
+
+    @pytest.mark.parametrize("alphabet", [3, 4])
+    def test_satisfying_center_marks_everything(self, alphabet):
+        f, hidden = planted_ksat(6, 20, alphabet, random.Random(alphabet))
+        for radius in range(4):
+            assert marked_mask(f, hidden, radius, alphabet).all()
+
+    def test_narrow_and_wide_clauses(self):
+        # width 1 and 2 wrap onto repeated literals; width 5 exceeds K = 3
+        f = parse_dimacs("p cnf 6 4\n1 2 0\n-1 3 0\n4 0\n-2 -3 5 6 -4 0\n")
+        rng = random.Random(4)
+        for _ in range(20):
+            center = random_assignment(6, rng)
+            for radius in range(4):
+                mask = marked_mask(f, center, radius, 3)
+                assert mask.tolist() == walk_mask(f, center, radius, 3)
+
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError):
+            marked_mask(SINGLE, (0, 0), 1, 3)
+        with pytest.raises(ValueError):
+            marked_mask(SINGLE, (0, 0, 0), -1, 3)

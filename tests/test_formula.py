@@ -75,6 +75,19 @@ class TestParse:
             parse_dimacs("p cnf 2 1\n1 x 0\n")
         assert err.value.line_no == 2
 
+    def test_satlib_trailer_ends_input(self):
+        f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
+        assert f.clauses == ((1, -2), (2, 3))
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("p cnf 3 1\n1 % 0\n", 2), ("p cnf 3 1\n1 2 0\n%0\n", 3), ("p cnf 3 1\n% 1\n", 2)],
+    )
+    def test_percent_elsewhere_is_bad_token(self, text, line):
+        with pytest.raises(ParseError, match="bad token") as err:
+            parse_dimacs(text)
+        assert err.value.line_no == line
+
     def test_variable_out_of_range(self):
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 3 0\n")

@@ -5,21 +5,24 @@ import numpy as np
 import pytest
 
 from ballsat import parse_dimacs
-from ballsat.fliptree import marked_fraction
+from ballsat.codes import _kary_word
+from ballsat.fliptree import marked_fraction, marked_mask
 from ballsat.fpsearch import (
     apply_g,
     apply_schedule,
     chebyshev_t,
     make_schedule,
     marked_probability,
+    measure,
     prepare,
     sample_sequence,
     search_state,
     success_probability_exact,
+    word_cdf,
 )
 from ballsat.pbs import PbsInstance, PbsRuntime, quantum_kpbs
 
-from helpers import random_assignment, random_ksat
+from helpers import planted_ksat, random_assignment, random_ksat
 
 SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 
@@ -87,6 +90,9 @@ class TestSchedule:
     def test_grover_limit(self):
         s = make_schedule(1 - 1e-14, 1 / 4)
         assert abs(s.angles[0][0] - math.pi) < 1e-6
+
+    def test_cached(self):
+        assert make_schedule(0.1, 1 / 27) is make_schedule(0.1, 1 / 27)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -187,3 +193,83 @@ class TestExactProbability:
             lam, _ = marked_fraction(f, center, radius, 3)
             expect = success_probability_exact(lam, eps, 1 / 3**radius)
             assert marked_probability(state) == pytest.approx(expect, abs=1e-9)
+
+
+def leaf_cases():
+    """(formula, center, radius, K, eps) over random and planted K=3,4 instances."""
+    rng = random.Random(77)
+    cases = []
+    for alphabet in (3, 4):
+        for planted in (False, True):
+            for _ in range(6):
+                n = 7
+                m = rng.randrange(2 * n, (5 if alphabet == 3 else 10) * n)
+                if planted:
+                    f, hidden = planted_ksat(n, m, alphabet, rng)
+                    center = tuple(b ^ (rng.random() < 0.3) for b in hidden)
+                else:
+                    f = random_ksat(n, m, alphabet, rng)
+                    center = random_assignment(n, rng)
+                cases.append((f, center, rng.randrange(4), alphabet, rng.choice((0.1, 0.3))))
+    return cases
+
+
+def two_level_cdf(f, center, radius, alphabet, eps):
+    marked = marked_mask(f, center, radius, alphabet)
+    return marked, word_cdf(marked, eps, 1 / alphabet**radius)
+
+
+class TestTwoLevelLeaf:
+    @pytest.mark.parametrize("case", leaf_cases())
+    def test_distribution_matches_born_probabilities(self, case):
+        f, center, radius, alphabet, eps = case
+        state, _ = search_state(f, center, radius, alphabet, eps)
+        marked, cdf = two_level_cdf(f, center, radius, alphabet, eps)
+        np.testing.assert_array_equal(marked, state.marked)
+        born = np.abs(state.amplitudes) ** 2
+        np.testing.assert_allclose(np.diff(cdf, prepend=0.0), born, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", leaf_cases()[1::2])
+    def test_same_draws_as_state_vector(self, case):
+        f, center, radius, alphabet, eps = case
+        state, _ = search_state(f, center, radius, alphabet, eps)
+        _, cdf = two_level_cdf(f, center, radius, alphabet, eps)
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(1000):
+            word = _kary_word(measure(cdf, a), alphabet, radius)
+            assert word == sample_sequence(state, b)
+
+    def test_no_marked_word_is_uniform(self):
+        unsat = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+        marked, cdf = two_level_cdf(unsat, (0, 0), 2, 3, 0.1)
+        assert not marked.any()
+        np.testing.assert_allclose(cdf, np.arange(1, 10) / 9, rtol=0, atol=1e-15)
+        born = np.abs(search_state(unsat, (0, 0), 2, 3, 0.1)[0].amplitudes) ** 2
+        np.testing.assert_allclose(np.diff(cdf, prepend=0.0), born, rtol=0, atol=1e-12)
+
+    def test_all_marked_is_uniform(self):
+        marked, cdf = two_level_cdf(SINGLE, (1, 0, 0), 2, 3, 0.1)
+        assert marked.all()
+        np.testing.assert_allclose(cdf, np.arange(1, 10) / 9, rtol=0, atol=1e-15)
+
+    def test_leaf_builds_no_state_vector(self, monkeypatch):
+        import ballsat.fpsearch as fps
+        import ballsat.pbs as pbs
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("state-vector path called by the production leaf")
+
+        for name in ("prepare", "apply_g", "apply_schedule", "sample_sequence", "search_state"):
+            for module in (fps, pbs):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        rt = PbsRuntime(rng=np.random.default_rng(7), retries=3)
+        assert quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt) is not None
+
+    def test_walk_must_agree_with_mark(self, monkeypatch):
+        import ballsat.pbs as pbs
+
+        real = pbs.marked_mask
+        monkeypatch.setattr(pbs, "marked_mask", lambda *a: ~real(*a))
+        rt = PbsRuntime(rng=np.random.default_rng(7), retries=1)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)

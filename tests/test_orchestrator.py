@@ -191,17 +191,8 @@ class TestConfigErrors:
             solve(SAT6, SolveConfig(rho=0.5, r_max=1))
 
 
+@pytest.mark.usefixtures("fresh_cover_memos")
 class TestCoverCache:
-    @pytest.fixture(autouse=True)
-    def _fresh_memos(self):
-        import ballsat.orchestrator as orch
-
-        orch._BINARY_MEMO.clear()
-        orch._KARY_MEMO.clear()
-        yield
-        orch._BINARY_MEMO.clear()
-        orch._KARY_MEMO.clear()
-
     def test_cache_file_written_and_reused(self, tmp_path):
         cfg = SolveConfig(k=1, r_max=1, seed=7, workers=1, cover_cache=tmp_path)
         solve(UNSAT3, cfg)
@@ -228,6 +219,39 @@ class TestCoverCache:
                 UNSAT3,
                 SolveConfig(k=1, r_max=1, seed=7, workers=1, cover_cache=tmp_path),
             )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["garbage\n", "cover 2 2 0 2\n00\n", "cover 2 3 1 2\n000\n111\n"],
+        ids=["no-header", "short-body", "wrong-length"],
+    )
+    def test_malformed_binary_cache_rejected(self, tmp_path, text):
+        (tmp_path / "bin-2-r0.cover").write_text(text)
+        with pytest.raises(ConfigError, match="bin-2-r0.cover"):
+            solve(UNSAT3, SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path))
+
+    def test_misshapen_kary_cache_rejected(self, tmp_path):
+        import ballsat.orchestrator as orch
+
+        cfg = SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path)
+        solve(UNSAT3, cfg)
+        [kary] = tmp_path.glob("kary-*.cover")
+        header, *body = kary.read_text().splitlines()
+        _, k, t, s, count = header.split()
+        kary.write_text("\n".join([f"cover {k} {t} {int(s) + 1} {count}", *body]) + "\n")
+        orch._BINARY_MEMO.clear()
+        orch._KARY_MEMO.clear()
+        with pytest.raises(ConfigError, match="kary-"):
+            solve(UNSAT3, cfg)
+
+    def test_memo_hit_still_writes_cache(self, tmp_path):
+        cfg = SolveConfig(k=1, r_max=1, seed=7)
+        first = solve(UNSAT3, cfg)
+        again = solve(UNSAT3, dataclasses.replace(cfg, cover_cache=tmp_path))
+        names = sorted(p.name for p in tmp_path.glob("*.cover"))
+        assert [n.split("-")[0] for n in names] == ["bin", "kary"], names
+        assert again.status == first.status
+        assert again.stats.records == first.stats.records
 
 
 class TestMessageTypes:
