@@ -1,19 +1,7 @@
 """Hybrid K-SAT solving over Hamming balls with an exactly simulated quantum core."""
 
-from .codes import (
-    BinaryCoveringCode,
-    KaryCoveringCode,
-    binary_entropy,
-    build_binary_cover,
-    build_kary_cover,
-    hamming_distance,
-    verify_cover,
-)
-from .fliptree import FlipOutcome, marked_fraction, walk
 from .formula import (
     CONFLICT,
-    Clause,
-    Assignment,
     Formula,
     ParseError,
     decompose,
@@ -26,77 +14,26 @@ from .formula import (
     top_k_vars,
     unsat_count,
 )
-from .fpsearch import (
-    SearchSchedule,
-    make_schedule,
-    success_probability_exact,
-)
-from .oracle import ball_promise, brute_sat
-from .orchestrator import (
-    ConfigError,
-    ResourceModel,
-    SolveConfig,
-    SolveResult,
-    exponent,
-    solve,
-    solve_resource,
-)
-from .pbs import (
-    DescentParams,
-    PbsInstance,
-    PbsRuntime,
-    descent_params,
-    kpbs_hybrid,
-    kqcpbs,
-    modify_assignment,
-    quantum_kpbs,
-)
+from .oracle import brute_sat
+from .orchestrator import ConfigError, SolveConfig, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
-    "BinaryCoveringCode",
     "CONFLICT",
-    "Clause",
     "ConfigError",
-    "DescentParams",
-    "FlipOutcome",
     "Formula",
-    "KaryCoveringCode",
     "ParseError",
-    "PbsInstance",
-    "PbsRuntime",
-    "ResourceModel",
-    "SearchSchedule",
     "SolveConfig",
-    "SolveResult",
-    "ball_promise",
-    "binary_entropy",
     "brute_sat",
-    "build_binary_cover",
-    "build_kary_cover",
     "decompose",
-    "descent_params",
     "evaluate",
-    "exponent",
     "first_unsat_clause",
-    "hamming_distance",
-    "kpbs_hybrid",
-    "kqcpbs",
     "m_metric",
-    "make_schedule",
-    "marked_fraction",
     "max_disjoint_unsat",
-    "modify_assignment",
     "parse_dimacs",
-    "quantum_kpbs",
     "restrict",
     "solve",
-    "solve_resource",
-    "success_probability_exact",
     "top_k_vars",
     "unsat_count",
-    "verify_cover",
-    "walk",
 ]

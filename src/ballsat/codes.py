@@ -1,9 +1,9 @@
 """Covering codes for ball search.
 
-Binary covers of assignment space come from a greedy set-cover pass
-(optionally blockwise for long words); K-ary covers of flip-word space
-are drawn at random to a union-bound size and repaired if the draw
-leaves holes.  Construction always verifies coverage before returning.
+Binary covers of assignment space come from a greedy set-cover pass;
+K-ary covers of flip-word space are drawn at random to a union-bound
+size and repaired if the draw leaves holes.  Construction always
+verifies coverage before returning.
 """
 
 from __future__ import annotations
@@ -105,42 +105,17 @@ def _greedy_cover_ints(length: int, radius: int) -> list[int]:
     return code
 
 
-def build_binary_cover(
-    word_length: int,
-    rho: float | None = None,
-    block_divisor: int = 1,
-    *,
-    radius: int | None = None,
-) -> BinaryCoveringCode:
-    """Greedy binary covering code.
-
-    The target radius is floor(rho * word_length) with rho in (0, 1/2),
-    or an explicit `radius` override.  With block_divisor d > 1 the word
-    splits into d equal blocks covered independently; the direct product
-    covers at the sum of block radii, which never exceeds the target.
-    """
+def build_binary_cover(word_length: int, *, radius: int) -> BinaryCoveringCode:
+    """Greedy binary covering code of {0,1}^word_length at the given radius."""
     if word_length < 0:
         raise ValueError("negative word length")
-    if radius is None:
-        if rho is None:
-            raise ValueError("need rho or radius")
-        if not 0.0 < rho < 0.5:
-            raise ValueError(f"rho={rho} outside (0, 1/2)")
-        radius = math.floor(rho * word_length)
-    elif not 0 <= radius <= word_length:
+    if not 0 <= radius <= word_length:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
     if word_length == 0:
         return BinaryCoveringCode(0, radius, ((),))
-    if block_divisor < 1 or word_length % block_divisor != 0:
-        raise ValueError(f"block_divisor={block_divisor} does not divide {word_length}")
-    block_len = word_length // block_divisor
-    frac = rho if rho is not None else radius / word_length
-    block_radius = math.floor(frac * block_len) if block_divisor > 1 else radius
     check_space(2, word_length)
-    block_code = _greedy_cover_ints(block_len, block_radius)
-    block_words = [_int_to_bits(x, block_len) for x in block_code]
     codewords = tuple(
-        sum(parts, ()) for parts in product(block_words, repeat=block_divisor)
+        _int_to_bits(x, word_length) for x in _greedy_cover_ints(word_length, radius)
     )
     code = BinaryCoveringCode(word_length, radius, codewords)
     ok, witness = verify_cover(code)
@@ -307,11 +282,14 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"header declares {count} codewords, found {len(body)}")
+    symbols = range(2) if alphabet == 2 else range(1, alphabet + 1)
     words = []
     for ln in body:
         word = tuple(int(ch) for ch in ln.strip())
         if len(word) != word_length:
             raise ValueError(f"codeword {ln!r} has wrong length")
+        if not all(sym in symbols for sym in word):
+            raise ValueError(f"codeword {ln!r} has a symbol outside {symbols}")
         words.append(word)
     if alphabet == 2:
         return BinaryCoveringCode(word_length, radius, tuple(words))

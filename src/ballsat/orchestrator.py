@@ -11,6 +11,7 @@ explicit failure-probability bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -22,6 +23,7 @@ from .codes import (
     BinaryCoveringCode,
     KaryCoveringCode,
     build_binary_cover,
+    build_kary_cover,
     check_space,
     read_cover,
     verify_cover,
@@ -41,7 +43,6 @@ from .pbs import (
     PbsInstance,
     PbsRuntime,
     QuantumAttempt,
-    descent_params,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
@@ -105,7 +106,6 @@ def solve_resource(A: float, B: float, c: float) -> ResourceModel:
 class SolveConfig:
     k: int = 0
     epsilon: float = 0.1
-    alphabet: int | None = None       # clause width K; derived from the formula if None
     rho: float | None = None          # cover radius fraction; defaults to 1/K
     workers: int | None = None        # validated (>= 1) but unused: dispatch runs inline
     retries: int = 3
@@ -174,75 +174,52 @@ class WorkResult:
     groups_failed: int
 
 
-_BINARY_MEMO: dict[tuple[int, int], BinaryCoveringCode] = {}
-_KARY_MEMO: dict[tuple[int, int, int, int], KaryCoveringCode] = {}
+@functools.lru_cache(maxsize=16)
+def _build_cover(
+    alphabet: int, length: int, radius: int, seed: int
+) -> BinaryCoveringCode | KaryCoveringCode:
+    """Built covers, cached per process; alphabet 2 is the (unseeded) binary cover."""
+    if alphabet == 2:
+        return build_binary_cover(length, radius=radius)
+    return build_kary_cover(alphabet, length, radius, seed)
 
 
-def _load_or_build_cover(memo, key, cache_dir, name, build, check):
-    """The cover for `key`: from the process memo, else the cache file, else `build`.
+def _cover(alphabet: int, length: int, radius: int, seed: int, cache_dir):
+    """The covering code of this shape; a file in `cache_dir` always wins.
 
-    With a cache directory, a missing file is written even when the memo
-    already holds the code.  A cached file that does not parse, fails
-    `check` (which raises ValueError), or leaves a word uncovered raises
-    ConfigError.
+    An existing file is read, shape-checked and verified on every call;
+    a missing one is built and written.  A cache path that cannot be
+    used raises ConfigError naming it.
     """
-    path = None if cache_dir is None else Path(cache_dir) / name
-    code = memo.get(key)
-    if code is None:
-        if path is not None and path.exists():
-            try:
-                code = read_cover(path.read_text())
-                check(code)
-            except ValueError as exc:
-                raise ConfigError(f"cached cover {path}: {exc}") from None
-            ok, witness = verify_cover(code)
-            if not ok:
-                raise ConfigError(f"cached cover {path} does not cover {witness}")
-        else:
-            code = build()
-        memo[key] = code
-    if path is not None and not path.exists():
+    if cache_dir is None:
+        return _build_cover(alphabet, length, radius, seed)
+    if alphabet == 2:
+        name = f"bin-{length}-r{radius}.cover"
+    else:
+        name = f"kary-{alphabet}-t{length}-s{radius}-m{seed}.cover"
+    path = Path(cache_dir) / name
+    try:
+        code = read_cover(path.read_text())
+        kind = 2 if isinstance(code, BinaryCoveringCode) else code.alphabet
+        # (alphabet, word length, radius), one check for both kinds
+        shape, want = (kind, code.word_length, code.radius), (alphabet, length, radius)
+        if shape != want:
+            raise ValueError(f"shape does not match: {shape}, want {want}")
+        ok, witness = verify_cover(code)
+        if not ok:
+            raise ValueError(f"does not cover {witness}")
+        return code
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cover cache {path}: {exc}") from None
+    code = _build_cover(alphabet, length, radius, seed)
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(write_cover(code))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cover cache {path}: {exc}") from None
     return code
-
-
-def _binary_cover(word_length: int, radius: int, cache_dir) -> BinaryCoveringCode:
-    def check(code) -> None:
-        if not isinstance(code, BinaryCoveringCode) or (
-            code.word_length, code.radius
-        ) != (word_length, radius):
-            raise ValueError(f"not a binary cover of length {word_length}, radius {radius}")
-
-    return _load_or_build_cover(
-        _BINARY_MEMO,
-        (word_length, radius),
-        cache_dir,
-        f"bin-{word_length}-r{radius}.cover",
-        lambda: build_binary_cover(word_length, radius=radius),
-        check,
-    )
-
-
-def _descent_params(alphabet: int, radius: int, seed: int, cache_dir) -> DescentParams:
-    t = descent_t(alphabet, radius)
-    s = t // alphabet
-    mixed = ((seed & 0xFFFFFFFF) * 1000003 + alphabet * 10007 + t * 101 + s) & 0x7FFFFFFF
-
-    def check(code) -> None:
-        if not isinstance(code, KaryCoveringCode) or code.alphabet != alphabet:
-            raise ValueError(f"not a {alphabet}-ary cover")
-        DescentParams(t, code)
-
-    code = _load_or_build_cover(
-        _KARY_MEMO,
-        (alphabet, t, s, mixed),
-        cache_dir,
-        f"kary-{alphabet}-t{t}-s{s}-m{mixed}.cover",
-        lambda: descent_params(alphabet, radius, mixed).kary_code,
-        check,
-    )
-    return DescentParams(t, code)
 
 
 def _lift_center(
@@ -268,11 +245,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError("retries must be at least 1")
     if cfg.mode not in ("hybrid", "classical"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    alphabet = cfg.alphabet if cfg.alphabet is not None else max(3, f.max_width)
-    if alphabet < 3:
-        raise ConfigError(f"alphabet {alphabet} below 3")
-    if f.max_width > alphabet:
-        raise ConfigError(f"clause width {f.max_width} exceeds alphabet {alphabet}")
+    alphabet = max(3, f.max_width)
     rho = cfg.rho if cfg.rho is not None else 1.0 / alphabet
     if not 0.0 < rho < 0.5:
         raise ConfigError(f"rho={rho} outside (0, 1/2)")
@@ -290,22 +263,25 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError("need a resource model or an explicit r_max")
     if r_cap < 0:
         raise ConfigError(f"r_max={r_cap} negative")
+    t = descent_t(alphabet, radius)
     # the word spaces the sweep cover, repair code and quantum leaf enumerate
     try:
         check_space(2, word_length)
         if cfg.mode == "hybrid":
-            check_space(alphabet, descent_t(alphabet, radius))
+            check_space(alphabet, t)
             check_space(alphabet, min(radius, r_cap))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
-    cover = _binary_cover(word_length, radius, cfg.cover_cache)
-    dp = (
-        _descent_params(alphabet, radius, cfg.seed, cfg.cover_cache)
-        if cfg.mode == "hybrid"
-        else None
-    )
+    cover = _cover(2, word_length, radius, 0, cfg.cover_cache)
+    dp = None
+    if cfg.mode == "hybrid":
+        s = t // alphabet
+        mixed = (
+            (cfg.seed & 0xFFFFFFFF) * 1000003 + alphabet * 10007 + t * 101 + s
+        ) & 0x7FFFFFFF
+        dp = DescentParams(t, _cover(alphabet, t, s, mixed, cfg.cover_cache))
     kvars = top_k_vars(f, cfg.k)
     kv_set = set(kvars)
     free_vars = [v for v in range(1, n + 1) if v not in kv_set]

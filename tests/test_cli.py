@@ -118,7 +118,6 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.usefixtures("fresh_cover_memos")
 class TestCoverCache:
     # SAT6 at k=3: a length-3, radius-1 sweep cover and a 3-ary repair code
     ARGV = ["--k", "3", "--r-max", "1", "--seed", "7"]
@@ -134,18 +133,20 @@ class TestCoverCache:
         assert "missing cover header" in err and "Traceback" not in err
 
     def test_misshapen_kary_cover_is_unknown(self, sat_file, tmp_path, capsys):
-        import ballsat.orchestrator as orch
-
         assert self._run(sat_file, tmp_path, capsys)[0] == 10
         [kary] = tmp_path.glob("kary-3-*.cover")
         header, *body = kary.read_text().splitlines()
         assert header.startswith("cover 3 3 1 ")
         kary.write_text("\n".join([header.replace("cover 3 3 1 ", "cover 3 3 2 "), *body]))
-        orch._BINARY_MEMO.clear()
-        orch._KARY_MEMO.clear()
         code, out, err = self._run(sat_file, tmp_path, capsys)
         assert code == 0 and "s UNKNOWN" in out
         assert "shape does not match" in err
+
+    def test_cache_path_under_a_file_is_unknown(self, sat_file, capsys):
+        code, out, err = self._run(sat_file, f"{sat_file}/sub", capsys)
+        assert code == 0 and "s UNKNOWN" in out
+        assert err.startswith("c ") and f"{sat_file}/sub" in err
+        assert "Traceback" not in err
 
 
 class TestModes:

@@ -47,8 +47,8 @@ class TestBinaryCover:
         assert code.codewords == ((0, 0, 0), (1, 1, 1))
 
     def test_deterministic(self):
-        a = build_binary_cover(10, rho=0.3)
-        b = build_binary_cover(10, rho=0.3)
+        a = build_binary_cover(10, radius=3)
+        b = build_binary_cover(10, radius=3)
         assert a == b
 
     def test_radius_zero_is_whole_space(self):
@@ -66,18 +66,6 @@ class TestBinaryCover:
         ok, witness = verify_cover(code)
         assert ok, witness
         assert len(code.codewords) >= 2**n / ball_volume(n, r)
-
-    def test_block_product(self):
-        code = build_binary_cover(6, rho=1 / 3, block_divisor=2)
-        assert code.word_length == 6
-        ok, _ = verify_cover(code)
-        assert ok
-        # 3-bit blocks at radius 1 give the 2-word repetition code each
-        assert len(code.codewords) == 4
-
-    def test_rho_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_binary_cover(6, rho=0.5)
 
     def test_word_length_cap(self):
         with pytest.raises(ValueError):
@@ -154,7 +142,7 @@ class TestSerialization:
         assert text.splitlines()[1:] == ["000", "111"]
 
     def test_binary_round_trip(self):
-        code = build_binary_cover(6, rho=0.34)
+        code = build_binary_cover(6, radius=2)
         assert read_cover(write_cover(code)) == code
 
     def test_kary_round_trip(self):
@@ -167,3 +155,10 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             read_cover("not a cover\n000\n")
+
+    @pytest.mark.parametrize(
+        "text", ["cover 2 2 0 1\n12\n", "cover 3 2 1 1\n30\n", "cover 3 2 1 1\n14\n"]
+    )
+    def test_symbol_outside_alphabet(self, text):
+        with pytest.raises(ValueError, match="outside"):
+            read_cover(text)

@@ -181,17 +181,11 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             solve(SAT6, SolveConfig(k=0))
 
-    def test_alphabet_below_width(self):
-        f = parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
-        with pytest.raises(ConfigError):
-            solve(f, SolveConfig(alphabet=3, r_max=1))
-
     def test_rho_bounds(self):
         with pytest.raises(ConfigError):
             solve(SAT6, SolveConfig(rho=0.5, r_max=1))
 
 
-@pytest.mark.usefixtures("fresh_cover_memos")
 class TestCoverCache:
     def test_cache_file_written_and_reused(self, tmp_path):
         cfg = SolveConfig(k=1, r_max=1, seed=7, workers=1, cover_cache=tmp_path)
@@ -222,8 +216,13 @@ class TestCoverCache:
 
     @pytest.mark.parametrize(
         "text",
-        ["garbage\n", "cover 2 2 0 2\n00\n", "cover 2 3 1 2\n000\n111\n"],
-        ids=["no-header", "short-body", "wrong-length"],
+        [
+            "garbage\n",
+            "cover 2 2 0 2\n00\n",
+            "cover 2 3 1 2\n000\n111\n",
+            "cover 2 2 0 4\n00\n01\n10\n19\n",
+        ],
+        ids=["no-header", "short-body", "wrong-length", "bad-symbol"],
     )
     def test_malformed_binary_cache_rejected(self, tmp_path, text):
         (tmp_path / "bin-2-r0.cover").write_text(text)
@@ -231,16 +230,12 @@ class TestCoverCache:
             solve(UNSAT3, SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path))
 
     def test_misshapen_kary_cache_rejected(self, tmp_path):
-        import ballsat.orchestrator as orch
-
         cfg = SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path)
         solve(UNSAT3, cfg)
         [kary] = tmp_path.glob("kary-*.cover")
         header, *body = kary.read_text().splitlines()
         _, k, t, s, count = header.split()
         kary.write_text("\n".join([f"cover {k} {t} {int(s) + 1} {count}", *body]) + "\n")
-        orch._BINARY_MEMO.clear()
-        orch._KARY_MEMO.clear()
         with pytest.raises(ConfigError, match="kary-"):
             solve(UNSAT3, cfg)
 
@@ -252,6 +247,13 @@ class TestCoverCache:
         assert [n.split("-")[0] for n in names] == ["bin", "kary"], names
         assert again.status == first.status
         assert again.stats.records == first.stats.records
+
+    def test_cache_file_wins_over_earlier_build(self, tmp_path):
+        cfg = SolveConfig(k=3, r_max=1)
+        assert solve(SAT6, cfg).status == "SAT"
+        (tmp_path / "bin-3-r1.cover").write_text("garbage\n")
+        with pytest.raises(ConfigError, match="missing cover header"):
+            solve(SAT6, dataclasses.replace(cfg, cover_cache=tmp_path))
 
 
 class TestMessageTypes:
