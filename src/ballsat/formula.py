@@ -47,6 +47,17 @@ class Formula:
     def max_width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
 
+    @cached_property
+    def occurrences(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per variable (index 0 unused): clause indices of its positive and
+        negative literals, one entry per occurrence, in clause order."""
+        pos: list[list[int]] = [[] for _ in range(self.num_vars + 1)]
+        neg: list[list[int]] = [[] for _ in range(self.num_vars + 1)]
+        for idx, clause in enumerate(self.clauses):
+            for lit in clause:
+                (pos if lit > 0 else neg)[abs(lit)].append(idx)
+        return tuple(zip(map(tuple, pos), map(tuple, neg)))
+
     def validate(self) -> None:
         """Check structural invariants; construction itself stays cheap."""
         if self.num_vars < 0:

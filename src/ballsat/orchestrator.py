@@ -80,6 +80,8 @@ class ResourceModel:
 
 def solve_resource(A: float, B: float, c: float) -> ResourceModel:
     """Smallest positive root of A g log2(1/g) + B g = c, increasing branch."""
+    if not all(map(math.isfinite, (A, B, c))):
+        raise ConfigError(f"resource constants must be finite: A={A}, B={B}, c={c}")
     if A <= 0 or B <= 0:
         raise ConfigError("resource constants must be positive")
     if not 0.0 < c < 1.0:

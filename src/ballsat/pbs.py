@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import product
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .codes import KaryCoveringCode, _kary_word, build_kary_cover
+from .codes import KaryCoveringCode, _kary_word
 from .fliptree import marked_mask, walk
-from .formula import (
-    CONFLICT,
+# first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
+from .formula import (  # noqa: F401
     Assignment,
     Formula,
     evaluate,
@@ -71,12 +70,6 @@ def descent_t(alphabet: int, radius: int) -> int:
     """t = max(K, smallest multiple of K >= floor(log2 log2 max(r, 4)))."""
     ll = math.floor(math.log2(math.log2(max(radius, 4))))
     return max(alphabet, alphabet * math.ceil(ll / alphabet))
-
-
-def descent_params(alphabet: int, radius: int, seed: int = 0) -> DescentParams:
-    t = descent_t(alphabet, radius)
-    code = build_kary_cover(alphabet, t, t // alphabet, seed)
-    return DescentParams(t, code)
 
 
 @dataclass(frozen=True)
@@ -141,26 +134,143 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     return None
 
 
+class _Trail:
+    """Bindings over a fixed center, kept as per-clause counters.
+
+    `val` is the center with the bound variables overwritten, `true[i]`
+    counts the literals of clause i true under `val`, `free[i]` those
+    still unbound, and `unsat` the clauses with no true literal.  The
+    center evaluated on restrict(f, bound) is f evaluated on `val`: its
+    first falsified clause is true.index(0), narrowed to its unbound
+    literals, and its falsified-clause count is `unsat`.  Variables are
+    bound one at a time and must be unbound before they are bound again.
+    """
+
+    __slots__ = ("formula", "center", "val", "true", "free", "unsat", "bound", "occ")
+
+    def __init__(self, f: Formula, center: Assignment):
+        self.formula, self.center = f, center
+        self.val = list(center)
+        self.occ = f.occurrences
+        self.true = [0] * len(f.clauses)
+        for var, (pos, neg) in enumerate(self.occ[1:], start=1):
+            for idx in pos if center[var - 1] else neg:
+                self.true[idx] += 1
+        self.free = [len(clause) for clause in f.clauses]
+        self.unsat = self.true.count(0)
+        self.bound: dict[int, int] = {}
+
+    def bind(self, var: int, bit: int) -> bool:
+        """Bind var; False iff a clause now has every literal bound and false."""
+        self.bound[var] = bit
+        return self._set(var, bit, -1)
+
+    def unbind(self, var: int) -> None:
+        """Undo bind(var, ...): counters and `val` return to what they were."""
+        del self.bound[var]
+        self._set(var, self.center[var - 1], 1)
+
+    def _set(self, var: int, bit: int, step: int) -> bool:
+        """Give var the value bit and add step to its clauses' free counts.
+
+        Returns False iff one of those clauses is left with neither a
+        free nor a true literal.  Literals turning true are counted
+        before those turning false, so a clause holding both v and -v
+        never passes through zero.
+        """
+        pos, neg = self.occ[var]
+        true, free = self.true, self.free
+        now_true, now_false = (pos, neg) if bit else (neg, pos)
+        ok = True
+        if self.val[var - 1] == bit:
+            for idx in now_true:
+                free[idx] += step
+            for idx in now_false:
+                free[idx] += step
+                if not (free[idx] or true[idx]):
+                    ok = False
+            return ok
+        self.val[var - 1] = bit
+        unsat = self.unsat
+        for idx in now_true:
+            free[idx] += step
+            if not true[idx]:
+                unsat -= 1
+            true[idx] += 1
+        for idx in now_false:
+            free[idx] += step
+            true[idx] -= 1
+            if not true[idx]:
+                unsat += 1
+                if not free[idx]:
+                    ok = False
+        self.unsat = unsat
+        return ok
+
+    def branch_literals(self) -> list[int]:
+        """Unbound literals of the first falsified clause, in clause order."""
+        clause = self.formula.clauses[self.true.index(0)]
+        return [lit for lit in clause if abs(lit) not in self.bound]
+
+
 def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     """Classical descent: branch on literals of the first falsified clause.
 
     Each branch binds one literal true and recurses at radius - 1 (the
     bound variable leaves the formula, and a ball witness loses one
     disagreement with the center).  At radius <= r_max the quantum leaf
-    takes over at radius r_max.  Returned assignments are re-lifted with
-    the branch binding and verified before propagating.
+    takes over at radius r_max.  Bindings live on one trail for the
+    whole descent; a returned assignment is lifted with the full binding
+    and verified against inst.formula.
     """
-    f, center = inst.formula, inst.center
-    if evaluate(f, center):
-        return center
-    if inst.radius <= 0:
+    return _classical(_Trail(inst.formula, inst.center), inst, rt, inst.radius)
+
+
+def _classical(
+    trail: _Trail, inst: PbsInstance, rt: PbsRuntime, radius: int
+) -> Assignment | None:
+    """kqcpbs on restrict(inst.formula, trail.bound), read off the trail.
+
+    Branches run fewest-falsified-clauses first, ties in clause order;
+    a branch whose binding empties a clause is skipped.  The leaf gets
+    the restricted formula, built once.
+    """
+    if not trail.unsat:
+        return lift_and_verify(inst.formula, tuple(trail.val), trail.bound)
+    if radius <= 0:
         return None
-    if inst.radius <= inst.r_max:
-        return quantum_kpbs(replace(inst, radius=inst.r_max), rt)
-    clause_idx = first_unsat_clause(f, center)
-    assert clause_idx is not None
-    bindings = ({abs(lit): 1 if lit > 0 else 0} for lit in f.clauses[clause_idx])
-    return _descend(inst, rt, bindings, inst.radius - 1)
+    if radius <= inst.r_max:
+        sub = restrict(inst.formula, trail.bound)
+        got = quantum_kpbs(replace(inst, formula=sub, radius=inst.r_max), rt)
+        return lift_and_verify(inst.formula, got, trail.bound)
+    branches = []
+    for lit in trail.branch_literals():
+        var, bit = abs(lit), 1 if lit > 0 else 0
+        if trail.bind(var, bit):
+            branches.append((trail.unsat, ((var, bit),)))
+        trail.unbind(var)
+    return _run_branches(trail, inst, rt, branches, radius - 1)
+
+
+def _run_branches(
+    trail: _Trail,
+    inst: PbsInstance,
+    rt: PbsRuntime,
+    branches: list[tuple[int, tuple[tuple[int, int], ...]]],
+    radius: int,
+) -> Assignment | None:
+    """Descend into (score, binding) branches, lowest score first, ties in order."""
+    branches.sort(key=lambda b: b[0])
+    for _, binding in branches:
+        rt.count_branch()
+        for var, bit in binding:
+            trail.bind(var, bit)
+        model = _classical(trail, inst, rt, radius)
+        for var, _ in binding:
+            trail.unbind(var)
+        if model is not None:
+            return model
+    return None
 
 
 def lift_and_verify(
@@ -176,29 +286,32 @@ def lift_and_verify(
     return candidate if evaluate(f, candidate) else None
 
 
-def _descend(
-    inst: PbsInstance, rt: PbsRuntime, bindings: Iterable[dict[int, int]], radius: int
-) -> Assignment | None:
-    """Classical descent into each binding that does not conflict.
+def _block_points(
+    trail: _Trail, block_vars: list[int]
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(falsified count, binding) of every conflict-free assignment of block_vars.
 
-    Branches run fewest-falsified-clauses first under the center, ties
-    in the order given; each runs kqcpbs at `radius`, and its answer is
-    lifted with the binding and verified against the unrestricted formula.
+    Depth first, one variable per level, 0 before 1: itertools.product
+    order.  A conflicting prefix is pruned, since every extension of it
+    conflicts too.
     """
-    f, center = inst.formula, inst.center
-    branches = []
-    for binding in bindings:
-        sub = restrict(f, binding)
-        if sub is not CONFLICT:
-            branches.append((unsat_count(sub, center), binding, sub))
-    branches.sort(key=lambda b: b[0])
-    for _, binding, sub in branches:
-        rt.count_branch()
-        got = kqcpbs(replace(inst, formula=sub, radius=radius), rt)
-        model = lift_and_verify(f, got, binding)
-        if model is not None:
-            return model
-    return None
+    points: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    bits: list[int] = []
+
+    def visit(depth: int) -> None:
+        if depth == len(block_vars):
+            points.append((trail.unsat, tuple(zip(block_vars, bits))))
+            return
+        var = block_vars[depth]
+        for bit in (0, 1):
+            if trail.bind(var, bit):
+                bits.append(bit)
+                visit(depth + 1)
+                bits.pop()
+            trail.unbind(var)
+
+    visit(0)
+    return points
 
 
 def modify_assignment(
@@ -254,11 +367,8 @@ def kpbs_hybrid(
     group = max_disjoint_unsat(f, center)
     if len(group) <= dp.t:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
-        bindings = (
-            dict(zip(block_vars, bits))
-            for bits in product((0, 1), repeat=len(block_vars))
-        )
-        return _descend(inst, rt, bindings, inst.radius)
+        trail = _Trail(f, center)
+        return _run_branches(trail, inst, rt, _block_points(trail, block_vars), inst.radius)
     batch = group[: dp.t]
     moves = []
     for ci, word in enumerate(dp.kary_code.codewords):

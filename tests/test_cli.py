@@ -84,6 +84,13 @@ class TestExitCodes:
         assert "s UNKNOWN" in out
         assert "too large" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,value", [("--A", "nan"), ("--B", "nan"), ("--A", "inf")])
+    def test_unknown_on_non_finite_resource_constant(self, sat_file, flag, value, capsys):
+        assert run(["--input", sat_file, flag, value]) == 0
+        out, err = capsys.readouterr()
+        assert out == "s UNKNOWN\n"
+        assert "must be finite" in err
+
     def test_unwritable_stats_fails_before_solving(self, sat_file, tmp_path, capsys):
         stats = tmp_path / "missing" / "calls.jsonl"
         assert run(["--input", sat_file, "--r-max", "2", "--stats", str(stats)]) == 1

@@ -1,0 +1,72 @@
+"""Pinned counters on small seeded solves under the benchmark's three configs.
+
+The (k, mode, r_max) triples are those of the `perfbench` workloads;
+the formulas come from the shared generators.  Status, model and the
+deterministic `SolveStats` counters are pinned, so a change that moves
+any of them fails here and has to update the table on purpose.  The
+hybrid family keeps n = 13: at k = 1 that is the smallest size whose
+sweep radius exceeds r_max = 3, so the solve reaches `kpbs_hybrid`
+instead of going straight to the quantum leaf.
+"""
+
+import random
+
+import pytest
+
+from ballsat import SolveConfig, solve
+
+from helpers import planted_ksat, random_ksat
+
+CONFIGS = {
+    "unsat3-hybrid": dict(k=1, mode="hybrid", r_max=3),
+    "unsat3-classical": dict(k=4, mode="classical", r_max=None),
+    "planted-pool": dict(k=2, mode="hybrid", r_max=3),
+}
+
+# (planted, n, m, width) per instance, drawn in order from Random(workload name)
+FAMILIES = {
+    "unsat3-hybrid": [(False, 13, 59, 3)] * 3 + [(False, 13, 78, 3)] * 3,
+    "unsat3-classical": [(False, 12, 52, 3)] * 3 + [(False, 12, 72, 3)] * 3,
+    "planted-pool": [(True, 12, 60, 3)] * 4 + [(True, 10, 100, 4)] * 2,
+}
+
+# status, model bits, branches, quantum_calls, total_queries, dispatches, groups_failed
+GOLDEN = {
+    ("unsat3-hybrid", 0): ("SAT", "0010001110111", 310, 474, 10428, 17, 158),
+    ("unsat3-hybrid", 1): ("SAT", "1100100100100", 214, 261, 5742, 17, 87),
+    ("unsat3-hybrid", 2): ("SAT", "0110101100010", 260, 276, 6072, 16, 92),
+    ("unsat3-hybrid", 3): ("FALSE", None, 485, 720, 15840, 32, 240),
+    ("unsat3-hybrid", 4): ("FALSE", None, 364, 531, 11682, 32, 177),
+    ("unsat3-hybrid", 5): ("FALSE", None, 536, 693, 15246, 32, 231),
+    ("unsat3-classical", 0): ("FALSE", None, 361, 0, 0, 160, 0),
+    ("unsat3-classical", 1): ("SAT", "010010000011", 131, 0, 0, 34, 0),
+    ("unsat3-classical", 2): ("SAT", "010100001100", 2, 0, 0, 1, 0),
+    ("unsat3-classical", 3): ("FALSE", None, 762, 0, 0, 224, 0),
+    ("unsat3-classical", 4): ("FALSE", None, 557, 0, 0, 208, 0),
+    ("unsat3-classical", 5): ("FALSE", None, 507, 0, 0, 224, 0),
+    ("planted-pool", 0): ("SAT", "011111100011", 0, 118, 2596, 40, 39),
+    ("planted-pool", 1): ("SAT", "100010010100", 0, 4, 88, 2, 1),
+    ("planted-pool", 2): ("SAT", "011001111010", 0, 39, 858, 13, 13),
+    ("planted-pool", 3): ("SAT", "101001001010", 0, 7, 154, 3, 2),
+    ("planted-pool", 4): ("SAT", "1001100001", 0, 97, 1746, 33, 32),
+    ("planted-pool", 5): ("SAT", "1111011001", 0, 16, 288, 6, 5),
+}
+
+
+def corpus(name):
+    rng = random.Random(name)
+    for planted, n, m, width in FAMILIES[name]:
+        yield planted_ksat(n, m, width, rng)[0] if planted else random_ksat(n, m, width, rng)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_counters_match_the_recorded_values(name):
+    for index, f in enumerate(corpus(name)):
+        res = solve(f, SolveConfig(seed=0, **CONFIGS[name]))
+        s = res.stats
+        model = "".join(map(str, res.model)) if res.model is not None else None
+        got = (
+            res.status, model, s.branches, s.quantum_calls,
+            s.total_queries, s.dispatches, s.groups_failed,
+        )
+        assert got == GOLDEN[name, index], f"{name} instance {index}"

@@ -77,6 +77,14 @@ class TestResourceModel:
         with pytest.raises(ConfigError):
             solve_resource(-1.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize(
+        "A,B,c",
+        [(math.nan, 1.0, 0.3), (1.0, math.nan, 0.3), (math.inf, 1.0, 0.3), (1.0, 1.0, math.inf)],
+    )
+    def test_non_finite_constants(self, A, B, c):
+        with pytest.raises(ConfigError):
+            solve_resource(A, B, c)
+
     def test_r_max_floor(self):
         rm = solve_resource(1.0, 1.0, 0.3)
         assert rm.r_max(100) == math.floor(rm.gamma * 100)

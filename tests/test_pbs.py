@@ -10,7 +10,6 @@ from ballsat.pbs import (
     DescentParams,
     PbsInstance,
     PbsRuntime,
-    descent_params,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
@@ -32,6 +31,11 @@ UNSAT3 = parse_dimacs(
     )
     + "\n"
 )
+
+
+def descent_params(alphabet, radius, seed=0):
+    t = descent_t(alphabet, radius)
+    return DescentParams(t, build_kary_cover(alphabet, t, t // alphabet, seed))
 
 
 def runtime(seed=0, **kw):
