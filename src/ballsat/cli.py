@@ -3,8 +3,9 @@
 Prints "s SATISFIABLE" with a "v" model line (exit 10), "s
 UNSATISFIABLE" with a one-sided failure-probability comment (exit 20),
 or "s UNKNOWN" when the configuration is unusable (exit 0).  Input or
-flag errors exit 1.  The failure probability is a union bound over the
-quantum groups whose every retry missed, capped at 1.
+flag errors, input that is not UTF-8 among them, exit 1.  The failure
+probability is a union bound over the quantum groups whose every retry
+missed, capped at 1.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def _print_model(model: Assignment) -> None:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The input decoded as UTF-8, whatever the locale; raises UnicodeDecodeError."""
+    raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return raw.decode("utf-8")
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -74,7 +75,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_UNKNOWN if exc.code in (0, None) else EXIT_ERROR
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:

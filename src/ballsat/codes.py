@@ -29,19 +29,6 @@ def check_space(alphabet: int, length: int) -> None:
         raise ValueError(f"space {alphabet}^{length} too large")
 
 
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
-
-
-def binary_entropy(rho: float) -> float:
-    """H(rho) in bits; defined on the open interval (0, 1)."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho={rho} outside (0, 1)")
-    return -rho * math.log2(rho) - (1.0 - rho) * math.log2(1.0 - rho)
-
-
 @dataclass(frozen=True)
 class BinaryCoveringCode:
     word_length: int
@@ -208,21 +195,12 @@ def build_kary_cover(
     return code
 
 
-def verify_cover(
-    code: BinaryCoveringCode | KaryCoveringCode,
-    space: Iterable[Word] | None = None,
-) -> tuple[bool, Word | None]:
+def verify_cover(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[bool, Word | None]:
     """Exhaustive coverage check; returns (ok, first uncovered word or None).
 
-    With an explicit `space` the check scans it generically; otherwise
-    the full word space enumerates in lexicographic order via ball
-    marking, which is much faster.
+    Marks every codeword's ball over the full word space, then scans it in
+    lexicographic order.
     """
-    if space is not None:
-        for word in space:
-            if all(hamming_distance(word, cw) > code.radius for cw in code.codewords):
-                return False, word
-        return True, None
     if isinstance(code, BinaryCoveringCode):
         length = code.word_length
         if length == 0:

@@ -9,8 +9,8 @@ lambda_min = K^-r.
 
 The iterate only ever mixes two vectors, the uniform superpositions
 over marked and unmarked words, so the production leaf is two-level:
-`success_probability_exact` gives the marked probability p from a 2x2
-product, every marked word has probability p/M and every unmarked one
+`success_probability_exact` gives the marked probability p in closed
+form, every marked word has probability p/M and every unmarked one
 (1-p)/(N-M), and `word_cdf` and `measure` sample from that.  The full state
 vector (`prepare`, `apply_g`, `apply_schedule`, `sample_sequence`,
 `search_state`) is kept as the exact reference the tests check it against.
@@ -77,6 +77,8 @@ def make_schedule(epsilon: float, lambda_min: float) -> SearchSchedule:
     if not 0.0 < lambda_min <= 1.0:
         raise ValueError(f"lambda_min={lambda_min} outside (0, 1]")
     bound = math.log2(2.0 / epsilon) / math.sqrt(lambda_min)
+    if not math.isfinite(bound):
+        raise ValueError(f"epsilon={epsilon} too small: log2(2/epsilon) overflows")
     L = math.ceil(bound)
     if L % 2 == 0:
         L += 1
@@ -173,30 +175,25 @@ def sample_sequence(state: FlipState, rng: np.random.Generator) -> FlipSequence:
 def success_probability_exact(
     lam: float, epsilon: float, lambda_min: float | None = None
 ) -> float:
-    """Exact success probability from the two-dimensional invariant subspace.
+    """Exact success probability 1 - eps^2 * T_L(gamma^-1 * sqrt(1 - lam))^2.
 
-    The dynamics confine to span{marked, unmarked} uniform vectors, so a
-    2x2 product gives the probability exactly.  The schedule is tuned to
-    lambda_min (defaulting to lam itself).
+    The closed form of Yoder, Low and Chuang (PRL 113, 210501, 2014) for
+    the schedule tuned to lambda_min (defaulting to lam itself); it equals
+    the marked probability of the two-level (and the full) state.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda={lam} outside [0, 1]")
     if lam == 0.0:
         return 0.0
     schedule = make_schedule(epsilon, lambda_min if lambda_min is not None else lam)
-    start = np.array([math.sqrt(1.0 - lam), math.sqrt(lam)], dtype=complex)
-    state = start.copy()
-    for alpha, beta in schedule.angles:
-        state[1] *= cmath.exp(1j * beta)
-        overlap = start[0].real * state[0] + start[1].real * state[1]
-        state = -(state - (1.0 - cmath.exp(-1j * alpha)) * overlap * start)
-    return float(abs(state[1]) ** 2)
+    miss = epsilon * chebyshev_t(schedule.L, schedule.gamma_inv * math.sqrt(1.0 - lam))
+    return 1.0 - miss * miss
 
 
 def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarray:
     """Normalised cumulative measurement probabilities of the amplified register.
 
-    With M of N words marked, the 2x2 form gives the marked probability
+    With M of N words marked, the closed form gives the marked probability
     p; each marked word gets p/M and each unmarked word (1-p)/(N-M).
     With M = 0 or M = N the distribution is uniform.  The arithmetic
     after the per-word probabilities is that of `Generator.choice`, so

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +38,20 @@ from .formula import (
     unsat_count,
 )
 from .pbs import (
-    CallLog,
     DescentParams,
     PbsInstance,
     PbsRuntime,
-    QuantumAttempt,
+    QuantumCallRecord,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
     lift_and_verify,
     quantum_kpbs,
 )
+
+
+# retries per quantum group; each retry walks one word and writes one record
+MAX_RETRIES = 1000
 
 
 class ConfigError(ValueError):
@@ -117,17 +120,6 @@ class SolveConfig:
     cover_cache: str | Path | None = None
 
 
-@dataclass(frozen=True)
-class QuantumCallRecord:
-    prefix: str
-    codeword: int
-    radius: int
-    L: int
-    queries: int
-    outcome: str
-    attempt: int
-
-
 @dataclass
 class SolveStats:
     """Counters of one solve.
@@ -171,7 +163,7 @@ class WorkItem:
 class WorkResult:
     item: WorkItem
     model: Assignment | None
-    attempts: tuple[QuantumAttempt, ...]
+    records: tuple[QuantumCallRecord, ...]
     branches: int
     groups_failed: int
 
@@ -245,8 +237,15 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError(f"epsilon={cfg.epsilon} outside (0, 1)")
     if cfg.retries < 1:
         raise ConfigError("retries must be at least 1")
+    if cfg.retries > MAX_RETRIES:
+        raise ConfigError(f"retries={cfg.retries} above the cap of {MAX_RETRIES}")
     if cfg.mode not in ("hybrid", "classical"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if cfg.mode == "hybrid" and cfg.epsilon ** (2 * cfg.retries) == 0.0:
+        # the failure bound groups_failed * epsilon^(2 * retries) would read 0
+        raise ConfigError(
+            f"epsilon={cfg.epsilon} too small: epsilon^(2*retries) underflows to 0"
+        )
     alphabet = max(3, f.max_width)
     rho = cfg.rho if cfg.rho is not None else 1.0 / alphabet
     if not 0.0 < rho < 0.5:
@@ -301,11 +300,12 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         return SolveResult(status, model, stats)
 
     def run_item(item: WorkItem) -> WorkResult:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, 1 + item.prefix_pos, item.codeword_index])
-        )
-        log = CallLog()
-        rt = PbsRuntime(rng=rng, retries=cfg.retries, log=log)
+        rng = None  # classical mode has r_max = 0 and never reaches the leaf
+        if cfg.mode == "hybrid":
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, 1 + item.prefix_pos, item.codeword_index])
+            )
+        rt = PbsRuntime(rng, cfg.retries, item.prefix, item.codeword_index)
         inst = PbsInstance(
             item.formula, item.center, item.radius, item.r_max, cfg.epsilon, alphabet
         )
@@ -314,20 +314,15 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         elif item.radius > item.r_max:
             model = kpbs_hybrid(inst, dp, rt)
         else:
-            model = quantum_kpbs(replace(inst, radius=min(item.radius, item.r_max)), rt)
-        return WorkResult(item, model, tuple(log.attempts), log.branches, log.groups_failed)
+            model = quantum_kpbs(inst, rt)
+        return WorkResult(item, model, tuple(rt.records), rt.branches, rt.groups_failed)
 
     def absorb(result: WorkResult) -> None:
+        stats.records.extend(result.records)
+        stats.quantum_calls += len(result.records)
+        stats.total_queries += sum(rec.queries for rec in result.records)
         stats.branches += result.branches
         stats.groups_failed += result.groups_failed
-        for att in result.attempts:
-            stats.records.append(
-                QuantumCallRecord(
-                    result.item.prefix, result.item.codeword_index, **vars(att)
-                )
-            )
-            stats.quantum_calls += 1
-            stats.total_queries += att.queries
 
     for prefix_pos in order:
         prefix_bits, sub = entries[prefix_pos]

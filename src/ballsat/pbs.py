@@ -73,7 +73,11 @@ def descent_t(alphabet: int, radius: int) -> int:
 
 
 @dataclass(frozen=True)
-class QuantumAttempt:
+class QuantumCallRecord:
+    """One measurement of an amplified leaf call, as written to --stats."""
+
+    prefix: str
+    codeword: int
     radius: int
     L: int
     queries: int
@@ -82,29 +86,28 @@ class QuantumAttempt:
 
 
 @dataclass
-class CallLog:
-    attempts: list[QuantumAttempt] = field(default_factory=list)
+class PbsRuntime:
+    """Per-dispatch context and log.
+
+    The context is the randomness (None where no leaf can run), the retry
+    budget and the (prefix, codeword) the dispatch serves; the log is its
+    leaf records, branch count and failed quantum groups.
+    """
+
+    rng: np.random.Generator | None
+    retries: int = 3
+    prefix: str = ""
+    codeword: int = 0
+    records: list[QuantumCallRecord] = field(default_factory=list)
     branches: int = 0
     groups_failed: int = 0   # quantum groups whose every retry missed
-
-
-@dataclass
-class PbsRuntime:
-    """Per-dispatch context: randomness, retry budget, metrics."""
-
-    rng: np.random.Generator
-    retries: int = 3
-    log: CallLog = field(default_factory=CallLog)
-
-    def count_branch(self) -> None:
-        self.log.branches += 1
 
 
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
     The amplified register is two-level: the trie pass marks the M of
-    N = K^r words whose walk succeeds, the 2x2 form gives the marked
+    N = K^r words whose walk succeeds, the closed form gives the marked
     probability p, and each retry measures a word from p/M per marked
     and (1-p)/(N-M) per unmarked word.  Retries multiply only the query
     count.  The measured word is walked once more for its candidate,
@@ -119,8 +122,10 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
         out = walk(f, center, _kary_word(index, k, radius))
         if out.value != marked[index]:
             raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
-        rt.log.attempts.append(
-            QuantumAttempt(
+        rt.records.append(
+            QuantumCallRecord(
+                rt.prefix,
+                rt.codeword,
                 radius,
                 schedule.L,
                 schedule.queries,
@@ -130,7 +135,7 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
         )
         if out.value:
             return out.candidate
-    rt.log.groups_failed += 1
+    rt.groups_failed += 1
     return None
 
 
@@ -262,7 +267,7 @@ def _run_branches(
     """Descend into (score, binding) branches, lowest score first, ties in order."""
     branches.sort(key=lambda b: b[0])
     for _, binding in branches:
-        rt.count_branch()
+        rt.branches += 1
         for var, bit in binding:
             trail.bind(var, bit)
         model = _classical(trail, inst, rt, radius)
@@ -339,11 +344,7 @@ def modify_assignment(
 
 
 def kpbs_hybrid(
-    inst: PbsInstance,
-    dp: DescentParams,
-    rt: PbsRuntime,
-    _depth: int = 0,
-    _initial_radius: int | None = None,
+    inst: PbsInstance, dp: DescentParams, rt: PbsRuntime
 ) -> Assignment | None:
     """Hybrid descent over a maximal disjoint set G of falsified clauses.
 
@@ -353,9 +354,6 @@ def kpbs_hybrid(
     t clauses, shrinking the radius by t/K, so the first radius at or
     below r_max lies within delta of it.
     """
-    r0 = inst.radius if _initial_radius is None else _initial_radius
-    if _depth > r0:
-        raise RuntimeError("descent exceeded initial radius")
     f, center = inst.formula, inst.center
     if evaluate(f, center):
         return center
@@ -376,14 +374,8 @@ def kpbs_hybrid(
         moves.append((unsat_count(f, moved), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
-        rt.count_branch()
-        got = kpbs_hybrid(
-            replace(inst, center=moved, radius=inst.radius - dp.step),
-            dp,
-            rt,
-            _depth + 1,
-            r0,
-        )
+        rt.branches += 1
+        got = kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - dp.step), dp, rt)
         if got is not None:
             return got
     return None

@@ -43,7 +43,7 @@ def _ref_descend(inst, rt, bindings, radius):
             branches.append((unsat_count(sub, center), binding, sub))
     branches.sort(key=lambda b: b[0])
     for _, binding, sub in branches:
-        rt.count_branch()
+        rt.branches += 1
         got = ref_kqcpbs(replace(inst, formula=sub, radius=radius), rt)
         model = lift_and_verify(f, got, binding)
         if model is not None:
@@ -74,7 +74,7 @@ def ref_kpbs_hybrid(inst, dp, rt):
         moves.append((unsat_count(f, moved), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
-        rt.count_branch()
+        rt.branches += 1
         got = ref_kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - dp.step), dp, rt)
         if got is not None:
             return got

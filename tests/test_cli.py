@@ -1,9 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ballsat
 from ballsat import evaluate, parse_dimacs
 from ballsat.cli import run
 
@@ -90,6 +95,39 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "s UNKNOWN\n"
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-300"])
+    def test_unknown_on_epsilon_whose_bound_underflows(self, unsat_file, epsilon, capsys):
+        argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--epsilon", epsilon]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "s UNKNOWN\n"
+        assert "underflows" in err
+
+    def test_unknown_on_retries_above_cap(self, unsat_file):
+        # in a child process, so that a solver that takes the 10^8 retries times out
+        src = str(Path(ballsat.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballsat", "--input", unsat_file,
+             "--k", "1", "--r-max", "1", "--retries", "100000000"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "s UNKNOWN\n"
+        assert "above the cap" in proc.stderr
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_input(self, source, tmp_path, monkeypatch, capsys):
+        data = b"p cnf 2 1\n1 \xff 0\n"
+        path = tmp_path / "latin1.cnf"
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(["--input", str(path) if source == "file" else "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read ") and "utf-8" in err
 
     def test_unwritable_stats_fails_before_solving(self, sat_file, tmp_path, capsys):
         stats = tmp_path / "missing" / "calls.jsonl"
@@ -219,7 +257,7 @@ class TestStats:
 
 class TestStdin:
     def test_reads_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(SAT6))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(SAT6.encode())))
         code = run(["--input", "-", "--k", "1", "--r-max", "2", "--seed", "3"])
         assert code == 10
 

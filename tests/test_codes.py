@@ -1,15 +1,12 @@
 import math
-from itertools import product
 
 import pytest
 
 from ballsat.codes import (
     BinaryCoveringCode,
     KaryCoveringCode,
-    binary_entropy,
     build_binary_cover,
     build_kary_cover,
-    hamming_distance,
     kary_draw_bound,
     read_cover,
     verify_cover,
@@ -19,26 +16,6 @@ from ballsat.codes import (
 
 def ball_volume(n, r):
     return sum(math.comb(n, i) for i in range(r + 1))
-
-
-class TestEntropy:
-    def test_known_points(self):
-        assert binary_entropy(0.5) == pytest.approx(1.0)
-        assert binary_entropy(1 / 3) == pytest.approx(0.9182958340544896)
-
-    def test_open_interval_only(self):
-        for rho in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                binary_entropy(rho)
-
-    def test_symmetry(self):
-        for rho in (0.1, 0.25, 0.4):
-            assert binary_entropy(rho) == pytest.approx(binary_entropy(1 - rho))
-
-
-def test_hamming_distance():
-    assert hamming_distance((0, 1, 0), (0, 1, 0)) == 0
-    assert hamming_distance((0, 1, 0), (1, 1, 1)) == 2
 
 
 class TestBinaryCover:
@@ -126,12 +103,6 @@ class TestVerify:
         broken = KaryCoveringCode(3, 2, 0, ((3, 3),), size_bound=1)
         ok, witness = verify_cover(broken)
         assert not ok and witness == (1, 1)
-
-    def test_explicit_space(self):
-        code = BinaryCoveringCode(3, 1, ((0, 0, 0),))
-        space = list(product((0, 1), repeat=3))
-        ok, witness = verify_cover(code, space)
-        assert not ok and witness == (0, 1, 1)
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -31,6 +32,17 @@ SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 NARROW = parse_dimacs(
     "p cnf 6 6\n-4 0\n-5 0\n-6 0\n1 4 5 0\n2 5 6 0\n3 6 4 0\n"
 )
+
+
+def stepped_probability(lam, epsilon, lambda_min):
+    """Marked probability from stepping the 2-vector (unmarked, marked) through the angles."""
+    start = np.array([math.sqrt(1.0 - lam), math.sqrt(lam)], dtype=complex)
+    state = start.copy()
+    for alpha, beta in make_schedule(epsilon, lambda_min).angles:
+        state[1] *= cmath.exp(1j * beta)
+        overlap = start @ state
+        state = -(state - (1.0 - cmath.exp(-1j * alpha)) * overlap * start)
+    return float(abs(state[1]) ** 2)
 
 
 class TestChebyshev:
@@ -100,6 +112,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             make_schedule(0.1, 0.0)
 
+    def test_epsilon_too_small_for_log2(self):
+        # 2 / 5e-324 overflows to inf
+        with pytest.raises(ValueError, match="too small"):
+            make_schedule(5e-324, 0.5)
+
 
 class TestState:
     def test_prepare_uniform(self):
@@ -150,7 +167,7 @@ class TestSampling:
         rt = PbsRuntime(rng=np.random.default_rng(7), retries=1)
         candidate = quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)
         schedule = make_schedule(0.1, 1 / 27)
-        [attempt] = rt.log.attempts
+        [attempt] = rt.records
         assert attempt.queries == schedule.L - 1
         assert attempt.outcome == "sat"
         assert candidate == (1, 1, 1, 0, 0, 0)
@@ -181,6 +198,17 @@ class TestExactProbability:
             assert success_probability_exact(lam, eps, lam_min) == pytest.approx(
                 expect, abs=1e-12
             )
+
+    def test_matches_stepped_two_level_product(self):
+        # every M/N of K^r words, K = 3, 4, r <= 3
+        for eps in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+            for alphabet in (3, 4):
+                for radius in (1, 2, 3):
+                    n = alphabet**radius
+                    for m in range(n + 1):
+                        got = success_probability_exact(m / n, eps, 1 / n)
+                        want = stepped_probability(m / n, eps, 1 / n)
+                        assert got == pytest.approx(want, abs=1e-13)
 
     def test_agrees_with_full_simulation(self):
         rng = random.Random(13)

@@ -2,11 +2,13 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ballsat import CONFLICT, decompose, evaluate, parse_dimacs
 from ballsat.codes import BinaryCoveringCode, KaryCoveringCode
 from ballsat.orchestrator import (
+    MAX_RETRIES,
     ConfigError,
     QuantumCallRecord,
     ResourceModel,
@@ -181,6 +183,23 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             solve(SAT6, SolveConfig(retries=0, r_max=1))
 
+    def test_retries_capped(self):
+        # epsilon^(2 * MAX_RETRIES) must not underflow: 0.9^2000 ~ 1e-92
+        cfg = SolveConfig(k=1, r_max=1, retries=MAX_RETRIES, epsilon=0.9)
+        res = solve(UNSAT3, cfg)
+        assert res.status == "FALSE"
+        assert {r.attempt for r in res.stats.records} == set(range(MAX_RETRIES))
+        with pytest.raises(ConfigError, match="cap"):
+            solve(UNSAT3, dataclasses.replace(cfg, retries=MAX_RETRIES + 1))
+
+    def test_epsilon_whose_failure_bound_underflows(self):
+        # 1e-300 ** 6 == 0.0: a FALSE answer could not state its failure bound
+        with pytest.raises(ConfigError, match="underflows"):
+            solve(UNSAT3, SolveConfig(k=1, r_max=1, epsilon=1e-300))
+        # the classical descent has no quantum groups, so no bound to state
+        res = solve(UNSAT3, SolveConfig(k=1, epsilon=1e-300, mode="classical"))
+        assert (res.status, res.stats.failure_bound) == ("FALSE", 0.0)
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             solve(SAT6, SolveConfig(mode="quantum", r_max=1))
@@ -264,12 +283,28 @@ class TestCoverCache:
             solve(SAT6, dataclasses.replace(cfg, cover_cache=tmp_path))
 
 
+class TestGenerators:
+    def test_classical_solve_seeds_only_the_prefix_order(self, monkeypatch):
+        # classical dispatches never reach the leaf, so they draw nothing
+        built = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        res = solve(UNSAT3, SolveConfig(k=1, mode="classical"))
+        assert res.status == "FALSE" and res.stats.dispatches > 1
+        assert len(built) == 1
+
+
 class TestMessageTypes:
     def test_worker_messages_are_classical(self):
         # items and results carry only formulas, bit tuples, and counters
         allowed = {
             "str", "int", "Formula", "Assignment",
-            "tuple[QuantumAttempt, ...]", "Assignment | None",
+            "tuple[QuantumCallRecord, ...]", "Assignment | None",
         }
         for cls in (WorkItem, WorkResult):
             for fld in dataclasses.fields(cls):

@@ -109,23 +109,23 @@ class TestQuantumLeaf:
         rt = runtime(42)
         got = quantum_kpbs(inst, rt)
         assert got is not None and evaluate(f, got) == 1
-        assert rt.log.attempts[0].outcome == "sat"
-        assert rt.log.groups_failed == 0
+        assert rt.records[0].outcome == "sat"
+        assert rt.groups_failed == 0
 
     def test_hopeless_instance_burns_retries(self):
         inst = PbsInstance(UNSAT3, (0, 0, 0), 1, 1, 0.1, 3)
         rt = runtime(3, retries=3)
         assert quantum_kpbs(inst, rt) is None
-        assert len(rt.log.attempts) == 3
-        assert all(a.outcome == "false" for a in rt.log.attempts)
-        assert rt.log.groups_failed == 1
+        assert len(rt.records) == 3
+        assert all(a.outcome == "false" for a in rt.records)
+        assert rt.groups_failed == 1
 
     def test_attempt_metadata(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
         inst = PbsInstance(f, (0, 0, 0), 2, 2, 0.3, 3)
         rt = runtime(1)
         quantum_kpbs(inst, rt)
-        att = rt.log.attempts[0]
+        att = rt.records[0]
         assert att.radius == 2
         assert att.queries == att.L - 1
 
@@ -149,7 +149,7 @@ class TestClassicalDescent:
         inst = PbsInstance(UNSAT3, (0, 0, 0), 2, 0, 0.1, 3)
         rt = runtime(0)
         assert kqcpbs(inst, rt) is None
-        assert rt.log.branches > 0
+        assert rt.branches > 0
 
     def test_quantum_leaf_at_cap(self):
         rng = random.Random(23)
@@ -164,8 +164,8 @@ class TestClassicalDescent:
             rt = runtime(5)
             got = kqcpbs(inst, rt)
             assert got is not None and evaluate(f, got) == 1
-            if rt.log.attempts:
-                assert all(a.radius == 2 for a in rt.log.attempts)
+            if rt.records:
+                assert all(a.radius == 2 for a in rt.records)
                 hits += 1
         assert hits > 0  # the quantum leaf must actually fire somewhere
 

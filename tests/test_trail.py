@@ -169,8 +169,7 @@ def descent_roots(rng):
 def run(fn, *args, seed):
     rt = PbsRuntime(rng=np.random.default_rng(seed), retries=2)
     model = fn(*args, rt)
-    log = rt.log
-    return model, log.branches, log.groups_failed, log.attempts
+    return model, rt.branches, rt.groups_failed, rt.records
 
 
 class TestDifferential:
