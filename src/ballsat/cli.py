@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap = parser.add_mutually_exclusive_group()
     cap.add_argument("--c", type=float, default=None, help="qubit fraction (default 0.3)")
     cap.add_argument("--r-max", type=int, default=None, help="explicit quantum radius cap")
-    parser.add_argument("--rho", type=float, default=None, help="cover radius fraction (default 1/K)")
     parser.add_argument("--A", type=float, default=1.0, help="resource-curve constant")
     parser.add_argument("--B", type=float, default=1.0, help="resource-curve constant")
     parser.add_argument(
@@ -101,7 +100,6 @@ def run(argv: list[str] | None = None) -> int:
     cfg = SolveConfig(
         k=args.k,
         epsilon=args.epsilon,
-        rho=args.rho,
         workers=args.workers,
         retries=args.retries,
         seed=args.seed,

@@ -20,7 +20,6 @@ FlipSequence = tuple[int, ...]
 
 @dataclass(frozen=True)
 class FlipOutcome:
-    flipped: frozenset[int]   # variables whose final value differs from center
     candidate: Assignment
     value: int                # 1 iff candidate satisfies the formula
 
@@ -30,7 +29,6 @@ def walk(f: Formula, center: Assignment, seq: FlipSequence) -> FlipOutcome:
     if len(center) != f.num_vars:
         raise ValueError("center length mismatch")
     bits = list(center)
-    flipped: set[int] = set()
     satisfied = False
     for choice in seq:
         idx = first_unsat_clause(f, bits)
@@ -39,15 +37,10 @@ def walk(f: Formula, center: Assignment, seq: FlipSequence) -> FlipOutcome:
             break
         clause = f.clauses[idx]
         lit = clause[(choice - 1) % len(clause)]
-        var = abs(lit)
-        bits[var - 1] ^= 1
-        if var in flipped:
-            flipped.remove(var)
-        else:
-            flipped.add(var)
+        bits[abs(lit) - 1] ^= 1
     if not satisfied:
         satisfied = first_unsat_clause(f, bits) is None
-    return FlipOutcome(frozenset(flipped), tuple(bits), 1 if satisfied else 0)
+    return FlipOutcome(tuple(bits), 1 if satisfied else 0)
 
 
 def marked_mask(f: Formula, center: Assignment, radius: int, alphabet: int) -> np.ndarray:

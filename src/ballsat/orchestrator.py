@@ -4,9 +4,10 @@ The formula splits over the most-occurring variables into prefix
 subproblems; each codeword of a binary covering code over the free
 variables seeds a ball search.  Each dispatch is an independent
 subproblem whose messages carry only formulas, assignments, and
-counts; dispatches run one at a time in a seeded order, and the first
-verified model ends the solve.  A FALSE answer is one-sided with an
-explicit failure-probability bound.
+counts: a `PbsInstance` goes in and a `PbsRuntime` holding a seed and
+a log comes back.  Dispatches run one at a time in a seeded order, and
+the first verified model ends the solve.  A FALSE answer is one-sided
+with an explicit failure-probability bound.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ def solve_resource(A: float, B: float, c: float) -> ResourceModel:
 class SolveConfig:
     k: int = 0
     epsilon: float = 0.1
-    rho: float | None = None          # cover radius fraction; defaults to 1/K
     workers: int | None = None        # validated (>= 1) but unused: dispatch runs inline
     retries: int = 3
     seed: int = 0
@@ -129,8 +129,6 @@ class SolveStats:
     chance that a FALSE answer hides a model one of them should have found.
     """
 
-    quantum_calls: int = 0
-    total_queries: int = 0
     branches: int = 0
     dispatches: int = 0
     groups_failed: int = 0
@@ -138,34 +136,27 @@ class SolveStats:
     wall_time: float = 0.0
     records: list[QuantumCallRecord] = field(default_factory=list)
 
+    @property
+    def quantum_calls(self) -> int:
+        return len(self.records)
+
+    @property
+    def total_queries(self) -> int:
+        return sum(rec.queries for rec in self.records)
+
+    def add(self, rt: PbsRuntime) -> None:
+        """Take in the log of one finished dispatch."""
+        self.dispatches += 1
+        self.records.extend(rt.records)
+        self.branches += rt.branches
+        self.groups_failed += rt.groups_failed
+
 
 @dataclass
 class SolveResult:
     status: str                 # "SAT" | "FALSE"
     model: Assignment | None
     stats: SolveStats
-
-
-# A dispatch's input and output carry only formulas, assignments, and
-# counts; see the structural test in the suite.
-@dataclass(frozen=True)
-class WorkItem:
-    prefix: str
-    prefix_pos: int
-    codeword_index: int
-    formula: Formula
-    center: Assignment
-    radius: int
-    r_max: int
-
-
-@dataclass(frozen=True)
-class WorkResult:
-    item: WorkItem
-    model: Assignment | None
-    records: tuple[QuantumCallRecord, ...]
-    branches: int
-    groups_failed: int
 
 
 @functools.lru_cache(maxsize=16)
@@ -247,13 +238,10 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
             f"epsilon={cfg.epsilon} too small: epsilon^(2*retries) underflows to 0"
         )
     alphabet = max(3, f.max_width)
-    rho = cfg.rho if cfg.rho is not None else 1.0 / alphabet
-    if not 0.0 < rho < 0.5:
-        raise ConfigError(f"rho={rho} outside (0, 1/2)")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError("need at least one worker")
     word_length = n - cfg.k
-    radius = math.floor(rho * word_length)
+    radius = word_length // alphabet
     if cfg.mode == "classical":
         r_cap = 0
     elif cfg.r_max is not None:
@@ -299,31 +287,6 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         stats.wall_time = time.perf_counter() - t_start
         return SolveResult(status, model, stats)
 
-    def run_item(item: WorkItem) -> WorkResult:
-        rng = None  # classical mode has r_max = 0 and never reaches the leaf
-        if cfg.mode == "hybrid":
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, 1 + item.prefix_pos, item.codeword_index])
-            )
-        rt = PbsRuntime(rng, cfg.retries, item.prefix, item.codeword_index)
-        inst = PbsInstance(
-            item.formula, item.center, item.radius, item.r_max, cfg.epsilon, alphabet
-        )
-        if cfg.mode == "classical":
-            model = kqcpbs(inst, rt)
-        elif item.radius > item.r_max:
-            model = kpbs_hybrid(inst, dp, rt)
-        else:
-            model = quantum_kpbs(inst, rt)
-        return WorkResult(item, model, tuple(rt.records), rt.branches, rt.groups_failed)
-
-    def absorb(result: WorkResult) -> None:
-        stats.records.extend(result.records)
-        stats.quantum_calls += len(result.records)
-        stats.total_queries += sum(rec.queries for rec in result.records)
-        stats.branches += result.branches
-        stats.groups_failed += result.groups_failed
-
     for prefix_pos in order:
         prefix_bits, sub = entries[prefix_pos]
         if sub is CONFLICT:
@@ -341,12 +304,18 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
             scored.append((score, ci, center))
         scored.sort(key=lambda sc: (sc[0], sc[1]))
         for _, ci, center in scored:
-            stats.dispatches += 1
-            result = run_item(
-                WorkItem(prefix_str, int(prefix_pos), ci, sub, center, radius, r_cap)
-            )
-            absorb(result)
-            model = lift_and_verify(f, result.model, prefix_binding)
+            inst = PbsInstance(sub, center, radius, r_cap, cfg.epsilon, alphabet)
+            rt = PbsRuntime((seed, 1 + int(prefix_pos), ci), cfg.retries, prefix_str, ci)
+            if cfg.mode == "classical":
+                got = kqcpbs(inst, rt)
+            elif radius > r_cap:
+                got = kpbs_hybrid(inst, dp, rt)
+            else:
+                # straight to the leaf, also at radius 0, where kpbs_hybrid
+                # would return before it and log no call
+                got = quantum_kpbs(inst, rt)
+            stats.add(rt)
+            model = lift_and_verify(f, got, prefix_binding)
             if model is not None:
                 return finish("SAT", model)
     return finish("FALSE", None)

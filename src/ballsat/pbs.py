@@ -10,6 +10,7 @@ one-sided: each quantum group errs with probability at most eps^(2R).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -87,20 +88,26 @@ class QuantumCallRecord:
 
 @dataclass
 class PbsRuntime:
-    """Per-dispatch context and log.
+    """Per-dispatch context and log, plain data only.
 
-    The context is the randomness (None where no leaf can run), the retry
-    budget and the (prefix, codeword) the dispatch serves; the log is its
-    leaf records, branch count and failed quantum groups.
+    The context is the seed of the leaf's randomness, the retry budget
+    and the (prefix, codeword) the dispatch serves; the log is its leaf
+    records, branch count and failed quantum groups.  The Generator is
+    built from the seed on the first draw, so a dispatch whose descent
+    never reaches the leaf builds none.
     """
 
-    rng: np.random.Generator | None
+    seed: tuple[int, ...]
     retries: int = 3
     prefix: str = ""
     codeword: int = 0
     records: list[QuantumCallRecord] = field(default_factory=list)
     branches: int = 0
     groups_failed: int = 0   # quantum groups whose every retry missed
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:

@@ -164,7 +164,7 @@ class TestSampling:
         assert hits >= 280
 
     def test_quantum_kpbs_contract(self):
-        rt = PbsRuntime(rng=np.random.default_rng(7), retries=1)
+        rt = PbsRuntime(seed=(7,), retries=1)
         candidate = quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)
         schedule = make_schedule(0.1, 1 / 27)
         [attempt] = rt.records
@@ -290,7 +290,7 @@ class TestTwoLevelLeaf:
         for name in ("prepare", "apply_g", "apply_schedule", "sample_sequence", "search_state"):
             for module in (fps, pbs):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
-        rt = PbsRuntime(rng=np.random.default_rng(7), retries=3)
+        rt = PbsRuntime(seed=(7,), retries=3)
         assert quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt) is not None
 
     def test_walk_must_agree_with_mark(self, monkeypatch):
@@ -298,6 +298,6 @@ class TestTwoLevelLeaf:
 
         real = pbs.marked_mask
         monkeypatch.setattr(pbs, "marked_mask", lambda *a: ~real(*a))
-        rt = PbsRuntime(rng=np.random.default_rng(7), retries=1)
+        rt = PbsRuntime(seed=(7,), retries=1)
         with pytest.raises(RuntimeError, match="disagrees"):
             quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)

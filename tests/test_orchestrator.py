@@ -13,13 +13,12 @@ from ballsat.orchestrator import (
     QuantumCallRecord,
     ResourceModel,
     SolveConfig,
-    WorkItem,
-    WorkResult,
     exponent,
     solve,
     solve_resource,
 )
 from ballsat.oracle import brute_sat
+from ballsat.pbs import PbsInstance, PbsRuntime
 
 from helpers import planted_ksat, random_ksat
 
@@ -208,10 +207,6 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             solve(SAT6, SolveConfig(k=0))
 
-    def test_rho_bounds(self):
-        with pytest.raises(ConfigError):
-            solve(SAT6, SolveConfig(rho=0.5, r_max=1))
-
 
 class TestCoverCache:
     def test_cache_file_written_and_reused(self, tmp_path):
@@ -283,34 +278,52 @@ class TestCoverCache:
             solve(SAT6, dataclasses.replace(cfg, cover_cache=tmp_path))
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Arguments of every numpy Generator built while the test runs."""
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls
+
+
 class TestGenerators:
-    def test_classical_solve_seeds_only_the_prefix_order(self, monkeypatch):
+    def test_classical_solve_seeds_only_the_prefix_order(self, built):
         # classical dispatches never reach the leaf, so they draw nothing
-        built = []
-        real = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
         res = solve(UNSAT3, SolveConfig(k=1, mode="classical"))
         assert res.status == "FALSE" and res.stats.dispatches > 1
         assert len(built) == 1
 
+    @pytest.mark.parametrize("r_max", [0, 1])
+    def test_hybrid_dispatch_seeds_a_generator_only_at_the_leaf(self, built, r_max):
+        # radius 2 > r_max: at r_max = 0 no descent reaches the leaf, at 1 some do
+        rng = random.Random(3)
+        f = next(
+            f for f in (random_ksat(8, 48, 3, rng) for _ in range(200))
+            if brute_sat(f) is None
+        )
+        res = solve(f, SolveConfig(k=1, r_max=r_max))
+        leaf_dispatches = {(rec.prefix, rec.codeword) for rec in res.stats.records}
+        assert res.status == "FALSE"
+        assert len(leaf_dispatches) < res.stats.dispatches
+        assert len(built) == 1 + len(leaf_dispatches)
+
 
 class TestMessageTypes:
     def test_worker_messages_are_classical(self):
-        # items and results carry only formulas, bit tuples, and counters
+        # a dispatch sends a PbsInstance and gets back its PbsRuntime: a seed,
+        # never a Generator, and formulas, bit tuples, counters and records
         allowed = {
-            "str", "int", "Formula", "Assignment",
-            "tuple[QuantumCallRecord, ...]", "Assignment | None",
+            "str", "int", "float", "Formula", "Assignment",
+            "tuple[int, ...]", "list[QuantumCallRecord]",
         }
-        for cls in (WorkItem, WorkResult):
+        for cls in (PbsInstance, PbsRuntime):
             for fld in dataclasses.fields(cls):
-                if fld.name == "item":
-                    assert fld.type == "WorkItem"
-                    continue
                 assert fld.type in allowed, (cls.__name__, fld.name, fld.type)
 
     def test_record_serialization_schema(self):

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from ballsat import evaluate, parse_dimacs
@@ -39,7 +38,7 @@ def descent_params(alphabet, radius, seed=0):
 
 
 def runtime(seed=0, **kw):
-    return PbsRuntime(rng=np.random.default_rng(seed), **kw)
+    return PbsRuntime(seed=(seed,), **kw)
 
 
 def hamming(a, b):

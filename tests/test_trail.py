@@ -8,7 +8,6 @@ reference in `reference_descent.py`.
 
 import random
 
-import numpy as np
 import pytest
 
 from ballsat import CONFLICT, Formula, decompose, parse_dimacs
@@ -167,7 +166,7 @@ def descent_roots(rng):
 
 
 def run(fn, *args, seed):
-    rt = PbsRuntime(rng=np.random.default_rng(seed), retries=2)
+    rt = PbsRuntime(seed=(seed,), retries=2)
     model = fn(*args, rt)
     return model, rt.branches, rt.groups_failed, rt.records
 
