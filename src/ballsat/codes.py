@@ -70,8 +70,6 @@ def _ball_masks(length: int, radius: int) -> list[int]:
 
 def _greedy_cover_ints(length: int, radius: int) -> list[int]:
     """Greedy set cover of {0,1}^length by Hamming balls; deterministic."""
-    if length == 0:
-        return [0]
     if radius >= length:
         return [0]
     n_words = 1 << length
@@ -238,12 +236,12 @@ def write_cover(code: BinaryCoveringCode | KaryCoveringCode) -> str:
     """Text form: 'cover <alphabet> <word_length> <radius> <count>' + one word per line."""
     if isinstance(code, BinaryCoveringCode):
         alphabet = 2
-        lines = ["".join(map(str, cw)) for cw in code.codewords]
     else:
         alphabet = code.alphabet
-        if alphabet > 9:
-            raise ValueError("alphabet too large for digit serialization")
-        lines = ["".join(map(str, cw)) for cw in code.codewords]
+        # alphabet 2 would read back as binary; above 9 a symbol is not one digit
+        if not 3 <= alphabet <= 9:
+            raise ValueError(f"K-ary alphabet {alphabet} outside 3..9 for digit serialization")
+    lines = ["".join(map(str, cw)) for cw in code.codewords]
     header = f"cover {alphabet} {code.word_length} {code.radius} {len(code.codewords)}"
     return "\n".join([header, *lines]) + "\n"
 

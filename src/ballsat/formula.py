@@ -213,18 +213,15 @@ def m_metric(f: Formula, var: int) -> int:
     """Occurrences of the variable across all clauses, both polarities."""
     if not 1 <= var <= f.num_vars:
         raise ValueError(f"variable {var} out of range")
-    return sum(1 for clause in f.clauses for lit in clause if abs(lit) == var)
+    pos, neg = f.occurrences[var]
+    return len(pos) + len(neg)
 
 
 def top_k_vars(f: Formula, k: int) -> list[int]:
     """The k most-occurring variables, ties broken by lowest index."""
     if not 0 <= k <= f.num_vars:
         raise ValueError(f"k={k} out of range for {f.num_vars} variables")
-    counts = [0] * (f.num_vars + 1)
-    for clause in f.clauses:
-        for lit in clause:
-            counts[abs(lit)] += 1
-    order = sorted(range(1, f.num_vars + 1), key=lambda v: (-counts[v], v))
+    order = sorted(range(1, f.num_vars + 1), key=lambda v: (-m_metric(f, v), v))
     return order[:k]
 
 

@@ -35,6 +35,7 @@ from .formula import (
     Assignment,
     Formula,
     decompose,
+    evaluate,
     top_k_vars,
     unsat_count,
 )
@@ -46,7 +47,6 @@ from .pbs import (
     descent_t,
     kpbs_hybrid,
     kqcpbs,
-    lift_and_verify,
     quantum_kpbs,
 )
 
@@ -292,15 +292,12 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         if sub is CONFLICT:
             continue
         prefix_str = "".join(map(str, prefix_bits))
-        prefix_binding = dict(zip(kvars, prefix_bits))
         scored = []
         for ci, word in enumerate(cover.codewords):
             center = _lift_center(word, free_vars, prefix_bits, kvars, n)
             score = unsat_count(sub, center)
-            if score == 0:
-                model = lift_and_verify(f, center, prefix_binding)
-                if model is not None:
-                    return finish("SAT", model)
+            if score == 0 and evaluate(f, center):
+                return finish("SAT", center)
             scored.append((score, ci, center))
         scored.sort(key=lambda sc: (sc[0], sc[1]))
         for _, ci, center in scored:
@@ -315,7 +312,6 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
                 # would return before it and log no call
                 got = quantum_kpbs(inst, rt)
             stats.add(rt)
-            model = lift_and_verify(f, got, prefix_binding)
-            if model is not None:
-                return finish("SAT", model)
+            if got is not None and evaluate(f, got):
+                return finish("SAT", got)
     return finish("FALSE", None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -232,8 +231,9 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     bound variable leaves the formula, and a ball witness loses one
     disagreement with the center).  At radius <= r_max the quantum leaf
     takes over at radius r_max.  Bindings live on one trail for the
-    whole descent; a returned assignment is lifted with the full binding
-    and verified against inst.formula.
+    whole descent, and every assignment it returns is total: the trail's
+    assignment, or a leaf model started from it, verified against
+    inst.formula.
     """
     return _classical(_Trail(inst.formula, inst.center), inst, rt, inst.radius)
 
@@ -245,16 +245,20 @@ def _classical(
 
     Branches run fewest-falsified-clauses first, ties in clause order;
     a branch whose binding empties a clause is skipped.  The leaf gets
-    the restricted formula, built once.
+    the restricted formula, built once, centered on the trail's
+    assignment: no bound variable occurs in it, so its marks and draws
+    are those of the original center, and its model keeps the binding.
     """
     if not trail.unsat:
-        return lift_and_verify(inst.formula, tuple(trail.val), trail.bound)
+        model = tuple(trail.val)
+        return model if evaluate(inst.formula, model) else None
     if radius <= 0:
         return None
     if radius <= inst.r_max:
         sub = restrict(inst.formula, trail.bound)
-        got = quantum_kpbs(replace(inst, formula=sub, radius=inst.r_max), rt)
-        return lift_and_verify(inst.formula, got, trail.bound)
+        leaf = replace(inst, formula=sub, center=tuple(trail.val), radius=inst.r_max)
+        got = quantum_kpbs(leaf, rt)
+        return got if got is not None and evaluate(inst.formula, got) else None
     branches = []
     for lit in trail.branch_literals():
         var, bit = abs(lit), 1 if lit > 0 else 0
@@ -283,19 +287,6 @@ def _run_branches(
         if model is not None:
             return model
     return None
-
-
-def lift_and_verify(
-    f: Formula, model: Assignment | None, binding: Mapping[int, int]
-) -> Assignment | None:
-    """Overwrite `model` with `binding` and return it only if it satisfies f."""
-    if model is None:
-        return None
-    lifted = list(model)
-    for var, bit in binding.items():
-        lifted[var - 1] = bit
-    candidate = tuple(lifted)
-    return candidate if evaluate(f, candidate) else None
 
 
 def _block_points(

@@ -18,7 +18,18 @@ from ballsat.formula import (
     restrict,
     unsat_count,
 )
-from ballsat.pbs import lift_and_verify, modify_assignment, quantum_kpbs
+from ballsat.pbs import modify_assignment, quantum_kpbs
+
+
+def lift_and_verify(f, model, binding):
+    """Overwrite `model` with `binding` and return it only if it satisfies f."""
+    if model is None:
+        return None
+    lifted = list(model)
+    for var, bit in binding.items():
+        lifted[var - 1] = bit
+    candidate = tuple(lifted)
+    return candidate if evaluate(f, candidate) else None
 
 
 def ref_kqcpbs(inst, rt):

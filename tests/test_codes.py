@@ -123,6 +123,13 @@ class TestSerialization:
         assert (got.alphabet, got.word_length, got.radius) == (3, 3, 1)
         assert got.codewords == code.codewords
 
+    @pytest.mark.parametrize("alphabet", [2, 10])
+    def test_kary_alphabet_without_digit_form_rejected(self, alphabet):
+        # a K=2 file would read back as a binary code over symbols 0/1
+        code = KaryCoveringCode(alphabet, 2, 1, ((1, 2), (2, 1)), size_bound=1)
+        with pytest.raises(ValueError, match="alphabet"):
+            write_cover(code)
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             read_cover("not a cover\n000\n")
