@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -96,8 +96,6 @@ def build_binary_cover(word_length: int, *, radius: int) -> BinaryCoveringCode:
         raise ValueError("negative word length")
     if not 0 <= radius <= word_length:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
-    if word_length == 0:
-        return BinaryCoveringCode(0, radius, ((),))
     check_space(2, word_length)
     codewords = tuple(
         _int_to_bits(x, word_length) for x in _greedy_cover_ints(word_length, radius)
@@ -149,8 +147,8 @@ def build_kary_cover(
 ) -> KaryCoveringCode:
     """Randomized K-ary covering code over {1..K}^t.
 
-    Draws distinct random words to the union-bound count, then patches
-    any uncovered word (lexicographically first) until coverage holds;
+    Draws distinct random words to the union-bound count, then appends
+    verify_cover's lexicographically first hole until there is none;
     patched codes carry repaired=True.
     """
     k, t, s = alphabet, word_length, radius
@@ -159,8 +157,6 @@ def build_kary_cover(
     if not 0 <= s <= t:
         raise ValueError(f"radius={s} outside [0, {t}]")
     check_space(k, t)
-    if t == 0:
-        return KaryCoveringCode(k, 0, 0, ((),), 1, False)
     rng = random.Random(seed)
     if s == t:
         # any single word covers the whole space
@@ -168,28 +164,10 @@ def build_kary_cover(
         return KaryCoveringCode(k, t, s, (word,), 1, False)
     total = k**t
     bound = kary_draw_bound(k, t, s)
-    count = min(bound, total)
-    indices = rng.sample(range(total), count)
-    codewords = [_kary_word(i, k, t) for i in indices]
-    covered = bytearray(total)
-    for word in codewords:
-        for idx in _kary_ball_indices(word, s, k):
-            covered[idx] = 1
-    repaired = False
-    while True:
-        try:
-            hole = covered.index(0)
-        except ValueError:
-            break
-        repaired = True
-        word = _kary_word(hole, k, t)
-        codewords.append(word)
-        for idx in _kary_ball_indices(word, s, k):
-            covered[idx] = 1
-    code = KaryCoveringCode(k, t, s, tuple(codewords), bound, repaired)
-    ok, witness = verify_cover(code)
-    if not ok:
-        raise RuntimeError(f"k-ary cover failed to cover {witness}")
+    indices = rng.sample(range(total), min(bound, total))
+    code = KaryCoveringCode(k, t, s, tuple(_kary_word(i, k, t) for i in indices), bound)
+    while (hole := verify_cover(code)[1]) is not None:
+        code = replace(code, codewords=(*code.codewords, hole), repaired=True)
     return code
 
 
@@ -199,37 +177,24 @@ def verify_cover(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[bool, Wor
     Marks every codeword's ball over the full word space, then scans it in
     lexicographic order.
     """
+    length = code.word_length
     if isinstance(code, BinaryCoveringCode):
-        length = code.word_length
-        if length == 0:
-            return (True, None) if code.codewords else (False, ())
-        total = 1 << length
         masks = _ball_masks(length, code.radius)
-        covered = bytearray(total)
-        for cw in code.codewords:
-            base = _bits_to_int(cw)
-            for m in masks:
-                covered[base ^ m] = 1
+        balls = ([x ^ m for m in masks] for x in map(_bits_to_int, code.codewords))
         # mask indexing uses LSB-at-right ints; lexicographic word order
         # over MSB-first bit tuples is plain numeric order on them
-        try:
-            hole = covered.index(0)
-        except ValueError:
-            return True, None
-        return False, _int_to_bits(hole, length)
-    k, t = code.alphabet, code.word_length
-    if t == 0:
-        return (True, None) if code.codewords else (False, ())
-    check_space(k, t)
-    covered = bytearray(k**t)
-    for cw in code.codewords:
-        for idx in _kary_ball_indices(cw, code.radius, k):
+        total, word_at = 1 << length, lambda i: _int_to_bits(i, length)
+    else:
+        k = code.alphabet
+        check_space(k, length)
+        balls = (_kary_ball_indices(cw, code.radius, k) for cw in code.codewords)
+        total, word_at = k**length, lambda i: _kary_word(i, k, length)
+    covered = bytearray(total)
+    for ball in balls:
+        for idx in ball:
             covered[idx] = 1
-    try:
-        hole = covered.index(0)
-    except ValueError:
-        return True, None
-    return False, _kary_word(hole, k, t)
+    hole = covered.find(0)
+    return (True, None) if hole < 0 else (False, word_at(hole))
 
 
 def write_cover(code: BinaryCoveringCode | KaryCoveringCode) -> str:
@@ -255,6 +220,12 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
     if len(parts) != 5:
         raise ValueError(f"malformed cover header {lines[0]!r}")
     alphabet, word_length, radius, count = map(int, parts[1:])
+    # the alphabets write_cover emits; the shapes every builder accepts
+    if alphabet != 2 and not 3 <= alphabet <= 9:
+        raise ValueError(f"alphabet {alphabet} outside 2..9")
+    if not 0 <= radius <= word_length:
+        raise ValueError(f"radius={radius} outside [0, {word_length}]")
+    check_space(alphabet, word_length)
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"header declares {count} codewords, found {len(body)}")

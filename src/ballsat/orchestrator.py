@@ -39,6 +39,7 @@ from .formula import (
     top_k_vars,
     unsat_count,
 )
+from .fpsearch import make_schedule
 from .pbs import (
     DescentParams,
     PbsInstance,
@@ -124,9 +125,10 @@ class SolveConfig:
 class SolveStats:
     """Counters of one solve.
 
-    failure_bound = min(1, groups_failed * epsilon^(2 * retries)) is a
-    union bound over the quantum groups whose every retry missed: the
+    failure_bound = min(1, groups_failed * max(epsilon^(2 * retries), u))
+    is a union bound over the quantum groups whose every retry missed: the
     chance that a FALSE answer hides a model one of them should have found.
+    u is the smallest positive float, so the bound never underflows to 0.
     """
 
     branches: int = 0
@@ -232,11 +234,6 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError(f"retries={cfg.retries} above the cap of {MAX_RETRIES}")
     if cfg.mode not in ("hybrid", "classical"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if cfg.mode == "hybrid" and cfg.epsilon ** (2 * cfg.retries) == 0.0:
-        # the failure bound groups_failed * epsilon^(2 * retries) would read 0
-        raise ConfigError(
-            f"epsilon={cfg.epsilon} too small: epsilon^(2*retries) underflows to 0"
-        )
     alphabet = max(3, f.max_width)
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError("need at least one worker")
@@ -259,6 +256,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         if cfg.mode == "hybrid":
             check_space(alphabet, t)
             check_space(alphabet, min(radius, r_cap))
+            make_schedule(cfg.epsilon, 1.0)  # log2(2/epsilon) must be finite
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -281,9 +279,8 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     stats = SolveStats()
 
     def finish(status: str, model: Assignment | None) -> SolveResult:
-        stats.failure_bound = min(
-            1.0, stats.groups_failed * cfg.epsilon ** (2 * cfg.retries)
-        )
+        per_group = max(cfg.epsilon ** (2 * cfg.retries), math.ulp(0.0))
+        stats.failure_bound = min(1.0, stats.groups_failed * per_group)
         stats.wall_time = time.perf_counter() - t_start
         return SolveResult(status, model, stats)
 

@@ -96,13 +96,20 @@ class TestExitCodes:
         assert out == "s UNKNOWN\n"
         assert "must be finite" in err
 
-    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-300"])
-    def test_unknown_on_epsilon_whose_bound_underflows(self, unsat_file, epsilon, capsys):
+    @pytest.mark.parametrize("epsilon,code,out_tail,err_part", [
+        # 2 / 5e-324 overflows: no amplified call has a schedule
+        pytest.param("5e-324", 0, "s UNKNOWN\n", "too small", id="5e-324"),
+        # eps^(2R) underflows, but the bound per failed group is floored above 0
+        pytest.param("1e-300", 20, "s UNSATISFIABLE\n", "", id="1e-300"),
+    ])
+    def test_unknown_on_epsilon_whose_bound_underflows(
+        self, unsat_file, epsilon, code, out_tail, err_part, capsys
+    ):
         argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--epsilon", epsilon]
-        assert run(argv) == 0
+        assert run(argv) == code
         out, err = capsys.readouterr()
-        assert out == "s UNKNOWN\n"
-        assert "underflows" in err
+        assert out.endswith(out_tail) and "failure-prob <= 0\n" not in out
+        assert err_part in err and "Traceback" not in err
 
     def test_unknown_on_retries_above_cap(self, unsat_file):
         # in a child process, so that a solver that takes the 10^8 retries times out
@@ -186,6 +193,17 @@ class TestCoverCache:
         code, out, err = self._run(sat_file, tmp_path, capsys)
         assert code == 0 and "s UNKNOWN" in out
         assert "shape does not match" in err
+
+    @pytest.mark.parametrize("header", ["cover 3 3 4 1", "cover 1 3 1 1"])
+    def test_kary_cover_with_impossible_header_is_unknown(
+        self, sat_file, tmp_path, header, capsys
+    ):
+        assert self._run(sat_file, tmp_path, capsys)[0] == 10
+        [kary] = tmp_path.glob("kary-3-*.cover")
+        kary.write_text(f"{header}\n111\n")
+        code, out, err = self._run(sat_file, tmp_path, capsys)
+        assert code == 0 and "s UNKNOWN" in out
+        assert "outside" in err and "Traceback" not in err
 
     def test_cache_path_under_a_file_is_unknown(self, sat_file, capsys):
         code, out, err = self._run(sat_file, f"{sat_file}/sub", capsys)

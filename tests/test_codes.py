@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -93,6 +94,24 @@ class TestKaryCover:
         assert flagged <= 25  # bookkeeping only; coverage is the hard assert
 
 
+# sha256 of write_cover(build_kary_cover(K, t, s, seed)); seeds 6 and 2 need repair
+KARY_PINS = {
+    (3, 3, 1, 0): "1e11616e7a8c6de1a32d7583c81824d092e936569351c5e75157b8cad4a3303a",
+    (4, 4, 1, 0): "19e5a06b724118582cf23817bec1c28cb01948e136f5de63ce3bb7f8abd04274",
+    (4, 4, 1, 6): "1bc3a0998049edec68a82ef9e126914873809d5f2a06580a198aa973bd41e757",
+    (3, 8, 2, 1): "7a040e8109da7e54846268e64c0c642db905b11f0db2b69b753dc09bb30612ae",
+    (3, 8, 2, 2): "9399dc3ee8357764aeb82f825e61d25f09057ed9d51edf8483477b58bf7543e1",
+}
+
+
+@pytest.mark.parametrize("k,t,s,seed", sorted(KARY_PINS))
+def test_kary_construction_pinned(k, t, s, seed):
+    code = build_kary_cover(k, t, s, seed=seed)
+    assert code.repaired == (seed in (2, 6))
+    digest = hashlib.sha256(write_cover(code).encode()).hexdigest()
+    assert digest == KARY_PINS[k, t, s, seed]
+
+
 class TestVerify:
     def test_reports_lex_first_hole(self):
         broken = BinaryCoveringCode(3, 0, ((1, 1, 1),))
@@ -139,4 +158,16 @@ class TestSerialization:
     )
     def test_symbol_outside_alphabet(self, text):
         with pytest.raises(ValueError, match="outside"):
+            read_cover(text)
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("cover 1 3 1 1\n111\n", "alphabet", id="alphabet-1"),
+        pytest.param("cover 0 0 0 1\n\n", "alphabet", id="alphabet-0"),
+        pytest.param("cover 3 3 4 1\n111\n", "radius", id="kary-radius-above-length"),
+        pytest.param("cover 2 2 3 1\n01\n", "radius", id="binary-radius-above-length"),
+        pytest.param("cover 3 2 -1 1\n11\n", "radius", id="negative-radius"),
+        pytest.param("cover 3 700 1 1\n" + "1" * 700 + "\n", "too large", id="space-too-large"),
+    ])
+    def test_header_outside_buildable_shapes(self, text, message):
+        with pytest.raises(ValueError, match=message):
             read_cover(text)

@@ -183,7 +183,7 @@ class TestConfigErrors:
             solve(SAT6, SolveConfig(retries=0, r_max=1))
 
     def test_retries_capped(self):
-        # epsilon^(2 * MAX_RETRIES) must not underflow: 0.9^2000 ~ 1e-92
+        # the cap holds at any epsilon; 0.9 keeps the bound readable: 0.9^2000 ~ 1e-92
         cfg = SolveConfig(k=1, r_max=1, retries=MAX_RETRIES, epsilon=0.9)
         res = solve(UNSAT3, cfg)
         assert res.status == "FALSE"
@@ -192,12 +192,19 @@ class TestConfigErrors:
             solve(UNSAT3, dataclasses.replace(cfg, retries=MAX_RETRIES + 1))
 
     def test_epsilon_whose_failure_bound_underflows(self):
-        # 1e-300 ** 6 == 0.0: a FALSE answer could not state its failure bound
-        with pytest.raises(ConfigError, match="underflows"):
-            solve(UNSAT3, SolveConfig(k=1, r_max=1, epsilon=1e-300))
+        # 1e-300 ** 6 == 0.0: each failed group still adds the smallest positive float
+        res = solve(UNSAT3, SolveConfig(k=1, r_max=1, epsilon=1e-300))
+        assert res.status == "FALSE" and res.stats.groups_failed > 0
+        assert 0 < res.stats.failure_bound
         # the classical descent has no quantum groups, so no bound to state
         res = solve(UNSAT3, SolveConfig(k=1, epsilon=1e-300, mode="classical"))
         assert (res.status, res.stats.failure_bound) == ("FALSE", 0.0)
+
+    def test_retries_whose_failure_bound_underflows(self):
+        # 0.1 ** 324 == 0.0, yet 162 retries are well inside the cap
+        res = solve(UNSAT3, SolveConfig(k=1, r_max=1, epsilon=0.1, retries=162))
+        assert res.status == "FALSE"
+        assert res.stats.failure_bound == res.stats.groups_failed * math.ulp(0.0) > 0
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
