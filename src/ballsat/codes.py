@@ -25,7 +25,9 @@ _SPACE_LIMIT = 10**7
 
 def check_space(alphabet: int, length: int) -> None:
     """Reject a word space {alphabet}^length larger than the shared limit."""
-    if alphabet**length > _SPACE_LIMIT:
+    # from the limit's bit length on, 2^length alone is past it: skip the power
+    too_long = alphabet >= 2 and length >= _SPACE_LIMIT.bit_length()
+    if too_long or alphabet**length > _SPACE_LIMIT:
         raise ValueError(f"space {alphabet}^{length} too large")
 
 
@@ -42,8 +44,17 @@ class KaryCoveringCode:
     word_length: int
     radius: int
     codewords: tuple[Word, ...]
-    size_bound: int          # union-bound draw count the construction targeted
-    repaired: bool = False   # True if random draws left holes that were patched
+
+    @property
+    def size_bound(self) -> int:
+        """Distinct words build_kary_cover draws, capped at K^t, before it repairs."""
+        t, s = self.word_length, self.radius
+        return 1 if s == t else kary_draw_bound(self.alphabet, t, s)
+
+    @property
+    def repaired(self) -> bool:
+        """True if the draws left holes: the builder appends only holes to them."""
+        return len(self.codewords) > min(self.size_bound, self.alphabet**self.word_length)
 
 
 def _int_to_bits(x: int, length: int) -> Word:
@@ -147,9 +158,9 @@ def build_kary_cover(
 ) -> KaryCoveringCode:
     """Randomized K-ary covering code over {1..K}^t.
 
-    Draws distinct random words to the union-bound count, then appends
-    verify_cover's lexicographically first hole until there is none;
-    patched codes carry repaired=True.
+    Draws size_bound distinct random words (all of them if the space is
+    smaller), then appends verify_cover's lexicographically first hole
+    until there is none.
     """
     k, t, s = alphabet, word_length, radius
     if k < 2:
@@ -160,14 +171,11 @@ def build_kary_cover(
     rng = random.Random(seed)
     if s == t:
         # any single word covers the whole space
-        word = _kary_word(rng.randrange(k**t), k, t)
-        return KaryCoveringCode(k, t, s, (word,), 1, False)
-    total = k**t
-    bound = kary_draw_bound(k, t, s)
-    indices = rng.sample(range(total), min(bound, total))
-    code = KaryCoveringCode(k, t, s, tuple(_kary_word(i, k, t) for i in indices), bound)
+        return KaryCoveringCode(k, t, s, (_kary_word(rng.randrange(k**t), k, t),))
+    indices = rng.sample(range(k**t), min(kary_draw_bound(k, t, s), k**t))
+    code = KaryCoveringCode(k, t, s, tuple(_kary_word(i, k, t) for i in indices))
     while (hole := verify_cover(code)[1]) is not None:
-        code = replace(code, codewords=(*code.codewords, hole), repaired=True)
+        code = replace(code, codewords=(*code.codewords, hole))
     return code
 
 
@@ -213,12 +221,13 @@ def write_cover(code: BinaryCoveringCode | KaryCoveringCode) -> str:
 
 def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
     """Inverse of write_cover; alphabet 2 reads as a binary code."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("cover "):
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None or not lines[start].startswith("cover "):
         raise ValueError("missing cover header")
-    parts = lines[0].split()
+    parts = lines[start].split()
     if len(parts) != 5:
-        raise ValueError(f"malformed cover header {lines[0]!r}")
+        raise ValueError(f"malformed cover header {lines[start]!r}")
     alphabet, word_length, radius, count = map(int, parts[1:])
     # the alphabets write_cover emits; the shapes every builder accepts
     if alphabet != 2 and not 3 <= alphabet <= 9:
@@ -226,7 +235,9 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
     if not 0 <= radius <= word_length:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
     check_space(alphabet, word_length)
-    body = lines[1:]
+    body = lines[start + 1 :]
+    if word_length:  # blank lines are skipped, unless they are zero-length words
+        body = [ln for ln in body if ln.strip()]
     if len(body) != count:
         raise ValueError(f"header declares {count} codewords, found {len(body)}")
     symbols = range(2) if alphabet == 2 else range(1, alphabet + 1)
@@ -240,5 +251,4 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
         words.append(word)
     if alphabet == 2:
         return BinaryCoveringCode(word_length, radius, tuple(words))
-    bound = kary_draw_bound(alphabet, word_length, radius) if word_length else 1
-    return KaryCoveringCode(alphabet, word_length, radius, tuple(words), bound)
+    return KaryCoveringCode(alphabet, word_length, radius, tuple(words))

@@ -41,7 +41,6 @@ from .formula import (
 )
 from .fpsearch import make_schedule
 from .pbs import (
-    DescentParams,
     PbsInstance,
     PbsRuntime,
     QuantumCallRecord,
@@ -253,6 +252,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     # the word spaces the sweep cover, repair code and quantum leaf enumerate
     try:
         check_space(2, word_length)
+        check_space(2, cfg.k)  # decompose lists all 2^k prefixes up front
         if cfg.mode == "hybrid":
             check_space(alphabet, t)
             check_space(alphabet, min(radius, r_cap))
@@ -262,13 +262,11 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     cover = _cover(2, word_length, radius, 0, cfg.cover_cache)
-    dp = None
+    repair = None
     if cfg.mode == "hybrid":
         s = t // alphabet
-        mixed = (
-            (cfg.seed & 0xFFFFFFFF) * 1000003 + alphabet * 10007 + t * 101 + s
-        ) & 0x7FFFFFFF
-        dp = DescentParams(t, _cover(alphabet, t, s, mixed, cfg.cover_cache))
+        mixed = ((cfg.seed & 0xFFFFFFFF) * 1000003 + alphabet * 10007 + t * 101 + s) & 0x7FFFFFFF
+        repair = _cover(alphabet, t, s, mixed, cfg.cover_cache)
     kvars = top_k_vars(f, cfg.k)
     kv_set = set(kvars)
     free_vars = [v for v in range(1, n + 1) if v not in kv_set]
@@ -303,7 +301,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
             if cfg.mode == "classical":
                 got = kqcpbs(inst, rt)
             elif radius > r_cap:
-                got = kpbs_hybrid(inst, dp, rt)
+                got = kpbs_hybrid(inst, repair, rt)
             else:
                 # straight to the leaf, also at radius 0, where kpbs_hybrid
                 # would return before it and log no call

@@ -41,31 +41,6 @@ class PbsInstance:
     alphabet: int        # branching alphabet K; restriction may narrow clauses
 
 
-@dataclass(frozen=True)
-class DescentParams:
-    """Hybrid-jump parameters: clause batch size t and its repair code."""
-
-    t: int
-    kary_code: KaryCoveringCode
-
-    def __post_init__(self) -> None:
-        k = self.kary_code.alphabet
-        if self.t % k != 0:
-            raise ValueError(f"t={self.t} not a multiple of K={k}")
-        if self.kary_code.word_length != self.t or self.kary_code.radius != self.t // k:
-            raise ValueError("repair code shape does not match t")
-        if self.delta < 1:
-            raise ValueError("descent slack below 1")
-
-    @property
-    def step(self) -> int:
-        return self.t // self.kary_code.alphabet
-
-    @property
-    def delta(self) -> int:
-        return self.t - 2 * (self.t // self.kary_code.alphabet)
-
-
 def descent_t(alphabet: int, radius: int) -> int:
     """t = max(K, smallest multiple of K >= floor(log2 log2 max(r, 4)))."""
     ll = math.floor(math.log2(math.log2(max(radius, 4))))
@@ -342,38 +317,39 @@ def modify_assignment(
 
 
 def kpbs_hybrid(
-    inst: PbsInstance, dp: DescentParams, rt: PbsRuntime
+    inst: PbsInstance, code: KaryCoveringCode, rt: PbsRuntime
 ) -> Assignment | None:
     """Hybrid descent over a maximal disjoint set G of falsified clauses.
 
-    Small G: enumerate assignments of vbl(G) (every surviving clause the
-    center falsifies then has width < K) and run the classical descent.
-    Large G: jump the center through the K-ary repair code on the first
-    t clauses, shrinking the radius by t/K, so the first radius at or
-    below r_max lies within delta of it.
+    The repair code over {1..K}^t at radius t/K is the only parameter.
+    Small G (at most t clauses): enumerate assignments of vbl(G) (every
+    surviving clause the center falsifies then has width < K) and run
+    the classical descent.  Large G: jump the center through the code's
+    words on the first t clauses, shrinking the radius by t/K, so the
+    first radius at or below r_max lies within t/K of it.
     """
-    f, center = inst.formula, inst.center
+    f, center, t = inst.formula, inst.center, code.word_length
     if evaluate(f, center):
         return center
     if inst.radius <= 0:
         return None
     if inst.radius <= inst.r_max:
-        # first time below the cap: radius is in (r_max - step, r_max]
+        # first time below the cap: radius is in (r_max - t/K, r_max]
         return quantum_kpbs(inst, rt)
     group = max_disjoint_unsat(f, center)
-    if len(group) <= dp.t:
+    if len(group) <= t:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
         trail = _Trail(f, center)
         return _run_branches(trail, inst, rt, _block_points(trail, block_vars), inst.radius)
-    batch = group[: dp.t]
+    batch = group[:t]
     moves = []
-    for ci, word in enumerate(dp.kary_code.codewords):
+    for ci, word in enumerate(code.codewords):
         moved = modify_assignment(f, center, batch, word)
         moves.append((unsat_count(f, moved), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
         rt.branches += 1
-        got = kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - dp.step), dp, rt)
+        got = kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - code.radius), code, rt)
         if got is not None:
             return got
     return None

@@ -62,7 +62,7 @@ def _ref_descend(inst, rt, bindings, radius):
     return None
 
 
-def ref_kpbs_hybrid(inst, dp, rt):
+def ref_kpbs_hybrid(inst, code, rt):
     f, center = inst.formula, inst.center
     if evaluate(f, center):
         return center
@@ -71,22 +71,23 @@ def ref_kpbs_hybrid(inst, dp, rt):
     if inst.radius <= inst.r_max:
         return quantum_kpbs(inst, rt)
     group = max_disjoint_unsat(f, center)
-    if len(group) <= dp.t:
+    if len(group) <= code.word_length:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
         bindings = (
             dict(zip(block_vars, bits))
             for bits in product((0, 1), repeat=len(block_vars))
         )
         return _ref_descend(inst, rt, bindings, inst.radius)
-    batch = group[: dp.t]
+    batch = group[: code.word_length]
     moves = []
-    for ci, word in enumerate(dp.kary_code.codewords):
+    for ci, word in enumerate(code.codewords):
         moved = modify_assignment(f, center, batch, word)
         moves.append((unsat_count(f, moved), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
         rt.branches += 1
-        got = ref_kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - dp.step), dp, rt)
+        moved_inst = replace(inst, center=moved, radius=inst.radius - code.radius)
+        got = ref_kpbs_hybrid(moved_inst, code, rt)
         if got is not None:
             return got
     return None

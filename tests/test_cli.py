@@ -205,6 +205,28 @@ class TestCoverCache:
         assert code == 0 and "s UNKNOWN" in out
         assert "outside" in err and "Traceback" not in err
 
+    def test_warm_cache_with_no_free_variables(self, unsat_file, tmp_path, capsys):
+        # k = n: the sweep cover has one codeword of length 0, a blank line
+        argv = ["--input", unsat_file, "--k", "3", "--r-max", "1", "--cover-cache", str(tmp_path)]
+        assert run(argv) == 20
+        cold = capsys.readouterr()
+        assert (tmp_path / "bin-0-r0.cover").read_text() == "cover 2 0 0 1\n\n"
+        assert run(argv) == 20
+        assert capsys.readouterr() == cold
+
+    def test_cover_header_with_huge_space_is_unknown(self, sat_file, tmp_path):
+        # in a child process, so that a reader that builds 3^(10^8) times out
+        (tmp_path / "bin-3-r1.cover").write_text("cover 3 100000000 1 0\n")
+        src = str(Path(ballsat.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballsat", "--input", sat_file, *self.ARGV,
+             "--cover-cache", str(tmp_path)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and proc.stdout == "s UNKNOWN\n"
+        assert "too large" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_cache_path_under_a_file_is_unknown(self, sat_file, capsys):
         code, out, err = self._run(sat_file, f"{sat_file}/sub", capsys)
         assert code == 0 and "s UNKNOWN" in out

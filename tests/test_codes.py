@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -84,6 +85,16 @@ class TestKaryCover:
         ok, witness = verify_cover(code)
         assert ok, witness
 
+    def test_plain_value_with_derived_fields(self):
+        # size_bound and repaired follow from the four fields, so a code read
+        # back from its text form carries the builder's values
+        fields = [fld.name for fld in dataclasses.fields(KaryCoveringCode)]
+        assert fields == ["alphabet", "word_length", "radius", "codewords"]
+        assert build_kary_cover(3, 2, 2, seed=0).size_bound == 1
+        assert build_kary_cover(3, 3, 1, seed=0).size_bound == kary_draw_bound(3, 3, 1)
+        assert not build_kary_cover(3, 3, 1, seed=0).repaired
+        assert build_kary_cover(4, 4, 1, seed=6).repaired
+
     def test_repair_closes_holes(self):
         # whatever the draws missed, the repaired code must still cover
         flagged = 0
@@ -119,7 +130,7 @@ class TestVerify:
         assert not ok and witness == (0, 0, 0)
 
     def test_kary_hole(self):
-        broken = KaryCoveringCode(3, 2, 0, ((3, 3),), size_bound=1)
+        broken = KaryCoveringCode(3, 2, 0, ((3, 3),))
         ok, witness = verify_cover(broken)
         assert not ok and witness == (1, 1)
 
@@ -136,16 +147,26 @@ class TestSerialization:
         assert read_cover(write_cover(code)) == code
 
     def test_kary_round_trip(self):
-        code = build_kary_cover(3, 3, 1, seed=7)
-        got = read_cover(write_cover(code))
-        assert isinstance(got, KaryCoveringCode)
-        assert (got.alphabet, got.word_length, got.radius) == (3, 3, 1)
-        assert got.codewords == code.codewords
+        # (4,4,1) seed 6 and (3,8,2) seed 2 are repaired; (3,2,2) has s = t
+        for k, t, s, seed in [(3, 3, 1, 7), (4, 4, 1, 6), (3, 2, 2, 0), (3, 8, 2, 2)]:
+            code = build_kary_cover(k, t, s, seed=seed)
+            assert read_cover(write_cover(code)) == code
+
+    @pytest.mark.parametrize("kind", ["binary", "kary"])
+    def test_zero_length_round_trip(self, kind):
+        # the one codeword is the empty word, written as a blank line
+        code = build_binary_cover(0, radius=0) if kind == "binary" else build_kary_cover(3, 0, 0)
+        assert write_cover(code).endswith(" 0 0 1\n\n")
+        assert read_cover(write_cover(code)) == code
+
+    def test_blank_lines_skipped_in_nonzero_length_code(self):
+        code = read_cover("\ncover 2 3 1 2\n\n000\n\n111\n\n")
+        assert code == BinaryCoveringCode(3, 1, ((0, 0, 0), (1, 1, 1)))
 
     @pytest.mark.parametrize("alphabet", [2, 10])
     def test_kary_alphabet_without_digit_form_rejected(self, alphabet):
         # a K=2 file would read back as a binary code over symbols 0/1
-        code = KaryCoveringCode(alphabet, 2, 1, ((1, 2), (2, 1)), size_bound=1)
+        code = KaryCoveringCode(alphabet, 2, 1, ((1, 2), (2, 1)))
         with pytest.raises(ValueError, match="alphabet"):
             write_cover(code)
 

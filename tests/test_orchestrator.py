@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, decompose, evaluate, parse_dimacs
+from ballsat import CONFLICT, decompose, evaluate, orchestrator, parse_dimacs
 from ballsat.codes import BinaryCoveringCode, KaryCoveringCode
 from ballsat.orchestrator import (
     MAX_RETRIES,
@@ -205,6 +205,17 @@ class TestConfigErrors:
         res = solve(UNSAT3, SolveConfig(k=1, r_max=1, epsilon=0.1, retries=162))
         assert res.status == "FALSE"
         assert res.stats.failure_bound == res.stats.groups_failed * math.ulp(0.0) > 0
+
+    def test_k_above_space_limit(self, monkeypatch):
+        # decompose lists all 2^k prefixes: 2^24 is past the 10^7 limit
+        def never(*args):
+            raise AssertionError("decompose reached")
+
+        monkeypatch.setattr(orchestrator, "decompose", never)
+        f = parse_dimacs("p cnf 24 1\n1 2 3 0\n")
+        for mode in ("classical", "hybrid"):
+            with pytest.raises(ConfigError, match="too large"):
+                solve(f, SolveConfig(k=24, r_max=1, mode=mode))
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,6 @@ from ballsat import evaluate, parse_dimacs
 from ballsat.codes import build_kary_cover
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
-    DescentParams,
     PbsInstance,
     PbsRuntime,
     descent_t,
@@ -32,9 +31,9 @@ UNSAT3 = parse_dimacs(
 )
 
 
-def descent_params(alphabet, radius, seed=0):
+def repair_code(alphabet, radius, seed=0):
     t = descent_t(alphabet, radius)
-    return DescentParams(t, build_kary_cover(alphabet, t, t // alphabet, seed))
+    return build_kary_cover(alphabet, t, t // alphabet, seed)
 
 
 def runtime(seed=0, **kw):
@@ -59,26 +58,6 @@ class TestDescentT:
         for k in (3, 4, 5):
             for r in (1, 10, 10**6):
                 assert descent_t(k, r) % k == 0
-
-
-class TestDescentParams:
-    def test_shape(self):
-        dp = descent_params(3, 9, seed=0)
-        assert dp.t == 3
-        assert dp.step == 1
-        assert dp.delta == 1
-        assert dp.kary_code.word_length == 3
-        assert dp.kary_code.radius == 1
-
-    def test_rejects_mismatched_code(self):
-        wrong = build_kary_cover(3, 6, 2, seed=0)
-        with pytest.raises(ValueError):
-            DescentParams(3, wrong)
-
-    def test_rejects_non_multiple(self):
-        code = build_kary_cover(3, 4, 1, seed=0)
-        with pytest.raises(ValueError):
-            DescentParams(4, code)
 
 
 class TestModifyAssignment:
@@ -175,24 +154,24 @@ class TestHybridDescent:
         f = parse_dimacs("p cnf 4 2\n1 2 3 0\n-4 0\n")
         inst = PbsInstance(f, (0, 0, 0, 1), 3, 1, 0.1, 3)
         rt = runtime(11)
-        got = kpbs_hybrid(inst, descent_params(3, 3, seed=0), rt)
+        got = kpbs_hybrid(inst, repair_code(3, 3, seed=0), rt)
         assert got is not None and evaluate(f, got) == 1
 
     def test_large_group_path_descends(self):
         # four disjoint falsified clauses force the codeword jump
         f = parse_dimacs("p cnf 12 4\n1 2 3 0\n4 5 6 0\n7 8 9 0\n10 11 12 0\n")
         center = (0,) * 12
-        dp = descent_params(3, 4, seed=0)
+        code = repair_code(3, 4, seed=0)
         inst = PbsInstance(f, center, 4, 1, 0.1, 3)
         rt = runtime(2)
-        got = kpbs_hybrid(inst, dp, rt)
+        got = kpbs_hybrid(inst, code, rt)
         assert got is not None and evaluate(f, got) == 1
 
     def test_unsat_returns_none(self):
-        dp = descent_params(3, 3, seed=0)
+        code = repair_code(3, 3, seed=0)
         inst = PbsInstance(UNSAT3, (0, 0, 0), 3, 1, 0.1, 3)
         rt = runtime(0)
-        assert kpbs_hybrid(inst, dp, rt) is None
+        assert kpbs_hybrid(inst, code, rt) is None
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(31)
@@ -200,9 +179,9 @@ class TestHybridDescent:
             f = random_ksat(8, 20, 3, rng)
             center = random_assignment(8, rng)
             radius = rng.randrange(2, 5)
-            dp = descent_params(3, radius, seed=1)
+            code = repair_code(3, radius, seed=1)
             inst = PbsInstance(f, center, radius, 1, 0.1, 3)
-            got = kpbs_hybrid(inst, dp, runtime(6))
+            got = kpbs_hybrid(inst, code, runtime(6))
             if got is not None:
                 assert evaluate(f, got) == 1
             elif ball_promise(f, center, radius) is not None:

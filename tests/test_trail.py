@@ -14,7 +14,6 @@ from ballsat import CONFLICT, Formula, decompose, parse_dimacs
 from ballsat.codes import build_kary_cover
 from ballsat.formula import first_unsat_clause, max_disjoint_unsat, restrict, unsat_count
 from ballsat.pbs import (
-    DescentParams,
     PbsInstance,
     PbsRuntime,
     _Trail,
@@ -178,7 +177,7 @@ class TestDifferential:
         for K, f in descent_roots(rng):
             for radius in range(1, 6):
                 t = descent_t(K, radius)
-                dp = DescentParams(t, build_kary_cover(K, t, t // K, seed=radius))
+                code = build_kary_cover(K, t, t // K, seed=radius)
                 for r_max in range(4):
                     center = random_assignment(f.num_vars, rng)
                     if K == 3 and r_max % 2:
@@ -190,8 +189,8 @@ class TestDifferential:
                     got = run(kqcpbs, inst, seed=seed)
                     assert got == run(ref_kqcpbs, inst, seed=seed)
                     seen["kq_branches"] += got[1]
-                    hybrid = run(kpbs_hybrid, inst, dp, seed=seed)
-                    assert hybrid == run(ref_kpbs_hybrid, inst, dp, seed=seed)
+                    hybrid = run(kpbs_hybrid, inst, code, seed=seed)
+                    assert hybrid == run(ref_kpbs_hybrid, inst, code, seed=seed)
                     seen["hy_branches"] += hybrid[1]
                     seen["attempts"] += len(got[3]) + len(hybrid[3])
                     seen["models"] += (got[0] is not None) + (hybrid[0] is not None)
