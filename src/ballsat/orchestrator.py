@@ -34,8 +34,8 @@ from .formula import (
     CONFLICT,
     Assignment,
     Formula,
-    decompose,
     evaluate,
+    restrict,
     top_k_vars,
     unsat_count,
 )
@@ -94,8 +94,9 @@ def solve_resource(A: float, B: float, c: float) -> ResourceModel:
     def g(x: float) -> float:
         return A * x * math.log2(1.0 / x) + B * x
 
-    peak = 2.0 ** (B / A - 1.0 / math.log(2.0))
-    hi = min(peak, 1.0 - 1e-15)
+    # g peaks at 2^(B/A - 1/ln 2): 1 or more when the exponent is, where the power may overflow
+    exp = B / A - 1.0 / math.log(2.0)
+    hi = min(2.0**exp, 1.0 - 1e-15) if exp < 0 else 1.0 - 1e-15
     if g(hi) < c:
         raise ConfigError(f"qubit fraction c={c} unreachable (max {g(hi):.6f})")
     lo = 1e-300
@@ -161,16 +162,14 @@ class SolveResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _build_cover(
-    alphabet: int, length: int, radius: int, seed: int
-) -> BinaryCoveringCode | KaryCoveringCode:
-    """Built covers, cached per process; alphabet 2 is the (unseeded) binary cover."""
+def _build_cover(alphabet: int, length: int, radius: int) -> BinaryCoveringCode | KaryCoveringCode:
+    """Built covers, cached per process; alphabet 2 is binary, a K-ary code is seeded by shape."""
     if alphabet == 2:
         return build_binary_cover(length, radius=radius)
-    return build_kary_cover(alphabet, length, radius, seed)
+    return build_kary_cover(alphabet, length, radius, alphabet * 10007 + length * 101 + radius)
 
 
-def _cover(alphabet: int, length: int, radius: int, seed: int, cache_dir):
+def _cover(alphabet: int, length: int, radius: int, cache_dir):
     """The covering code of this shape; a file in `cache_dir` always wins.
 
     An existing file is read, shape-checked and verified on every call;
@@ -178,11 +177,11 @@ def _cover(alphabet: int, length: int, radius: int, seed: int, cache_dir):
     used raises ConfigError naming it.
     """
     if cache_dir is None:
-        return _build_cover(alphabet, length, radius, seed)
+        return _build_cover(alphabet, length, radius)
     if alphabet == 2:
         name = f"bin-{length}-r{radius}.cover"
     else:
-        name = f"kary-{alphabet}-t{length}-s{radius}-m{seed}.cover"
+        name = f"kary-{alphabet}-t{length}-s{radius}.cover"
     path = Path(cache_dir) / name
     try:
         code = read_cover(path.read_text())
@@ -199,7 +198,7 @@ def _cover(alphabet: int, length: int, radius: int, seed: int, cache_dir):
         pass
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cover cache {path}: {exc}") from None
-    code = _build_cover(alphabet, length, radius, seed)
+    code = _build_cover(alphabet, length, radius)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(write_cover(code))
@@ -252,7 +251,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     # the word spaces the sweep cover, repair code and quantum leaf enumerate
     try:
         check_space(2, word_length)
-        check_space(2, cfg.k)  # decompose lists all 2^k prefixes up front
+        check_space(2, cfg.k)  # the prefix order permutes all 2^k prefixes
         if cfg.mode == "hybrid":
             check_space(alphabet, t)
             check_space(alphabet, min(radius, r_cap))
@@ -261,18 +260,15 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError(str(exc)) from None
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
-    cover = _cover(2, word_length, radius, 0, cfg.cover_cache)
+    cover = _cover(2, word_length, radius, cfg.cover_cache)
     repair = None
     if cfg.mode == "hybrid":
-        s = t // alphabet
-        mixed = ((cfg.seed & 0xFFFFFFFF) * 1000003 + alphabet * 10007 + t * 101 + s) & 0x7FFFFFFF
-        repair = _cover(alphabet, t, s, mixed, cfg.cover_cache)
+        repair = _cover(alphabet, t, t // alphabet, cfg.cover_cache)
     kvars = top_k_vars(f, cfg.k)
     kv_set = set(kvars)
     free_vars = [v for v in range(1, n + 1) if v not in kv_set]
-    entries = decompose(f, cfg.k)
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    order = order_rng.permutation(len(entries))
+    order = order_rng.permutation(1 << cfg.k)
 
     stats = SolveStats()
 
@@ -282,8 +278,10 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         stats.wall_time = time.perf_counter() - t_start
         return SolveResult(status, model, stats)
 
-    for prefix_pos in order:
-        prefix_bits, sub = entries[prefix_pos]
+    for prefix_pos in map(int, order):
+        # decompose's entry at prefix_pos, restricted only when its turn comes
+        prefix_bits = tuple((prefix_pos >> j) & 1 for j in reversed(range(cfg.k)))
+        sub = restrict(f, dict(zip(kvars, prefix_bits)))
         if sub is CONFLICT:
             continue
         prefix_str = "".join(map(str, prefix_bits))
@@ -297,7 +295,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         scored.sort(key=lambda sc: (sc[0], sc[1]))
         for _, ci, center in scored:
             inst = PbsInstance(sub, center, radius, r_cap, cfg.epsilon, alphabet)
-            rt = PbsRuntime((seed, 1 + int(prefix_pos), ci), cfg.retries, prefix_str, ci)
+            rt = PbsRuntime((seed, 1 + prefix_pos, ci), cfg.retries, prefix_str, ci)
             if cfg.mode == "classical":
                 got = kqcpbs(inst, rt)
             elif radius > r_cap:

@@ -68,6 +68,17 @@ class TestExitCodes:
         assert run(argv + ["--epsilon", "0.9", "--retries", "1"]) == 20
         assert "c one-sided: failure-prob <= 1\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--B", "2000"], ["--A", "1e-300"], ["--mode", "classical", "--B", "2000"]],
+        ids=["large-B", "tiny-A", "classical-large-B"],
+    )
+    def test_resource_constants_with_large_b_over_a(self, unsat_file, flags, capsys):
+        # B/A past 1/ln 2 puts the resource curve's peak at or past gamma = 1
+        assert run(["--input", unsat_file, "--k", "1", *flags]) == 20
+        out, err = capsys.readouterr()
+        assert "s UNSATISFIABLE" in out and "Traceback" not in err
+
     def test_unknown_on_config_failure(self, sat_file, capsys):
         # k wider than the variable count cannot be decomposed
         code = run(["--input", sat_file, "--r-max", "1", "--k", "99"])

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, decompose, evaluate, orchestrator, parse_dimacs
+from ballsat import CONFLICT, decompose, evaluate, orchestrator, parse_dimacs, restrict
 from ballsat.codes import BinaryCoveringCode, KaryCoveringCode
 from ballsat.orchestrator import (
     MAX_RETRIES,
@@ -85,6 +85,14 @@ class TestResourceModel:
     def test_non_finite_constants(self, A, B, c):
         with pytest.raises(ConfigError):
             solve_resource(A, B, c)
+
+    @pytest.mark.parametrize("A,B", [(1.0, 2000.0), (1e-300, 1.0)])
+    def test_large_b_over_a(self, A, B):
+        # B/A past 1/ln 2 puts the peak at or above 1, where 2^(B/A - 1/ln 2) overflows
+        rm = solve_resource(A, B, 0.3)
+        assert 0.0 < rm.gamma < 1.0
+        residual = abs(A * rm.gamma * math.log2(1 / rm.gamma) + B * rm.gamma - 0.3)
+        assert residual <= 1e-9
 
     def test_r_max_floor(self):
         rm = solve_resource(1.0, 1.0, 0.3)
@@ -168,6 +176,46 @@ class TestSolve:
             else:
                 assert not expect
 
+    def test_classical_mode_agrees_with_brute(self):
+        # the classical descent is complete: FALSE exactly when brute force
+        # finds no model, with nothing left to chance; 640 formulas, about half SAT
+        rng = random.Random(2024)
+        shapes = [
+            (n, w, k) for n in range(1, 9) for w in range(1, min(4, n) + 1) for k in range(n + 1)
+        ]
+        for n, width, k in shapes * 4:
+            f = random_ksat(n, rng.randint(n, 2**width * n), width, rng)
+            res = solve(f, SolveConfig(k=k, seed=rng.randrange(100), mode="classical"))
+            assert res.status == ("FALSE" if brute_sat(f) is None else "SAT"), f
+            if res.status == "SAT":
+                assert evaluate(f, res.model) == 1
+            else:
+                assert res.stats.failure_bound == 0.0
+
+    @pytest.mark.parametrize("mode", ["classical", "hybrid"])
+    def test_prefixes_restricted_at_their_turn(self, monkeypatch, mode):
+        # one clause over 4 of 12 variables: no 3-bit prefix conflicts, and the
+        # first prefix in the order already holds a model
+        calls = []
+
+        def counting(f, binding):
+            calls.append(binding)
+            return restrict(f, binding)
+
+        monkeypatch.setattr(orchestrator, "restrict", counting)
+        f = parse_dimacs("p cnf 12 1\n1 -2 3 -4 0\n")
+        res = solve(f, SolveConfig(k=3, r_max=1, seed=5, mode=mode))
+        assert res.status == "SAT" and evaluate(f, res.model) == 1
+        assert len(calls) == 1
+
+    def test_seeds_share_the_repair_code(self):
+        # the K-ary code depends on the shape (K, t, s) alone, not on the seed
+        orchestrator._build_cover.cache_clear()
+        for seed in range(20):
+            solve(UNSAT3, SolveConfig(k=1, r_max=1, seed=seed))
+        # one binary sweep cover and one repair code
+        assert orchestrator._build_cover.cache_info().misses == 2
+
 
 class TestConfigErrors:
     def test_k_out_of_range(self):
@@ -207,11 +255,11 @@ class TestConfigErrors:
         assert res.stats.failure_bound == res.stats.groups_failed * math.ulp(0.0) > 0
 
     def test_k_above_space_limit(self, monkeypatch):
-        # decompose lists all 2^k prefixes: 2^24 is past the 10^7 limit
+        # the prefix order permutes all 2^k prefixes: 2^24 is past the 10^7 limit
         def never(*args):
-            raise AssertionError("decompose reached")
+            raise AssertionError("restrict reached")
 
-        monkeypatch.setattr(orchestrator, "decompose", never)
+        monkeypatch.setattr(orchestrator, "restrict", never)
         f = parse_dimacs("p cnf 24 1\n1 2 3 0\n")
         for mode in ("classical", "hybrid"):
             with pytest.raises(ConfigError, match="too large"):
@@ -237,14 +285,14 @@ class TestCoverCache:
         after = {p.name: p.read_text() for p in tmp_path.glob("*.cover")}
         assert before == after
 
-    def test_kary_file_per_seed(self, tmp_path):
+    def test_kary_file_per_shape(self, tmp_path):
         for seed in (1, 2):
             solve(
                 UNSAT3,
                 SolveConfig(k=1, r_max=1, seed=seed, workers=1, cover_cache=tmp_path),
             )
         kary = sorted(p.name for p in tmp_path.glob("kary-*.cover"))
-        assert len(kary) == 2, kary
+        assert kary == ["kary-3-t3-s1.cover"]
 
     def test_corrupt_cache_rejected(self, tmp_path):
         (tmp_path / "bin-2-r0.cover").write_text("cover 2 2 0 1\n00\n")
