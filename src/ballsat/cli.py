@@ -116,7 +116,8 @@ def run(argv: list[str] | None = None) -> int:
     with stats_file as fh:
         try:
             rm = None
-            if args.r_max is None:
+            # classical mode never reads the model, so its constants cannot fail it
+            if args.mode == "hybrid" and args.r_max is None:
                 rm = solve_resource(args.A, args.B, args.c if args.c is not None else 0.3)
             result = solve(formula, cfg, rm)
         except ConfigError as exc:

@@ -2,8 +2,9 @@
 
 Binary covers of assignment space come from a greedy set-cover pass;
 K-ary covers of flip-word space are drawn at random to a union-bound
-size and repaired if the draw leaves holes.  Construction always
-verifies coverage before returning.
+size and repaired if the draw leaves holes.  prune_cover drops the
+words of a cover that the others make redundant.  Construction and
+pruning always verify coverage before returning.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ class KaryCoveringCode:
 
     @property
     def repaired(self) -> bool:
-        """True if the draws left holes: the builder appends only holes to them."""
+        """True if the draws left holes: the builder appends only holes to them.
+
+        This reads the builder's draw.  The solver runs prune_cover's
+        output, which is usually shorter than size_bound and reads False.
+        """
         return len(self.codewords) > min(self.size_bound, self.alphabet**self.word_length)
 
 
@@ -203,6 +208,35 @@ def verify_cover(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[bool, Wor
             covered[idx] = 1
     hole = covered.find(0)
     return (True, None) if hole < 0 else (False, word_at(hole))
+
+
+def prune_cover(code: KaryCoveringCode) -> KaryCoveringCode:
+    """The code without its redundant words: irredundant, and idempotent.
+
+    Walks the codewords last first and drops each whose ball the other
+    words still in the code cover, then verifies the result.  A kept
+    word covers some word no other kept word covers, so pruning the
+    result again drops nothing.  The kept words keep their order.
+    """
+    k, t = code.alphabet, code.word_length
+    check_space(k, t)
+    balls = [list(_kary_ball_indices(cw, code.radius, k)) for cw in code.codewords]
+    count = [0] * k**t
+    for b in balls:
+        for idx in b:
+            count[idx] += 1
+    keep = [True] * len(balls)
+    for i in reversed(range(len(balls))):
+        if all(count[idx] > 1 for idx in balls[i]):
+            keep[i] = False
+            for idx in balls[i]:
+                count[idx] -= 1
+    words = tuple(cw for cw, kept in zip(code.codewords, keep) if kept)
+    pruned = replace(code, codewords=words)
+    ok, witness = verify_cover(pruned)
+    if not ok:
+        raise RuntimeError(f"pruned cover fails to cover {witness}")
+    return pruned
 
 
 def write_cover(code: BinaryCoveringCode | KaryCoveringCode) -> str:

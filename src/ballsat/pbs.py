@@ -238,21 +238,20 @@ def _classical(
     for lit in trail.branch_literals():
         var, bit = abs(lit), 1 if lit > 0 else 0
         if trail.bind(var, bit):
-            branches.append((trail.unsat, ((var, bit),)))
+            branches.append((trail.unsat, ((var, bit),), radius - 1))
         trail.unbind(var)
-    return _run_branches(trail, inst, rt, branches, radius - 1)
+    return _run_branches(trail, inst, rt, branches)
+
+
+Branch = tuple[int, tuple[tuple[int, int], ...], int]   # (score, binding, radius)
 
 
 def _run_branches(
-    trail: _Trail,
-    inst: PbsInstance,
-    rt: PbsRuntime,
-    branches: list[tuple[int, tuple[tuple[int, int], ...]]],
-    radius: int,
+    trail: _Trail, inst: PbsInstance, rt: PbsRuntime, branches: list[Branch]
 ) -> Assignment | None:
-    """Descend into (score, binding) branches, lowest score first, ties in order."""
+    """Descend into (score, binding, radius) branches, lowest score first, ties in order."""
     branches.sort(key=lambda b: b[0])
-    for _, binding in branches:
+    for _, binding, radius in branches:
         rt.branches += 1
         for var, bit in binding:
             trail.bind(var, bit)
@@ -264,31 +263,35 @@ def _run_branches(
     return None
 
 
-def _block_points(
-    trail: _Trail, block_vars: list[int]
-) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """(falsified count, binding) of every conflict-free assignment of block_vars.
+def _block_points(trail: _Trail, block_vars: list[int], radius: int) -> list[Branch]:
+    """(falsified count, binding, radius - d) of every conflict-free assignment of block_vars.
 
-    Depth first, one variable per level, 0 before 1: itertools.product
-    order.  A conflicting prefix is pruned, since every extension of it
-    conflicts too.
+    d is the point's Hamming distance from the center on block_vars: a
+    ball witness matches one point and lies within radius - d of it on
+    the other variables.  Depth first, one variable per level, 0 before
+    1: itertools.product order.  A conflicting prefix is pruned, since
+    every extension of it conflicts too, and so is one with d > radius.
     """
-    points: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    points: list[Branch] = []
     bits: list[int] = []
+    center = trail.center
 
-    def visit(depth: int) -> None:
+    def visit(depth: int, left: int) -> None:
         if depth == len(block_vars):
-            points.append((trail.unsat, tuple(zip(block_vars, bits))))
+            points.append((trail.unsat, tuple(zip(block_vars, bits)), left))
             return
         var = block_vars[depth]
         for bit in (0, 1):
+            rest = left - (bit != center[var - 1])
+            if rest < 0:
+                continue
             if trail.bind(var, bit):
                 bits.append(bit)
-                visit(depth + 1)
+                visit(depth + 1, rest)
                 bits.pop()
             trail.unbind(var)
 
-    visit(0)
+    visit(0, radius)
     return points
 
 
@@ -323,8 +326,9 @@ def kpbs_hybrid(
 
     The repair code over {1..K}^t at radius t/K is the only parameter.
     Small G (at most t clauses): enumerate assignments of vbl(G) (every
-    surviving clause the center falsifies then has width < K) and run
-    the classical descent.  Large G: jump the center through the code's
+    surviving clause the center falsifies then has width < K) within
+    the radius, and run the classical descent from each at the radius
+    its flips leave.  Large G: jump the center through the code's
     words on the first t clauses, shrinking the radius by t/K, so the
     first radius at or below r_max lies within t/K of it.
     """
@@ -340,7 +344,7 @@ def kpbs_hybrid(
     if len(group) <= t:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
         trail = _Trail(f, center)
-        return _run_branches(trail, inst, rt, _block_points(trail, block_vars), inst.radius)
+        return _run_branches(trail, inst, rt, _block_points(trail, block_vars, inst.radius))
     batch = group[:t]
     moves = []
     for ci, word in enumerate(code.codewords):

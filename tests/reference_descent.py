@@ -41,19 +41,22 @@ def ref_kqcpbs(inst, rt):
     if inst.radius <= inst.r_max:
         return quantum_kpbs(replace(inst, radius=inst.r_max), rt)
     clause_idx = first_unsat_clause(f, center)
-    bindings = ({abs(lit): 1 if lit > 0 else 0} for lit in f.clauses[clause_idx])
-    return _ref_descend(inst, rt, bindings, inst.radius - 1)
+    bindings = (
+        ({abs(lit): 1 if lit > 0 else 0}, inst.radius - 1) for lit in f.clauses[clause_idx]
+    )
+    return _ref_descend(inst, rt, bindings)
 
 
-def _ref_descend(inst, rt, bindings, radius):
+def _ref_descend(inst, rt, bindings):
+    """Descend into (binding, radius) pairs, fewest falsified clauses first."""
     f, center = inst.formula, inst.center
     branches = []
-    for binding in bindings:
+    for binding, radius in bindings:
         sub = restrict(f, binding)
         if sub is not CONFLICT:
-            branches.append((unsat_count(sub, center), binding, sub))
+            branches.append((unsat_count(sub, center), binding, sub, radius))
     branches.sort(key=lambda b: b[0])
-    for _, binding, sub in branches:
+    for _, binding, sub, radius in branches:
         rt.branches += 1
         got = ref_kqcpbs(replace(inst, formula=sub, radius=radius), rt)
         model = lift_and_verify(f, got, binding)
@@ -73,11 +76,13 @@ def ref_kpbs_hybrid(inst, code, rt):
     group = max_disjoint_unsat(f, center)
     if len(group) <= code.word_length:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
-        bindings = (
-            dict(zip(block_vars, bits))
-            for bits in product((0, 1), repeat=len(block_vars))
-        )
-        return _ref_descend(inst, rt, bindings, inst.radius)
+        bindings = []
+        for bits in product((0, 1), repeat=len(block_vars)):
+            # a ball witness lies within radius - d of its block point elsewhere
+            d = sum(bit != center[var - 1] for var, bit in zip(block_vars, bits))
+            if d <= inst.radius:
+                bindings.append((dict(zip(block_vars, bits)), inst.radius - d))
+        return _ref_descend(inst, rt, bindings)
     batch = group[: code.word_length]
     moves = []
     for ci, word in enumerate(code.codewords):

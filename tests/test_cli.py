@@ -79,6 +79,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "s UNSATISFIABLE" in out and "Traceback" not in err
 
+    def test_classical_mode_ignores_resource_constants(self, tmp_path, capsys):
+        # classical mode never reads the resource model, so an unreachable c cannot fail it
+        p = tmp_path / "one.cnf"
+        p.write_text("p cnf 3 1\n1 2 3 0\n")
+        flags = ["--mode", "classical", "--A", "0.1", "--B", "0.1", "--c", "0.9"]
+        assert run(["--input", str(p), *flags]) == 10
+        assert "s SATISFIABLE" in capsys.readouterr().out
+
     def test_unknown_on_config_failure(self, sat_file, capsys):
         # k wider than the variable count cannot be decomposed
         code = run(["--input", sat_file, "--r-max", "1", "--k", "99"])

@@ -10,6 +10,7 @@ from ballsat.codes import (
     build_binary_cover,
     build_kary_cover,
     kary_draw_bound,
+    prune_cover,
     read_cover,
     verify_cover,
     write_cover,
@@ -121,6 +122,39 @@ def test_kary_construction_pinned(k, t, s, seed):
     assert code.repaired == (seed in (2, 6))
     digest = hashlib.sha256(write_cover(code).encode()).hexdigest()
     assert digest == KARY_PINS[k, t, s, seed]
+
+
+class TestPrune:
+    @pytest.mark.parametrize(
+        "k,t,s,seed", [(3, 3, 1, 0), (3, 3, 1, 30335), (4, 4, 1, 40449), (3, 4, 1, 6), (3, 5, 2, 2)]
+    )
+    def test_irredundant_subsequence(self, k, t, s, seed):
+        built = build_kary_cover(k, t, s, seed=seed)
+        pruned = prune_cover(built)
+        assert verify_cover(pruned) == (True, None)
+        # the kept words in their built order
+        kept = iter(built.codewords)
+        assert all(word in kept for word in pruned.codewords)
+        # every kept word covers a word no other one does
+        for i in range(len(pruned.codewords)):
+            rest = pruned.codewords[:i] + pruned.codewords[i + 1 :]
+            assert not verify_cover(dataclasses.replace(pruned, codewords=rest))[0]
+        assert prune_cover(pruned) == pruned
+
+    @pytest.mark.parametrize("k,drawn,kept", [(3, 15, 6), (4, 119, 39)])
+    def test_repair_codes_near_their_covering_bound(self, k, drawn, kept):
+        # the (K, K, 1) code the solver uses, seeded K*10007 + K*101 + 1
+        built = build_kary_cover(k, k, 1, seed=k * 10108 + 1)
+        assert (len(built.codewords), len(prune_cover(built).codewords)) == (drawn, kept)
+
+    def test_later_duplicate_dropped(self):
+        code = KaryCoveringCode(3, 1, 0, ((1,), (2,), (3,), (2,)))
+        assert prune_cover(code).codewords == ((1,), (2,), (3,))
+
+    def test_pruned_code_reads_unrepaired(self):
+        # repaired describes the builder's draw; a pruned code is shorter than it
+        built = build_kary_cover(4, 4, 1, seed=6)
+        assert built.repaired and not prune_cover(built).repaired
 
 
 class TestVerify:

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, decompose, evaluate, orchestrator, parse_dimacs, restrict
-from ballsat.codes import BinaryCoveringCode, KaryCoveringCode
+from ballsat import CONFLICT, Formula, decompose, evaluate, orchestrator, parse_dimacs, restrict
+from ballsat.codes import BinaryCoveringCode, KaryCoveringCode, build_kary_cover, write_cover
 from ballsat.orchestrator import (
     MAX_RETRIES,
     ConfigError,
@@ -335,6 +335,27 @@ class TestCoverCache:
         assert [n.split("-")[0] for n in names] == ["bin", "kary"], names
         assert again.status == first.status
         assert again.stats.records == first.stats.records
+
+    def test_unpruned_cache_file_gives_the_uncached_result(self, tmp_path):
+        # four disjoint copies of UNSAT3: every center falsifies 4 > t = 3
+        # disjoint clauses, so each dispatch jumps through the repair code
+        blocks = Formula(12, tuple(
+            tuple(lit + b if lit > 0 else lit - b for lit in clause)
+            for b in (0, 3, 6, 9)
+            for clause in UNSAT3.clauses
+        ))
+        # the 15-word (3, 3, 1) draw, as a cache written before pruning holds it
+        draw = build_kary_cover(3, 3, 1, 3 * 10007 + 3 * 101 + 1)
+        (tmp_path / "kary-3-t3-s1.cover").write_text(write_cover(draw))
+        cfg = SolveConfig(k=1, r_max=1, seed=1)
+        uncached = solve(blocks, cfg)
+        cached = solve(blocks, dataclasses.replace(cfg, cover_cache=tmp_path))
+        assert len(draw.codewords) == 15 and uncached.stats.branches
+        assert (cached.status, cached.model) == (uncached.status, uncached.model)
+        # every counter and record; wall_time alone may differ
+        assert dataclasses.replace(cached.stats, wall_time=0) == dataclasses.replace(
+            uncached.stats, wall_time=0
+        )
 
     def test_cache_file_wins_over_earlier_build(self, tmp_path):
         cfg = SolveConfig(k=3, r_max=1)

@@ -1,13 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
-from ballsat import evaluate, parse_dimacs
-from ballsat.codes import build_kary_cover
+from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
+from ballsat.codes import build_kary_cover, prune_cover
+from ballsat.formula import restrict, unsat_count
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
+    _block_points,
+    _Trail,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
@@ -42,6 +46,12 @@ def runtime(seed=0, **kw):
 
 def hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
+
+
+def narrowed(f, rng):
+    """f with about a third of its clauses cut to a shorter prefix, as restriction leaves them."""
+    clauses = [c[: rng.randrange(1, len(c))] if rng.random() < 0.3 else c for c in f.clauses]
+    return Formula(f.num_vars, tuple(clauses))
 
 
 class TestDescentT:
@@ -186,3 +196,52 @@ class TestHybridDescent:
                 assert evaluate(f, got) == 1
             elif ball_promise(f, center, radius) is not None:
                 pytest.fail("hybrid missed a promised ball twice in a row")
+
+    def test_complete_at_r_max_zero(self, monkeypatch):
+        # at r_max = 0 no quantum leaf runs, so kpbs_hybrid is deterministic and
+        # must find a model in every ball that holds one
+        jumps = []
+        real = pbs.modify_assignment
+
+        def counting(*args):
+            jumps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pbs, "modify_assignment", counting)
+        rng = random.Random(20261018)
+        codes = {k: prune_cover(repair_code(k, 1, seed=k)) for k in (3, 4)}
+        found = 0
+        for _ in range(3000):
+            k, n = rng.choice((3, 4)), rng.randrange(5, 10)
+            m = rng.randrange(n, 4 * n if k == 3 else 6 * n)
+            f = planted_ksat(n, m, k, rng)[0] if rng.random() < 0.5 else random_ksat(n, m, k, rng)
+            f = narrowed(f, rng)
+            center, radius = random_assignment(n, rng), rng.randrange(1, 6)
+            got = kpbs_hybrid(PbsInstance(f, center, radius, 0, 0.1, k), codes[k], runtime())
+            if got is not None:
+                assert evaluate(f, got) == 1
+            if ball_promise(f, center, radius) is not None:
+                assert got is not None, (f, center, radius)
+                found += 1
+        # the sample holds many promised balls and takes the repair-code jumps
+        assert found > 1200 and len(jumps) > 200, (found, len(jumps))
+
+
+class TestResidualRadius:
+    # clauses 0 and 1 are falsified at the all-zero center: every block point flips >= 2
+    F = parse_dimacs("p cnf 7 4\n1 2 3 0\n4 5 0\n-1 6 0\n-4 -7 0\n")
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_each_point_descends_at_the_radius_its_flips_leave(self, radius):
+        center, block_vars = (0,) * 7, [1, 2, 3, 4, 5]
+        want = []
+        for bits in product((0, 1), repeat=len(block_vars)):
+            binding = dict(zip(block_vars, bits))
+            sub, d = restrict(self.F, binding), sum(bits)
+            if sub is not CONFLICT and d <= radius:
+                want.append((unsat_count(sub, center), tuple(binding.items()), radius - d))
+        trail = _Trail(self.F, center)
+        assert _block_points(trail, block_vars, radius) == want
+        assert trail.bound == {} and trail.val == list(center)
+        # both clauses of G must be repaired, so d >= 2 for every point
+        assert bool(want) == (radius >= 2)
