@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, default=0, help="decomposition width")
     parser.add_argument("--epsilon", type=float, default=0.1, help="per-call tolerance")
     cap = parser.add_mutually_exclusive_group()
-    cap.add_argument("--c", type=float, default=None, help="qubit fraction (default 0.3)")
+    cap.add_argument("--c", type=float, default=0.3, help="qubit fraction (default %(default)s)")
     cap.add_argument("--r-max", type=int, default=None, help="explicit quantum radius cap")
     parser.add_argument("--A", type=float, default=1.0, help="resource-curve constant")
     parser.add_argument("--B", type=float, default=1.0, help="resource-curve constant")
@@ -118,7 +118,7 @@ def run(argv: list[str] | None = None) -> int:
             rm = None
             # classical mode never reads the model, so its constants cannot fail it
             if args.mode == "hybrid" and args.r_max is None:
-                rm = solve_resource(args.A, args.B, args.c if args.c is not None else 0.3)
+                rm = solve_resource(args.A, args.B, args.c)
             result = solve(formula, cfg, rm)
         except ConfigError as exc:
             print(f"c {exc}", file=sys.stderr)

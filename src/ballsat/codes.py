@@ -4,16 +4,18 @@ Binary covers of assignment space come from a greedy set-cover pass;
 K-ary covers of flip-word space are drawn at random to a union-bound
 size and repaired if the draw leaves holes.  prune_cover drops the
 words of a cover that the others make redundant.  Construction and
-pruning always verify coverage before returning.
+pruning always verify coverage before returning.  Both kinds read their
+Hamming balls from one enumeration, _balls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -62,26 +64,75 @@ class KaryCoveringCode:
         return len(self.codewords) > min(self.size_bound, self.alphabet**self.word_length)
 
 
-def _int_to_bits(x: int, length: int) -> Word:
-    return tuple((x >> (length - 1 - j)) & 1 for j in range(length))
+def alphabet_and_first(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[int, int]:
+    """(alphabet, first symbol) of a code's words: (2, 0) binary, (K, 1) K-ary."""
+    if isinstance(code, BinaryCoveringCode):
+        return 2, 0
+    return code.alphabet, 1
 
 
-def _bits_to_int(bits: Sequence[int]) -> int:
-    x = 0
-    for b in bits:
-        x = (x << 1) | b
-    return x
+def _word(index: int, alphabet: int, length: int, first: int) -> Word:
+    """The index-th word of {first..first+alphabet-1}^length in lexicographic order."""
+    syms = []
+    for _ in range(length):
+        index, rem = divmod(index, alphabet)
+        syms.append(rem + first)
+    return tuple(reversed(syms))
 
 
-def _ball_masks(length: int, radius: int) -> list[int]:
-    masks = [0]
-    for dist in range(1, min(radius, length) + 1):
+def _kary_word(index: int, alphabet: int, length: int) -> Word:
+    return _word(index, alphabet, length, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_table(alphabet: int, length: int, radius: int) -> np.ndarray:
+    """Per-position shifts, mod alphabet, from a word to each word of its radius ball.
+
+    One row per ball word: the zero row, then the rows at distance 1, 2, ...
+    """
+    rows = []
+    for dist in range(min(radius, length) + 1):
         for positions in combinations(range(length), dist):
-            m = 0
-            for p in positions:
-                m |= 1 << p
-            masks.append(m)
-    return masks
+            for shifts in product(range(1, alphabet), repeat=dist):
+                row = [0] * length
+                for pos, shift in zip(positions, shifts):
+                    row[pos] = shift
+                rows.append(row)
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    table.flags.writeable = False
+    return table
+
+
+def _balls(code: BinaryCoveringCode | KaryCoveringCode) -> Iterator[np.ndarray]:
+    """Each codeword's ball as word-space indices, one array per word, in order.
+
+    A word's index is its rank in lexicographic order.  In binary a shift
+    row is a bit mask, so a ball is the word's index XOR the masks.
+    """
+    alphabet, first = alphabet_and_first(code)
+    length, words = code.word_length, code.codewords
+    shifts = _shift_table(alphabet, length, code.radius)
+    powers = alphabet ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    digits = np.array(words, dtype=np.int64).reshape(len(words), length) - first
+    masks = shifts @ powers
+    # blocks of words small enough that block x ball x length stays bounded
+    step = max(1, (1 << 20) // (len(shifts) * (length + 1)))
+    for lo in range(0, len(digits), step):
+        block = digits[lo : lo + step]
+        if alphabet == 2:
+            yield from (block @ powers)[:, None] ^ masks
+        else:
+            yield from (block[:, None, :] + shifts) % alphabet @ powers
+
+
+def _ball_counts(code: BinaryCoveringCode | KaryCoveringCode) -> np.ndarray:
+    """For each word of the space, by index, how many codewords' balls hold it."""
+    alphabet, _ = alphabet_and_first(code)
+    check_space(alphabet, code.word_length)
+    count = np.zeros(alphabet**code.word_length, dtype=np.int64)
+    for ball in _balls(code):
+        count[ball] += 1
+    return count
 
 
 def _greedy_cover_ints(length: int, radius: int) -> list[int]:
@@ -91,7 +142,7 @@ def _greedy_cover_ints(length: int, radius: int) -> list[int]:
     n_words = 1 << length
     if radius == 0:
         return list(range(n_words))
-    masks = np.array(_ball_masks(length, radius), dtype=np.int64)
+    masks = next(_balls(BinaryCoveringCode(length, radius, ((0,) * length,))))
     all_words = np.arange(n_words, dtype=np.int64)
     uncovered = np.ones(n_words, dtype=bool)
     code: list[int] = []
@@ -113,42 +164,12 @@ def build_binary_cover(word_length: int, *, radius: int) -> BinaryCoveringCode:
     if not 0 <= radius <= word_length:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
     check_space(2, word_length)
-    codewords = tuple(
-        _int_to_bits(x, word_length) for x in _greedy_cover_ints(word_length, radius)
-    )
+    codewords = tuple(_word(x, 2, word_length, 0) for x in _greedy_cover_ints(word_length, radius))
     code = BinaryCoveringCode(word_length, radius, codewords)
     ok, witness = verify_cover(code)
     if not ok:
         raise RuntimeError(f"greedy cover failed to cover {witness}")
     return code
-
-
-def _kary_index(word: Sequence[int], alphabet: int) -> int:
-    x = 0
-    for sym in word:
-        x = x * alphabet + (sym - 1)
-    return x
-
-
-def _kary_word(index: int, alphabet: int, length: int) -> Word:
-    syms = []
-    for _ in range(length):
-        index, rem = divmod(index, alphabet)
-        syms.append(rem + 1)
-    return tuple(reversed(syms))
-
-
-def _kary_ball_indices(word: Word, radius: int, alphabet: int) -> Iterable[int]:
-    t = len(word)
-    others = {s: [x for x in range(1, alphabet + 1) if x != s] for s in range(1, alphabet + 1)}
-    for dist in range(0, min(radius, t) + 1):
-        for positions in combinations(range(t), dist):
-            pools = [others[word[p]] for p in positions]
-            for repl in product(*pools):
-                changed = list(word)
-                for p, sym in zip(positions, repl):
-                    changed[p] = sym
-                yield _kary_index(changed, alphabet)
 
 
 def kary_draw_bound(alphabet: int, word_length: int, radius: int) -> int:
@@ -187,27 +208,13 @@ def build_kary_cover(
 def verify_cover(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[bool, Word | None]:
     """Exhaustive coverage check; returns (ok, first uncovered word or None).
 
-    Marks every codeword's ball over the full word space, then scans it in
+    Counts every codeword's ball over the full word space, then scans it in
     lexicographic order.
     """
-    length = code.word_length
-    if isinstance(code, BinaryCoveringCode):
-        masks = _ball_masks(length, code.radius)
-        balls = ([x ^ m for m in masks] for x in map(_bits_to_int, code.codewords))
-        # mask indexing uses LSB-at-right ints; lexicographic word order
-        # over MSB-first bit tuples is plain numeric order on them
-        total, word_at = 1 << length, lambda i: _int_to_bits(i, length)
-    else:
-        k = code.alphabet
-        check_space(k, length)
-        balls = (_kary_ball_indices(cw, code.radius, k) for cw in code.codewords)
-        total, word_at = k**length, lambda i: _kary_word(i, k, length)
-    covered = bytearray(total)
-    for ball in balls:
-        for idx in ball:
-            covered[idx] = 1
-    hole = covered.find(0)
-    return (True, None) if hole < 0 else (False, word_at(hole))
+    alphabet, first = alphabet_and_first(code)
+    count = _ball_counts(code)
+    hole = int(count.argmin())
+    return (True, None) if count[hole] else (False, _word(hole, alphabet, code.word_length, first))
 
 
 def prune_cover(code: KaryCoveringCode) -> KaryCoveringCode:
@@ -218,19 +225,13 @@ def prune_cover(code: KaryCoveringCode) -> KaryCoveringCode:
     word covers some word no other kept word covers, so pruning the
     result again drops nothing.  The kept words keep their order.
     """
-    k, t = code.alphabet, code.word_length
-    check_space(k, t)
-    balls = [list(_kary_ball_indices(cw, code.radius, k)) for cw in code.codewords]
-    count = [0] * k**t
-    for b in balls:
-        for idx in b:
-            count[idx] += 1
-    keep = [True] * len(balls)
-    for i in reversed(range(len(balls))):
-        if all(count[idx] > 1 for idx in balls[i]):
+    count = _ball_counts(code)
+    keep = [True] * len(code.codewords)
+    last_first = _balls(replace(code, codewords=code.codewords[::-1]))
+    for i, ball in zip(reversed(range(len(keep))), last_first):
+        if (count[ball] > 1).all():
             keep[i] = False
-            for idx in balls[i]:
-                count[idx] -= 1
+            count[ball] -= 1
     words = tuple(cw for cw, kept in zip(code.codewords, keep) if kept)
     pruned = replace(code, codewords=words)
     ok, witness = verify_cover(pruned)
@@ -241,13 +242,10 @@ def prune_cover(code: KaryCoveringCode) -> KaryCoveringCode:
 
 def write_cover(code: BinaryCoveringCode | KaryCoveringCode) -> str:
     """Text form: 'cover <alphabet> <word_length> <radius> <count>' + one word per line."""
-    if isinstance(code, BinaryCoveringCode):
-        alphabet = 2
-    else:
-        alphabet = code.alphabet
-        # alphabet 2 would read back as binary; above 9 a symbol is not one digit
-        if not 3 <= alphabet <= 9:
-            raise ValueError(f"K-ary alphabet {alphabet} outside 3..9 for digit serialization")
+    alphabet, first = alphabet_and_first(code)
+    # a K-ary alphabet 2 would read back as binary; above 9 a symbol is not one digit
+    if (alphabet, first) != (2, 0) and not 3 <= alphabet <= 9:
+        raise ValueError(f"K-ary alphabet {alphabet} outside 3..9 for digit serialization")
     lines = ["".join(map(str, cw)) for cw in code.codewords]
     header = f"cover {alphabet} {code.word_length} {code.radius} {len(code.codewords)}"
     return "\n".join([header, *lines]) + "\n"

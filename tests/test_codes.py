@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from ballsat.codes import (
@@ -141,7 +144,9 @@ class TestPrune:
             assert not verify_cover(dataclasses.replace(pruned, codewords=rest))[0]
         assert prune_cover(pruned) == pruned
 
-    @pytest.mark.parametrize("k,drawn,kept", [(3, 15, 6), (4, 119, 39)])
+    @pytest.mark.parametrize(
+        "k,drawn,kept", [(3, 15, 6), (4, 119, 39), (5, 1258, 359), (6, 16720, 4060)]
+    )
     def test_repair_codes_near_their_covering_bound(self, k, drawn, kept):
         # the (K, K, 1) code the solver uses, seeded K*10007 + K*101 + 1
         built = build_kary_cover(k, k, 1, seed=k * 10108 + 1)
@@ -226,3 +231,72 @@ class TestSerialization:
     def test_header_outside_buildable_shapes(self, text, message):
         with pytest.raises(ValueError, match=message):
             read_cover(text)
+
+
+def _space(alphabet, first, length):
+    """Every word of the space, one row each, in lexicographic order."""
+    words = list(product(range(first, first + alphabet), repeat=length))
+    return np.array(words, dtype=np.int64).reshape(len(words), length)
+
+
+def _within(code, space):
+    """within[i, v]: word v lies within the radius of codeword i, by Hamming distance."""
+    shape = (len(code.codewords), code.word_length)
+    words = np.array(code.codewords, dtype=np.int64).reshape(shape)
+    dist = np.zeros((len(words), len(space)), dtype=np.int64)
+    for j in range(code.word_length):
+        dist += words[:, j, None] != space[None, :, j]
+    return dist <= code.radius
+
+
+def _reference_verify(code, within, space):
+    covered = within.any(axis=0)
+    if covered.all():
+        return True, None
+    return False, tuple(map(int, space[int(covered.argmin())]))
+
+
+def _reference_prune(code, within):
+    """Last word first, drop each word whose ball the other kept words cover."""
+    kept = [True] * len(code.codewords)
+    # kept[i] counts once in covering[v] for each v within the ball of word i
+    covering = within.sum(axis=0)
+    for i in reversed(range(len(kept))):
+        if (covering[within[i]] > 1).all():
+            kept[i] = False
+            covering -= within[i]
+    return tuple(cw for cw, keep in zip(code.codewords, kept) if keep)
+
+
+@pytest.mark.parametrize(
+    "alphabet,length",
+    [(2, t) for t in range(9)] + [(k, t) for k in (3, 4, 5) for t in range(6)],
+)
+def test_ball_engine_against_hamming_distance(alphabet, length):
+    # random codes with repeated words, at every radius: verify_cover's
+    # answer and prune_cover's kept words equal a distance brute force
+    first = 0 if alphabet == 2 else 1
+    space = _space(alphabet, first, length)
+    rng = random.Random(alphabet * 100 + length)
+    for radius in range(length + 1):
+        drawn = [tuple(map(int, rng.choice(space))) for _ in range(rng.randrange(12))]
+        words = tuple(drawn + rng.choices(drawn, k=len(drawn) // 3))
+        if alphabet == 2:
+            code = BinaryCoveringCode(length, radius, words)
+        else:
+            code = KaryCoveringCode(alphabet, length, radius, words)
+        within = _within(code, space)
+        ok, hole = verify_cover(code)
+        assert (ok, hole) == _reference_verify(code, within, space)
+        if alphabet == 2:
+            continue  # the solver prunes K-ary codes only
+        # complete the draw with its holes, shuffled in among the drawn words
+        holes = [tuple(map(int, w)) for w in space[~within.any(axis=0)]]
+        words = list(words) + holes
+        rng.shuffle(words)
+        full = dataclasses.replace(code, codewords=tuple(words))
+        expect = _reference_prune(full, _within(full, space))
+        assert prune_cover(full).codewords == expect
+        if not ok:
+            with pytest.raises(RuntimeError, match="fails to cover"):
+                prune_cover(code)
