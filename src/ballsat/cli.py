@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .formula import Assignment, Formula, ParseError, evaluate, parse_dimacs
@@ -78,10 +79,14 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        formula = parse_dimacs(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            formula = parse_dimacs(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    for warning in caught:
+        print(f"c warning: {warning.message}", file=sys.stderr)
 
     if args.mode == "brute":
         try:

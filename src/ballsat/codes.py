@@ -198,8 +198,9 @@ def build_kary_cover(
     if s == t:
         # any single word covers the whole space
         return KaryCoveringCode(k, t, s, (_kary_word(rng.randrange(k**t), k, t),))
-    indices = rng.sample(range(k**t), min(kary_draw_bound(k, t, s), k**t))
-    code = KaryCoveringCode(k, t, s, tuple(_kary_word(i, k, t) for i in indices))
+    draw = np.array(rng.sample(range(k**t), min(kary_draw_bound(k, t, s), k**t)))
+    digits = draw[:, None] // k ** np.arange(t - 1, -1, -1) % k + 1
+    code = KaryCoveringCode(k, t, s, tuple(map(tuple, digits.tolist())))
     while (hole := verify_cover(code)[1]) is not None:
         code = replace(code, codewords=(*code.codewords, hole))
     return code

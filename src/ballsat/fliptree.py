@@ -3,17 +3,21 @@
 A word over {1..K} drives repair steps: each symbol picks a literal of
 the first falsified clause (wrapping modulo clause width) and flips its
 variable.  Once the formula is satisfied the remaining symbols are
-no-ops, so every satisfying prefix stays satisfying.
+no-ops, so every satisfying prefix stays satisfying.  Variables in
+`bound` never flip and clauses narrow to their other literals: on a
+center holding the bound values, this is the walk on restrict(f, bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
 from .codes import check_space
-from .formula import Assignment, Formula, first_unsat_clause
+# first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
+from .formula import Assignment, Formula, first_unsat_clause, pack, unpack, unsat_reader  # noqa
 
 FlipSequence = tuple[int, ...]
 
@@ -24,34 +28,39 @@ class FlipOutcome:
     value: int                # 1 iff candidate satisfies the formula
 
 
-def walk(f: Formula, center: Assignment, seq: FlipSequence) -> FlipOutcome:
+def _narrowed_flips(f: Formula, unsat: int, bound: Collection[int]) -> list[int]:
+    """Variable bit of each unbound literal of the lowest clause in `unsat`, in clause order."""
+    idx = (unsat & -unsat).bit_length() - 1
+    return [1 << (abs(lit) - 1) for lit in f.clauses[idx] if abs(lit) not in bound]
+
+
+def walk(
+    f: Formula, center: Assignment, seq: FlipSequence, bound: Collection[int] = ()
+) -> FlipOutcome:
     """Run the walk for one choice word and return its endpoint."""
     if len(center) != f.num_vars:
         raise ValueError("center length mismatch")
-    bits = list(center)
-    satisfied = False
+    read, x = unsat_reader(f), pack(center)
     for choice in seq:
-        idx = first_unsat_clause(f, bits)
-        if idx is None:
-            satisfied = True
+        unsat = read(x)
+        if not unsat:
             break
-        clause = f.clauses[idx]
-        lit = clause[(choice - 1) % len(clause)]
-        bits[abs(lit) - 1] ^= 1
-    if not satisfied:
-        satisfied = first_unsat_clause(f, bits) is None
-    return FlipOutcome(tuple(bits), 1 if satisfied else 0)
+        flips = _narrowed_flips(f, unsat, bound)
+        x ^= flips[(choice - 1) % len(flips)]
+    return FlipOutcome(unpack(x, f.num_vars), 0 if read(x) else 1)
 
 
-def marked_mask(f: Formula, center: Assignment, radius: int, alphabet: int) -> np.ndarray:
+def marked_mask(
+    f: Formula, center: Assignment, radius: int, alphabet: int, bound: Collection[int] = ()
+) -> np.ndarray:
     """Per-word walk success over {1..K}^radius, words in lexicographic order.
 
     One depth-first pass over the flip-word trie, which is the walk tree:
-    each edge flips and unflips one bit of a single assignment, and each
-    node looks for the first falsified clause once.  A node that already
-    satisfies f marks its whole span of K^(radius - depth) words, since
-    the walk ignores the symbols left.  Symbols that wrap onto the same
-    literal of a narrow clause copy the span of the first such symbol.
+    each edge flips one bit of the packed assignment, and each node
+    reads its falsified clauses once.  A node that already satisfies f
+    marks its whole span of K^(radius - depth) words, since the walk
+    ignores the symbols left.  Symbols that wrap onto the same literal
+    of a narrow clause copy the span of the first such symbol.
     """
     if radius < 0:
         raise ValueError("negative radius")
@@ -61,30 +70,27 @@ def marked_mask(f: Formula, center: Assignment, radius: int, alphabet: int) -> n
         raise ValueError("center length mismatch")
     check_space(alphabet, radius)
     mask = np.zeros(alphabet**radius, dtype=bool)
-    bits = list(center)
+    read = unsat_reader(f)
 
-    def visit(depth: int, lo: int, span: int) -> None:
-        idx = first_unsat_clause(f, bits)
-        if idx is None:
+    def visit(x: int, depth: int, lo: int, span: int) -> None:
+        unsat = read(x)
+        if not unsat:
             mask[lo : lo + span] = True
             return
         if depth == radius:
             return
-        clause = f.clauses[idx]
-        width = len(clause)
+        flips = _narrowed_flips(f, unsat, bound)
+        width = len(flips)
         span //= alphabet
         for choice in range(alphabet):
             start = lo + choice * span
             if choice < width:
-                var = abs(clause[choice]) - 1
-                bits[var] ^= 1
-                visit(depth + 1, start, span)
-                bits[var] ^= 1
+                visit(x ^ flips[choice], depth + 1, start, span)
             else:
                 src = lo + (choice % width) * span
                 mask[start : start + span] = mask[src : src + span]
 
-    visit(0, 0, alphabet**radius)
+    visit(pack(center), 0, 0, alphabet**radius)
     return mask
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 Clause = tuple[int, ...]      # ordered DIMACS literals, never 0
 Assignment = tuple[int, ...]  # one bit per variable, index i -> x_{i+1}
@@ -57,6 +57,24 @@ class Formula:
             for lit in clause:
                 (pos if lit > 0 else neg)[abs(lit)].append(idx)
         return tuple(zip(map(tuple, pos), map(tuple, neg)))
+
+    @cached_property
+    def sat_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row c, entry b: the clauses some literal of x_{8c+1}..x_{8c+8} satisfies
+        when those variables take the bits of b, x_{8c+1} at bit 0."""
+        n = self.num_vars
+        holding = [0] * (2 * n + 1)   # holding[n + lit]: the clauses holding lit
+        for idx, clause in enumerate(self.clauses):
+            for lit in clause:
+                holding[n + lit] |= 1 << idx
+        rows = []
+        for lo in range(1, n + 1, 8):
+            row = [0]
+            for v in range(lo, min(lo + 8, n + 1)):
+                if0, if1 = holding[n - v], holding[n + v]
+                row = [m | if0 for m in row] + [m | if1 for m in row]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def validate(self) -> None:
         """Check structural invariants; construction itself stays cheap."""
@@ -177,6 +195,27 @@ def first_unsat_clause(f: Formula, assignment: Assignment) -> int | None:
         if not _clause_satisfied(clause, assignment):
             return idx
     return None
+
+
+def pack(assignment: Assignment) -> int:
+    """The assignment as an int, x_v at bit v - 1."""
+    return sum(bit << i for i, bit in enumerate(assignment))
+
+
+def unpack(x: int, num_vars: int) -> Assignment:
+    return tuple([(x >> i) & 1 for i in range(num_vars)])
+
+
+def unsat_reader(f: Formula) -> Callable[[int], int]:
+    """x -> mask of the clauses the packed assignment x falsifies, clause i at bit i.
+
+    Unrolled up to 24 variables, where a missing row satisfies nothing."""
+    rows, full = f.sat_table, (1 << len(f.clauses)) - 1
+    if len(rows) > 3:
+        chunks = tuple(enumerate(rows))
+        return lambda x: full ^ reduce(int.__or__, (r[x >> 8 * c & 255] for c, r in chunks))
+    r0, r1, r2 = (*rows, (0,), (0,), (0,))[:3]
+    return lambda x: full ^ (r0[x & 255] | r1[x >> 8 & 255] | r2[x >> 16])
 
 
 def restrict(f: Formula, binding: PartialAssignment) -> Formula | _Conflict:

@@ -168,8 +168,8 @@ def _build_cover(alphabet: int, length: int, radius: int) -> BinaryCoveringCode 
     """Built covers, cached per process; alphabet 2 is binary, a K-ary code is seeded by shape.
 
     A K-ary code is pruned here, once per process: each of its words is
-    a descent branch.  Building and pruning (4, 4, 1) takes about 2 ms,
-    (6, 6, 1) about 0.4 s and (7, 7, 1) about 7 s.
+    a descent branch.  Building and pruning takes about 3 ms for (4, 4, 1),
+    0.4 s for (6, 6, 1) and 7.1 s for (7, 7, 1) (2 vCPU, CPython 3.11).
     """
     if alphabet == 2:
         return build_binary_cover(length, radius=radius)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from .formula import (  # noqa: F401
     evaluate,
     first_unsat_clause,
     max_disjoint_unsat,
-    restrict,
+    pack,
+    unpack,
     unsat_count,
+    unsat_reader,
 )
 from .fpsearch import make_schedule, measure, word_cdf
 
@@ -84,7 +87,9 @@ class PbsRuntime:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
-def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
+def quantum_kpbs(
+    inst: PbsInstance, rt: PbsRuntime, bound: Collection[int] = ()
+) -> Assignment | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
     The amplified register is two-level: the trie pass marks the M of
@@ -92,15 +97,15 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     probability p, and each retry measures a word from p/M per marked
     and (1-p)/(N-M) per unmarked word.  Retries multiply only the query
     count.  The measured word is walked once more for its candidate,
-    which must agree with its mark.
+    which must agree with its mark.  Variables in `bound` stay fixed (see fliptree).
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
-    marked = marked_mask(f, center, radius, k)
+    marked = marked_mask(f, center, radius, k, bound)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
     cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
     for attempt in range(max(1, rt.retries)):
         index = measure(cdf, rt.rng)
-        out = walk(f, center, _kary_word(index, k, radius))
+        out = walk(f, center, _kary_word(index, k, radius), bound)
         if out.value != marked[index]:
             raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
         rt.records.append(
@@ -121,81 +126,67 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
 
 
 class _Trail:
-    """Bindings over a fixed center, kept as per-clause counters.
+    """Bindings over a fixed center, held as packed ints (x_v at bit v - 1).
 
-    `val` is the center with the bound variables overwritten, `true[i]`
-    counts the literals of clause i true under `val`, `free[i]` those
-    still unbound, and `unsat` the clauses with no true literal.  The
-    center evaluated on restrict(f, bound) is f evaluated on `val`: its
-    first falsified clause is true.index(0), narrowed to its unbound
-    literals, and its falsified-clause count is `unsat`.  Variables are
-    bound one at a time and must be unbound before they are bound again.
+    `x` is the center with the bound variables overwritten, `free` masks
+    the unbound variables and `falsified` the clauses x falsifies.  The
+    center evaluated on restrict(f, bound) is f evaluated on x: its first
+    falsified clause is the lowest bit of `falsified`, narrowed to its
+    unbound literals.  A falsified clause with an unbound variable turns
+    true when every unbound variable flips, so the binding empties a
+    clause iff x and x ^ free both falsify it.  Unbind order is free.
     """
 
-    __slots__ = ("formula", "center", "val", "true", "free", "unsat", "bound", "occ")
+    __slots__ = ("formula", "read", "center", "x", "free", "falsified", "bound")
 
     def __init__(self, f: Formula, center: Assignment):
-        self.formula, self.center = f, center
-        self.val = list(center)
-        self.occ = f.occurrences
-        self.true = [0] * len(f.clauses)
-        for var, (pos, neg) in enumerate(self.occ[1:], start=1):
-            for idx in pos if center[var - 1] else neg:
-                self.true[idx] += 1
-        self.free = [len(clause) for clause in f.clauses]
-        self.unsat = self.true.count(0)
+        self.formula, self.read, self.center = f, unsat_reader(f), pack(center)
+        self.x, self.free = self.center, (1 << f.num_vars) - 1
+        self.falsified = self.read(self.x)
         self.bound: dict[int, int] = {}
+
+    @property
+    def val(self) -> list[int]:
+        return list(unpack(self.x, self.formula.num_vars))
+
+    @property
+    def unsat(self) -> int:
+        return self.falsified.bit_count()
+
+    def probe(self, x: int, free: int, var: int, bit: int) -> tuple[int, int, int] | None:
+        """(x, free, falsified) once var is bound to bit in (x, free); None on a conflict."""
+        b = 1 << (var - 1)
+        x, free = x | b if bit else x & ~b, free & ~b
+        falsified = self.read(x)
+        return None if falsified & self.read(x ^ free) else (x, free, falsified)
 
     def bind(self, var: int, bit: int) -> bool:
         """Bind var; False iff a clause now has every literal bound and false."""
-        self.bound[var] = bit
-        return self._set(var, bit, -1)
+        self.assign(((var, bit),))
+        return not self.falsified & self.read(self.x ^ self.free)
 
-    def unbind(self, var: int) -> None:
-        """Undo bind(var, ...): counters and `val` return to what they were."""
-        del self.bound[var]
-        self._set(var, self.center[var - 1], 1)
+    def assign(self, binding: Iterable[tuple[int, int]]) -> None:
+        """Bind each (var, bit) with one table read and no conflict check."""
+        x, free = self.x, self.free
+        for var, bit in binding:
+            self.bound[var] = bit
+            b = 1 << (var - 1)
+            x, free = x | b if bit else x & ~b, free & ~b
+        self.x, self.free, self.falsified = x, free, self.read(x)
 
-    def _set(self, var: int, bit: int, step: int) -> bool:
-        """Give var the value bit and add step to its clauses' free counts.
-
-        Returns False iff one of those clauses is left with neither a
-        free nor a true literal.  Literals turning true are counted
-        before those turning false, so a clause holding both v and -v
-        never passes through zero.
-        """
-        pos, neg = self.occ[var]
-        true, free = self.true, self.free
-        now_true, now_false = (pos, neg) if bit else (neg, pos)
-        ok = True
-        if self.val[var - 1] == bit:
-            for idx in now_true:
-                free[idx] += step
-            for idx in now_false:
-                free[idx] += step
-                if not (free[idx] or true[idx]):
-                    ok = False
-            return ok
-        self.val[var - 1] = bit
-        unsat = self.unsat
-        for idx in now_true:
-            free[idx] += step
-            if not true[idx]:
-                unsat -= 1
-            true[idx] += 1
-        for idx in now_false:
-            free[idx] += step
-            true[idx] -= 1
-            if not true[idx]:
-                unsat += 1
-                if not free[idx]:
-                    ok = False
-        self.unsat = unsat
-        return ok
+    def unbind(self, *variables: int) -> None:
+        """Unbind each variable with one table read."""
+        x, free = self.x, self.free
+        for var in variables:
+            del self.bound[var]
+            b = 1 << (var - 1)
+            x, free = x & ~b | self.center & b, free | b
+        self.x, self.free, self.falsified = x, free, self.read(x)
 
     def branch_literals(self) -> list[int]:
         """Unbound literals of the first falsified clause, in clause order."""
-        clause = self.formula.clauses[self.true.index(0)]
+        first = self.falsified & -self.falsified
+        clause = self.formula.clauses[first.bit_length() - 1]
         return [lit for lit in clause if abs(lit) not in self.bound]
 
 
@@ -208,7 +199,7 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
     takes over at radius r_max.  Bindings live on one trail for the
     whole descent, and every assignment it returns is total: the trail's
     assignment, or a leaf model started from it, verified against
-    inst.formula.
+    inst.formula.  Nothing is restricted.
     """
     return _classical(_Trail(inst.formula, inst.center), inst, rt, inst.radius)
 
@@ -219,10 +210,10 @@ def _classical(
     """kqcpbs on restrict(inst.formula, trail.bound), read off the trail.
 
     Branches run fewest-falsified-clauses first, ties in clause order;
-    a branch whose binding empties a clause is skipped.  The leaf gets
-    the restricted formula, built once, centered on the trail's
-    assignment: no bound variable occurs in it, so its marks and draws
-    are those of the original center, and its model keeps the binding.
+    a branch whose binding empties a clause is skipped.  The leaf runs
+    on inst.formula, centered on the trail's assignment, with the trail's
+    bound variables held fixed: its marks and draws are those of the
+    restricted formula, and its model keeps the binding.
     """
     if not trail.unsat:
         model = tuple(trail.val)
@@ -230,16 +221,15 @@ def _classical(
     if radius <= 0:
         return None
     if radius <= inst.r_max:
-        sub = restrict(inst.formula, trail.bound)
-        leaf = replace(inst, formula=sub, center=tuple(trail.val), radius=inst.r_max)
-        got = quantum_kpbs(leaf, rt)
+        leaf = replace(inst, center=tuple(trail.val), radius=inst.r_max)
+        got = quantum_kpbs(leaf, rt, trail.bound)
         return got if got is not None and evaluate(inst.formula, got) else None
     branches = []
     for lit in trail.branch_literals():
         var, bit = abs(lit), 1 if lit > 0 else 0
-        if trail.bind(var, bit):
-            branches.append((trail.unsat, ((var, bit),), radius - 1))
-        trail.unbind(var)
+        state = trail.probe(trail.x, trail.free, var, bit)
+        if state is not None:
+            branches.append((state[2].bit_count(), ((var, bit),), radius - 1))
     return _run_branches(trail, inst, rt, branches)
 
 
@@ -253,11 +243,9 @@ def _run_branches(
     branches.sort(key=lambda b: b[0])
     for _, binding, radius in branches:
         rt.branches += 1
-        for var, bit in binding:
-            trail.bind(var, bit)
+        trail.assign(binding)
         model = _classical(trail, inst, rt, radius)
-        for var, _ in binding:
-            trail.unbind(var)
+        trail.unbind(*(var for var, _ in binding))
         if model is not None:
             return model
     return None
@@ -276,22 +264,22 @@ def _block_points(trail: _Trail, block_vars: list[int], radius: int) -> list[Bra
     bits: list[int] = []
     center = trail.center
 
-    def visit(depth: int, left: int) -> None:
+    def visit(depth: int, left: int, x: int, free: int, falsified: int) -> None:
         if depth == len(block_vars):
-            points.append((trail.unsat, tuple(zip(block_vars, bits)), left))
+            points.append((falsified.bit_count(), tuple(zip(block_vars, bits)), left))
             return
         var = block_vars[depth]
         for bit in (0, 1):
-            rest = left - (bit != center[var - 1])
+            rest = left - (bit != (center >> (var - 1)) & 1)
             if rest < 0:
                 continue
-            if trail.bind(var, bit):
+            state = trail.probe(x, free, var, bit)
+            if state is not None:
                 bits.append(bit)
-                visit(depth + 1, rest)
+                visit(depth + 1, rest, *state)
                 bits.pop()
-            trail.unbind(var)
 
-    visit(0, radius)
+    visit(0, radius, trail.x, trail.free, trail.falsified)
     return points
 
 

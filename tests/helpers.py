@@ -36,5 +36,19 @@ def planted_ksat(n: int, m: int, width: int, rng: random.Random):
     return f, hidden
 
 
+def mixed_formula(n: int, m: int, rng: random.Random) -> Formula:
+    """Random clauses of width 1-4 plus tautologies and a repeated literal."""
+    clauses = []
+    for _ in range(m):
+        width = min(n, rng.choice((1, 2, 2, 3, 3, 3, 4)))
+        chosen = rng.sample(range(1, n + 1), width)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+    v, w = rng.sample(range(1, n + 1), 2)
+    clauses.insert(rng.randrange(len(clauses)), (v, -v))
+    clauses.insert(rng.randrange(len(clauses)), (w, -v, -w))
+    clauses.insert(rng.randrange(len(clauses)), (v, w, v))
+    return Formula(n, tuple(clauses))
+
+
 def random_assignment(n: int, rng: random.Random):
     return tuple(rng.randrange(2) for _ in range(n))

@@ -188,6 +188,19 @@ class TestExitCodes:
         assert run(["--input", str(p)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+    def test_clause_count_mismatch_is_a_comment(self, flags):
+        # in a child process, so that the interpreter's own warning filters apply
+        src = str(Path(ballsat.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ballsat", "--mode", "classical"],
+            input="p cnf 2 3\n1 0\n-2 0\n", capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 10
+        # the comment alone: no UserWarning line, no source path or source line
+        assert proc.stderr == "c warning: header declares 3 clauses, found 2\n"
+
 
 class TestCoverCache:
     # SAT6 at k=3: a length-3, radius-1 sweep cover and a 3-ary repair code

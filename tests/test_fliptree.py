@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from ballsat import parse_dimacs
+from ballsat import CONFLICT, parse_dimacs, restrict
 from ballsat.fliptree import marked_fraction, marked_mask, walk
+from ballsat.formula import first_unsat_clause
 from ballsat.oracle import ball_promise
 
-from helpers import planted_ksat, random_assignment, random_ksat
+from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
 
 SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 
@@ -142,3 +143,36 @@ class TestMarkedMask:
             marked_mask(SINGLE, (0, 0), 1, 3)
         with pytest.raises(ValueError):
             marked_mask(SINGLE, (0, 0, 0), -1, 3)
+
+
+class TestBoundVariables:
+    """The leaf on a trail: walks under a bound set against walks on restrict(f, bound)."""
+
+    @pytest.mark.parametrize("alphabet", [3, 4])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_bound_walks_equal_restricted_walks(self, alphabet, mixed):
+        # mixed: widths 1-4, tautologies and a repeated literal
+        rng = random.Random(50 + 2 * alphabet + mixed)
+        narrowed_first = 0
+        for _ in range(40):
+            n = rng.randrange(5, 10)
+            m = rng.randrange(2 * n, 5 * n)
+            f = mixed_formula(n, m, rng) if mixed else random_ksat(n, m, alphabet, rng)
+            center = list(random_assignment(n, rng))
+            binding = {}
+            for var in rng.sample(range(1, n + 1), rng.randrange(1, n - 1)):
+                bit = rng.randrange(2)
+                if restrict(f, {**binding, var: bit}) is not CONFLICT:
+                    binding[var] = center[var - 1] = bit
+            center = tuple(center)
+            sub = restrict(f, binding)
+            bound = frozenset(binding)
+            idx = first_unsat_clause(sub, center)
+            narrowed_first += idx is not None and len(sub.clauses[idx]) < alphabet
+            for radius in range(4):
+                mask = marked_mask(f, center, radius, alphabet, bound)
+                assert mask.tolist() == marked_mask(sub, center, radius, alphabet).tolist()
+            for seq in product(range(1, alphabet + 1), repeat=3):
+                assert walk(f, center, seq, bound) == walk(sub, center, seq)
+        # the first falsified clause often lost bound literals, so symbols wrap
+        assert narrowed_first >= 10, narrowed_first

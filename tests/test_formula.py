@@ -17,7 +17,7 @@ from ballsat import (
     top_k_vars,
     unsat_count,
 )
-from ballsat.formula import all_assignments
+from ballsat.formula import all_assignments, pack, unpack, unsat_reader
 
 from helpers import random_ksat
 
@@ -276,3 +276,45 @@ def test_all_assignments_lex():
     got = list(all_assignments(2))
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(list(all_assignments(4))) == 16
+
+
+def kernel_formula(n, m, rng):
+    """m random clauses of width 1-4 over n variables, with tautologies and
+    repeated literals; at n = 0 the only clause there is, the empty one."""
+    clauses = []
+    for _ in range(m):
+        if n == 0:
+            clauses.append(())
+            continue
+        clause = [rng.choice((v, -v)) for v in rng.choices(range(1, n + 1), k=rng.randrange(1, 5))]
+        kind = rng.random()
+        if kind < 0.15:
+            clause.append(-clause[0])      # tautology
+        elif kind < 0.3:
+            clause.append(clause[0])       # repeated literal
+        clauses.append(tuple(clause))
+    return Formula(n, tuple(clauses))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 23, 25, 33])
+@pytest.mark.parametrize("m", [0, 1, 70, 140])
+def test_sat_table_reads_equal_clause_scans(n, m):
+    # n crosses the 8-variable chunk edges and the unrolled 24-variable read,
+    # m crosses 64-bit words of the clause mask
+    rng = random.Random(1000 * n + m)
+    f = kernel_formula(n, m, rng)
+    assert [len(row) for row in f.sat_table] == [
+        1 << min(8, n - lo) for lo in range(0, n, 8)
+    ]
+    read = unsat_reader(f)
+    singles = [Formula(n, (clause,)) for clause in f.clauses]
+    points = [(0,) * n, (1,) * n] + [tuple(rng.randrange(2) for _ in range(n)) for _ in range(60)]
+    for a in points:
+        x = pack(a)
+        assert x == sum(bit << i for i, bit in enumerate(a)) and unpack(x, n) == a
+        unsat = read(x)
+        assert unsat == sum(1 << i for i, g in enumerate(singles) if not evaluate(g, a))
+        first = (unsat & -unsat).bit_length() - 1 if unsat else None
+        assert first == first_unsat_clause(f, a)
+        assert unsat.bit_count() == unsat_count(f, a)
+        assert (unsat == 0) == (evaluate(f, a) == 1)

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from ballsat import CONFLICT, Formula, decompose, parse_dimacs
+from ballsat import CONFLICT, decompose, parse_dimacs
 from ballsat.codes import build_kary_cover
 from ballsat.formula import first_unsat_clause, max_disjoint_unsat, restrict, unsat_count
 from ballsat.pbs import (
@@ -22,26 +22,14 @@ from ballsat.pbs import (
     kqcpbs,
 )
 
-from helpers import planted_ksat, random_assignment, random_ksat
+from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
 from reference_descent import ref_kpbs_hybrid, ref_kqcpbs
 
 
-def mixed_formula(n, m, rng):
-    """Random clauses of width 1-4 plus tautologies and a repeated literal."""
-    clauses = []
-    for _ in range(m):
-        width = min(n, rng.choice((1, 2, 2, 3, 3, 3, 4)))
-        chosen = rng.sample(range(1, n + 1), width)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
-    v, w = rng.sample(range(1, n + 1), 2)
-    clauses.insert(rng.randrange(len(clauses)), (v, -v))
-    clauses.insert(rng.randrange(len(clauses)), (w, -v, -w))
-    clauses.insert(rng.randrange(len(clauses)), (v, w, v))
-    return Formula(n, tuple(clauses))
-
-
 def snapshot(trail):
-    return list(trail.val), list(trail.true), list(trail.free), trail.unsat, dict(trail.bound)
+    """What the descent reads off a trail: assignment, count, binding, branch literals."""
+    literals = trail.branch_literals() if trail.unsat else None
+    return list(trail.val), trail.unsat, dict(trail.bound), literals
 
 
 def check_against_restrict(trail, f, center, conflicted):
@@ -80,10 +68,11 @@ class TestTrail:
     def test_fresh_trail_reads_the_center(self):
         f = parse_dimacs("p cnf 3 3\n1 2 0\n-1 3 0\n2 -2 0\n")
         trail = _Trail(f, (0, 0, 1))
-        assert trail.true == [0, 2, 1]
-        assert trail.free == [2, 2, 2]
+        assert trail.val == [0, 0, 1] and trail.bound == {}
         assert trail.unsat == 1
         assert trail.branch_literals() == [1, 2]
+        assert trail.bind(2, 1)
+        assert trail.val == [0, 1, 1] and trail.unsat == 0
 
     def test_all_bound_false_clause_conflicts(self):
         f = parse_dimacs("p cnf 3 2\n1 -2 0\n3 0\n")
@@ -102,13 +91,15 @@ class TestTrail:
         assert not trail.bind(2, 0)
 
     def test_tautology_never_falsified(self):
+        # bound through both its literals, the tautology neither conflicts nor counts
         f = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
         for center in ((0, 0), (1, 0)):
             trail = _Trail(f, center)
             for bit in (0, 1):
                 assert trail.bind(1, bit)
-                assert trail.true[0] == 1 and trail.free[0] == 0
+                assert trail.val == [bit, 0]
                 assert trail.unsat == 1
+                assert trail.branch_literals() == [2]
                 trail.unbind(1)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -136,7 +127,9 @@ class TestTrail:
             bound = rng.sample(range(1, n + 1), rng.randrange(1, n + 1))
             for var in bound:
                 before = snapshot(trail)
-                trail.bind(var, rng.randrange(2))
+                ok = trail.bind(var, rng.randrange(2))
+                # the binding so far conflicts iff bind answered False
+                assert ok == (restrict(f, trail.bound) is not CONFLICT)
                 if rng.random() < 0.5:
                     trail.unbind(var)
                     assert snapshot(trail) == before
@@ -145,6 +138,39 @@ class TestTrail:
             for var in bound:
                 trail.unbind(var)
             assert snapshot(trail) == fresh
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_probe_and_assign_agree_with_bind(self, seed):
+        rng = random.Random(200 + seed)
+        for _ in range(30):
+            n = rng.randrange(2, 9)
+            f = mixed_formula(n, rng.randrange(3, 14), rng)
+            trail = _Trail(f, random_assignment(n, rng))
+            for var in rng.sample(range(1, n + 1), rng.randrange(n)):
+                if not trail.bind(var, rng.randrange(2)):
+                    trail.unbind(var)
+            before = snapshot(trail)
+            unbound = [v for v in range(1, n + 1) if v not in trail.bound]
+            for var in unbound:
+                for bit in (0, 1):
+                    state = trail.probe(trail.x, trail.free, var, bit)
+                    assert snapshot(trail) == before  # probing writes nothing
+                    ok = trail.bind(var, bit)
+                    assert (state is not None) == ok
+                    if ok:
+                        assert state == (trail.x, trail.free, trail.falsified)
+                    trail.unbind(var)
+            binding = tuple((v, rng.randrange(2)) for v in rng.sample(unbound, len(unbound)))
+            for var, bit in binding:
+                trail.bind(var, bit)
+            one_by_one = snapshot(trail)
+            rng.shuffle(unbound)
+            trail.unbind(*unbound)
+            assert snapshot(trail) == before
+            trail.assign(binding)
+            assert snapshot(trail) == one_by_one
+            trail.unbind(*unbound)
+            assert snapshot(trail) == before
 
 
 def descent_roots(rng):
