@@ -3,9 +3,9 @@
 Prints "s SATISFIABLE" with a "v" model line (exit 10), "s
 UNSATISFIABLE" with a one-sided failure-probability comment (exit 20),
 or "s UNKNOWN" when the configuration is unusable (exit 0).  Input or
-flag errors, input that is not UTF-8 among them, exit 1.  The failure
-probability is a union bound over the quantum groups whose every retry
-missed, capped at 1.
+flag errors, input that is not UTF-8 among them, and failed output
+writes exit 1.  The failure probability is a union bound over the
+quantum groups whose every retry missed, capped at 1.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -65,6 +66,18 @@ def _read_input(path: str) -> str:
     """The input decoded as UTF-8, whatever the locale; raises UnicodeDecodeError."""
     raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     return raw.decode("utf-8")
+
+
+def _write_stats(fh, path: str, records) -> bool:
+    """Write the records and close the file; on failure, False after a diagnostic."""
+    try:
+        with fh:  # closing flushes, and the flush may be what fails
+            for record in records:
+                fh.write(json.dumps(dataclasses.asdict(record)) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -129,9 +142,8 @@ def run(argv: list[str] | None = None) -> int:
             print(f"c {exc}", file=sys.stderr)
             print("s UNKNOWN")
             return EXIT_UNKNOWN
-        if fh is not None:
-            for record in result.stats.records:
-                fh.write(json.dumps(dataclasses.asdict(record)) + "\n")
+        if fh is not None and not _write_stats(fh, args.stats, result.stats.records):
+            return EXIT_ERROR
 
     if result.status == "SAT":
         if not evaluate(formula, result.model):
@@ -147,4 +159,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        # what is still buffered would fail again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    raise SystemExit(code)

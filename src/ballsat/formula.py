@@ -2,7 +2,9 @@
 
 DIMACS I/O, evaluation, restriction by partial assignment, occurrence
 scoring, and prefix decomposition.  Variable indices never shift: a
-restricted formula lives in the same index space as its parent.
+restricted formula lives in the same index space as its parent.  The
+solver reads packed assignments (x_v at bit v - 1) off `Formula.read`;
+the clause-by-clause functions are the references it is tested against.
 """
 
 from __future__ import annotations
@@ -75,6 +77,33 @@ class Formula:
                 row = [m | if0 for m in row] + [m | if1 for m in row]
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def read(self) -> Callable[[int], int]:
+        """x -> mask of the clauses the packed assignment x falsifies, clause i at bit i.
+
+        Built once per formula; unrolled up to 24 variables, where a missing
+        row satisfies nothing."""
+        rows, full = self.sat_table, (1 << len(self.clauses)) - 1
+        if len(rows) > 3:
+            chunks = tuple(enumerate(rows))
+            return lambda x: full ^ reduce(int.__or__, (r[x >> 8 * c & 255] for c, r in chunks))
+        r0, r1, r2 = (*rows, (0,), (0,), (0,))[:3]
+        return lambda x: full ^ (r0[x & 255] | r1[x >> 8 & 255] | r2[x >> 16])
+
+    @cached_property
+    def flips(self) -> tuple[tuple[int, ...], ...]:
+        """Per clause, the variable bit (x_v at bit v - 1) of each literal, in clause order."""
+        return tuple(tuple(1 << abs(lit) - 1 for lit in clause) for clause in self.clauses)
+
+    @cached_property
+    def clause_vars(self) -> tuple[int, ...]:
+        """Per clause, the mask of its variables."""
+        return tuple(sum(set(bits)) for bits in self.flips)
+
+    def __reduce__(self):
+        # the caches (the reader is a closure) are rebuilt on the other side
+        return Formula, (self.num_vars, self.clauses)
 
     def validate(self) -> None:
         """Check structural invariants; construction itself stays cheap."""
@@ -206,18 +235,6 @@ def unpack(x: int, num_vars: int) -> Assignment:
     return tuple([(x >> i) & 1 for i in range(num_vars)])
 
 
-def unsat_reader(f: Formula) -> Callable[[int], int]:
-    """x -> mask of the clauses the packed assignment x falsifies, clause i at bit i.
-
-    Unrolled up to 24 variables, where a missing row satisfies nothing."""
-    rows, full = f.sat_table, (1 << len(f.clauses)) - 1
-    if len(rows) > 3:
-        chunks = tuple(enumerate(rows))
-        return lambda x: full ^ reduce(int.__or__, (r[x >> 8 * c & 255] for c, r in chunks))
-    r0, r1, r2 = (*rows, (0,), (0,), (0,))[:3]
-    return lambda x: full ^ (r0[x & 255] | r1[x >> 8 & 255] | r2[x >> 16])
-
-
 def restrict(f: Formula, binding: PartialAssignment) -> Formula | _Conflict:
     """Bind variables: satisfied clauses drop, falsified literals vanish.
 
@@ -280,18 +297,20 @@ def decompose(f: Formula, k: int) -> list[tuple[Prefix, Formula | _Conflict]]:
     return entries
 
 
-def max_disjoint_unsat(f: Formula, assignment: Assignment) -> list[int]:
-    """Greedy maximal set of variable-disjoint falsified clauses (indices)."""
-    used: set[int] = set()
-    picked: list[int] = []
-    for idx, clause in enumerate(f.clauses):
-        if _clause_satisfied(clause, assignment):
-            continue
-        cvars = {abs(lit) for lit in clause}
-        if cvars & used:
-            continue
-        used |= cvars
-        picked.append(idx)
+def max_disjoint_unsat(f: Formula, unsat: int, fixed: int = 0) -> list[int]:
+    """Greedy maximal set of variable-disjoint clauses among `unsat` (clause i at bit i).
+
+    Lowest index first; each clause counts only its variables outside
+    `fixed`, as restrict(f, binding of fixed) narrows it."""
+    used, picked = 0, []
+    while unsat:
+        low = unsat & -unsat
+        unsat ^= low
+        idx = low.bit_length() - 1
+        cvars = f.clause_vars[idx] & ~fixed
+        if not cvars & used:
+            used |= cvars
+            picked.append(idx)
     return picked
 
 

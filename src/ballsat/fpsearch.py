@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import _kary_word
 from .fliptree import FlipSequence, marked_mask
-from .formula import Assignment, Formula
+from .formula import Assignment, Formula, pack
 
 _NORM_TOL = 1e-9
 
@@ -111,7 +111,7 @@ class FlipState:
 
 def prepare(f: Formula, center: Assignment, radius: int, alphabet: int) -> FlipState:
     """Uniform superposition over flip words, marking satisfying walks."""
-    marked = marked_mask(f, center, radius, alphabet)
+    marked = marked_mask(f, pack(center), radius, alphabet)
     amps = np.full(marked.size, 1.0 / math.sqrt(marked.size), dtype=complex)
     return FlipState(f, center, radius, alphabet, amps, marked)
 

@@ -3,11 +3,13 @@
 The formula splits over the most-occurring variables into prefix
 subproblems; each codeword of a binary covering code over the free
 variables seeds a ball search.  Each dispatch is an independent
-subproblem whose messages carry only formulas, assignments, and
-counts: a `PbsInstance` goes in and a `PbsRuntime` holding a seed and
-a log comes back.  Dispatches run one at a time in a seeded order, and
-the first verified model ends the solve.  A FALSE answer is one-sided
-with an explicit failure-probability bound.
+subproblem whose messages carry only the parsed formula, packed
+assignments and counts: a `PbsInstance` whose center holds the prefix
+bits under its `fixed` mask goes in, and a `PbsRuntime` holding a seed
+and a log comes back; no prefix formula is built.  Dispatches run one
+at a time in a seeded order, and the first verified model ends the
+solve.  A FALSE answer is one-sided with an explicit failure-probability
+bound.
 """
 
 from __future__ import annotations
@@ -32,15 +34,7 @@ from .codes import (
     verify_cover,
     write_cover,
 )
-from .formula import (
-    CONFLICT,
-    Assignment,
-    Formula,
-    evaluate,
-    restrict,
-    top_k_vars,
-    unsat_count,
-)
+from .formula import Assignment, Formula, evaluate, top_k_vars, unpack
 from .fpsearch import make_schedule
 from .pbs import (
     PbsInstance,
@@ -217,17 +211,6 @@ def _cover(alphabet: int, length: int, radius: int, cache_dir):
     return code
 
 
-def _lift_center(
-    word, free_vars: list[int], prefix_bits, kvars: list[int], num_vars: int
-) -> Assignment:
-    bits = [0] * num_vars
-    for pos, var in enumerate(free_vars):
-        bits[var - 1] = word[pos]
-    for var, bit in zip(kvars, prefix_bits):
-        bits[var - 1] = bit
-    return tuple(bits)
-
-
 def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> SolveResult:
     """Decide satisfiability; SAT answers carry a re-verified model."""
     t_start = time.perf_counter()
@@ -275,8 +258,11 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     if cfg.mode == "hybrid":
         repair = _cover(alphabet, t, t // alphabet, cfg.cover_cache)
     kvars = top_k_vars(f, cfg.k)
-    kv_set = set(kvars)
-    free_vars = [v for v in range(1, n + 1) if v not in kv_set]
+    fixed = sum(1 << (v - 1) for v in kvars)
+    free_mask = ((1 << n) - 1) ^ fixed
+    free_vars = [v for v in range(1, n + 1) if free_mask >> (v - 1) & 1]
+    # each sweep codeword packed onto the free variables, once per solve
+    lifted = [sum(bit << (v - 1) for v, bit in zip(free_vars, word)) for word in cover.codewords]
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     order = order_rng.permutation(1 << cfg.k)
 
@@ -289,22 +275,23 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         return SolveResult(status, model, stats)
 
     for prefix_pos in map(int, order):
-        # decompose's entry at prefix_pos, restricted only when its turn comes
+        # decompose's entry at prefix_pos, held under the `fixed` mask
         prefix_bits = tuple((prefix_pos >> j) & 1 for j in reversed(range(cfg.k)))
-        sub = restrict(f, dict(zip(kvars, prefix_bits)))
-        if sub is CONFLICT:
+        px = sum(bit << (v - 1) for v, bit in zip(kvars, prefix_bits))
+        # a clause falsified whatever the free variables hold is one the prefix empties
+        if f.read(px) & f.read(px | free_mask):
             continue
         prefix_str = "".join(map(str, prefix_bits))
         scored = []
-        for ci, word in enumerate(cover.codewords):
-            center = _lift_center(word, free_vars, prefix_bits, kvars, n)
-            score = unsat_count(sub, center)
-            if score == 0 and evaluate(f, center):
-                return finish("SAT", center)
+        for ci, word in enumerate(lifted):
+            center = word | px
+            score = f.read(center).bit_count()
+            if not score and evaluate(f, model := unpack(center, n)):
+                return finish("SAT", model)
             scored.append((score, ci, center))
         scored.sort(key=lambda sc: (sc[0], sc[1]))
         for _, ci, center in scored:
-            inst = PbsInstance(sub, center, radius, r_cap, cfg.epsilon, alphabet)
+            inst = PbsInstance(f, center, radius, r_cap, cfg.epsilon, alphabet, fixed)
             rt = PbsRuntime((seed, 1 + prefix_pos, ci), cfg.retries, prefix_str, ci)
             if cfg.mode == "classical":
                 got = kqcpbs(inst, rt)
@@ -315,6 +302,6 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
                 # would return before it and log no call
                 got = quantum_kpbs(inst, rt)
             stats.add(rt)
-            if got is not None and evaluate(f, got):
-                return finish("SAT", got)
+            if got is not None and evaluate(f, model := unpack(got, n)):
+                return finish("SAT", model)
     return finish("FALSE", None)

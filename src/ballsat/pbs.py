@@ -1,11 +1,15 @@
 """Promise-ball solvers.
 
-Given a center assignment and a radius, decide whether a satisfying
-assignment lies in the Hamming ball.  The quantum leaf amplifies over
-flip words; the classical descent branches on literals of the first
-falsified clause; the hybrid recursion steers long jumps through a
-K-ary covering code over clause-repair choices.  FALSE returns are
-one-sided: each quantum group errs with probability at most eps^(2R).
+Given a packed center assignment (x_v at bit v - 1) and a radius,
+decide whether a satisfying assignment lies in the Hamming ball.  The
+center holds the variables of the `fixed` mask at their prefix values;
+the search never flips them and reads each clause narrowed to its
+other variables: the search on restrict(f, binding of fixed).  The
+quantum leaf amplifies over flip words; the classical descent branches
+on literals of the first falsified clause; the hybrid recursion steers
+long jumps through a K-ary covering code over clause-repair choices.
+FALSE returns are one-sided: each quantum group errs with probability
+at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -13,35 +17,26 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Collection, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .codes import KaryCoveringCode, _kary_word
 from .fliptree import marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
-from .formula import (  # noqa: F401
-    Assignment,
-    Formula,
-    evaluate,
-    first_unsat_clause,
-    max_disjoint_unsat,
-    pack,
-    unpack,
-    unsat_count,
-    unsat_reader,
-)
+from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
 from .fpsearch import make_schedule, measure, word_cdf
 
 
 @dataclass(frozen=True)
 class PbsInstance:
     formula: Formula
-    center: Assignment
+    center: int          # packed assignment, x_v at bit v - 1
     radius: int
     r_max: int           # largest radius the quantum leaf may take
     epsilon: float
-    alphabet: int        # branching alphabet K; restriction may narrow clauses
+    alphabet: int        # branching alphabet K; narrowing may shorten clauses
+    fixed: int = 0       # mask of the variables the center holds; never flipped
 
 
 def descent_t(alphabet: int, radius: int) -> int:
@@ -87,9 +82,7 @@ class PbsRuntime:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
-def quantum_kpbs(
-    inst: PbsInstance, rt: PbsRuntime, bound: Collection[int] = ()
-) -> Assignment | None:
+def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
     The amplified register is two-level: the trie pass marks the M of
@@ -97,15 +90,15 @@ def quantum_kpbs(
     probability p, and each retry measures a word from p/M per marked
     and (1-p)/(N-M) per unmarked word.  Retries multiply only the query
     count.  The measured word is walked once more for its candidate,
-    which must agree with its mark.  Variables in `bound` stay fixed (see fliptree).
+    which must agree with its mark.  Variables in `inst.fixed` never flip.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
-    marked = marked_mask(f, center, radius, k, bound)
+    marked = marked_mask(f, center, radius, k, inst.fixed)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
     cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
     for attempt in range(max(1, rt.retries)):
         index = measure(cdf, rt.rng)
-        out = walk(f, center, _kary_word(index, k, radius), bound)
+        out = walk(f, center, _kary_word(index, k, radius), inst.fixed)
         if out.value != marked[index]:
             raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
         rt.records.append(
@@ -129,29 +122,21 @@ class _Trail:
     """Bindings over a fixed center, held as packed ints (x_v at bit v - 1).
 
     `x` is the center with the bound variables overwritten, `free` masks
-    the unbound variables and `falsified` the clauses x falsifies.  The
-    center evaluated on restrict(f, bound) is f evaluated on x: its first
-    falsified clause is the lowest bit of `falsified`, narrowed to its
-    unbound literals.  A falsified clause with an unbound variable turns
-    true when every unbound variable flips, so the binding empties a
-    clause iff x and x ^ free both falsify it.  Unbind order is free.
+    the unbound variables (the instance's fixed ones start bound) and
+    `falsified` the clauses x falsifies.  The center evaluated on
+    restrict(f, bound) is f evaluated on x: its first falsified clause
+    is the lowest bit of `falsified`, narrowed to its unbound literals.
+    A falsified clause with an unbound variable turns true when every
+    unbound variable flips, so the binding empties a clause iff x and
+    x ^ free both falsify it.  Unbind order is free.
     """
 
-    __slots__ = ("formula", "read", "center", "x", "free", "falsified", "bound")
+    __slots__ = ("formula", "read", "center", "x", "free", "falsified")
 
-    def __init__(self, f: Formula, center: Assignment):
-        self.formula, self.read, self.center = f, unsat_reader(f), pack(center)
-        self.x, self.free = self.center, (1 << f.num_vars) - 1
-        self.falsified = self.read(self.x)
-        self.bound: dict[int, int] = {}
-
-    @property
-    def val(self) -> list[int]:
-        return list(unpack(self.x, self.formula.num_vars))
-
-    @property
-    def unsat(self) -> int:
-        return self.falsified.bit_count()
+    def __init__(self, f: Formula, center: int, fixed: int = 0):
+        self.formula, self.read, self.center = f, f.read, center
+        self.x, self.free = center, ((1 << f.num_vars) - 1) ^ fixed
+        self.falsified = self.read(center)
 
     def probe(self, x: int, free: int, var: int, bit: int) -> tuple[int, int, int] | None:
         """(x, free, falsified) once var is bound to bit in (x, free); None on a conflict."""
@@ -169,7 +154,6 @@ class _Trail:
         """Bind each (var, bit) with one table read and no conflict check."""
         x, free = self.x, self.free
         for var, bit in binding:
-            self.bound[var] = bit
             b = 1 << (var - 1)
             x, free = x | b if bit else x & ~b, free & ~b
         self.x, self.free, self.falsified = x, free, self.read(x)
@@ -178,7 +162,6 @@ class _Trail:
         """Unbind each variable with one table read."""
         x, free = self.x, self.free
         for var in variables:
-            del self.bound[var]
             b = 1 << (var - 1)
             x, free = x & ~b | self.center & b, free | b
         self.x, self.free, self.falsified = x, free, self.read(x)
@@ -187,43 +170,39 @@ class _Trail:
         """Unbound literals of the first falsified clause, in clause order."""
         first = self.falsified & -self.falsified
         clause = self.formula.clauses[first.bit_length() - 1]
-        return [lit for lit in clause if abs(lit) not in self.bound]
+        return [lit for lit in clause if self.free >> (abs(lit) - 1) & 1]
 
 
-def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> Assignment | None:
+def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     """Classical descent: branch on literals of the first falsified clause.
 
     Each branch binds one literal true and recurses at radius - 1 (the
     bound variable leaves the formula, and a ball witness loses one
     disagreement with the center).  At radius <= r_max the quantum leaf
     takes over at radius r_max.  Bindings live on one trail for the
-    whole descent, and every assignment it returns is total: the trail's
-    assignment, or a leaf model started from it, verified against
-    inst.formula.  Nothing is restricted.
+    whole descent, and every assignment it returns is a packed model of
+    inst.formula: the trail's assignment once it falsifies no clause, or
+    a leaf model started from it.  Nothing is restricted.
     """
-    return _classical(_Trail(inst.formula, inst.center), inst, rt, inst.radius)
+    return _classical(_Trail(inst.formula, inst.center, inst.fixed), inst, rt, inst.radius)
 
 
-def _classical(
-    trail: _Trail, inst: PbsInstance, rt: PbsRuntime, radius: int
-) -> Assignment | None:
-    """kqcpbs on restrict(inst.formula, trail.bound), read off the trail.
+def _classical(trail: _Trail, inst: PbsInstance, rt: PbsRuntime, radius: int) -> int | None:
+    """kqcpbs on restrict(inst.formula, binding the trail holds), read off the trail.
 
     Branches run fewest-falsified-clauses first, ties in clause order;
     a branch whose binding empties a clause is skipped.  The leaf runs
     on inst.formula, centered on the trail's assignment, with the trail's
-    bound variables held fixed: its marks and draws are those of the
+    held variables fixed: its marks and draws are those of the
     restricted formula, and its model keeps the binding.
     """
-    if not trail.unsat:
-        model = tuple(trail.val)
-        return model if evaluate(inst.formula, model) else None
+    if not trail.falsified:
+        return trail.x
     if radius <= 0:
         return None
     if radius <= inst.r_max:
-        leaf = replace(inst, center=tuple(trail.val), radius=inst.r_max)
-        got = quantum_kpbs(leaf, rt, trail.bound)
-        return got if got is not None and evaluate(inst.formula, got) else None
+        held = ((1 << inst.formula.num_vars) - 1) ^ trail.free   # fixed and bound variables
+        return quantum_kpbs(replace(inst, center=trail.x, radius=inst.r_max, fixed=held), rt)
     branches = []
     for lit in trail.branch_literals():
         var, bit = abs(lit), 1 if lit > 0 else 0
@@ -238,7 +217,7 @@ Branch = tuple[int, tuple[tuple[int, int], ...], int]   # (score, binding, radiu
 
 def _run_branches(
     trail: _Trail, inst: PbsInstance, rt: PbsRuntime, branches: list[Branch]
-) -> Assignment | None:
+) -> int | None:
     """Descend into (score, binding, radius) branches, lowest score first, ties in order."""
     branches.sort(key=lambda b: b[0])
     for _, binding, radius in branches:
@@ -284,32 +263,28 @@ def _block_points(trail: _Trail, block_vars: list[int], radius: int) -> list[Bra
 
 
 def modify_assignment(
-    f: Formula, x: Assignment, clause_indices: list[int], word: tuple[int, ...]
-) -> Assignment:
+    f: Formula, x: int, clause_indices: list[int], word: tuple[int, ...], fixed: int = 0
+) -> int:
     """Flip, in each listed clause, the variable its repair symbol picks.
 
-    Symbols wrap modulo clause width; the clauses must be pairwise
+    x is packed; each clause is narrowed to its variables outside `fixed`.
+    Symbols wrap modulo narrowed width; the clauses must be pairwise
     variable-disjoint so the flips commute.
     """
     if len(clause_indices) != len(word):
         raise ValueError("clause list and repair word differ in length")
-    seen: set[int] = set()
-    for idx in clause_indices:
-        cvars = {abs(lit) for lit in f.clauses[idx]}
+    seen = 0
+    for idx, choice in zip(clause_indices, word):
+        flips = [b for b in f.flips[idx] if not b & fixed]
+        cvars = f.clause_vars[idx] & ~fixed
         if cvars & seen:
             raise ValueError("clauses share variables")
         seen |= cvars
-    bits = list(x)
-    for idx, choice in zip(clause_indices, word):
-        clause = f.clauses[idx]
-        lit = clause[(choice - 1) % len(clause)]
-        bits[abs(lit) - 1] ^= 1
-    return tuple(bits)
+        x ^= flips[(choice - 1) % len(flips)]
+    return x
 
 
-def kpbs_hybrid(
-    inst: PbsInstance, code: KaryCoveringCode, rt: PbsRuntime
-) -> Assignment | None:
+def kpbs_hybrid(inst: PbsInstance, code: KaryCoveringCode, rt: PbsRuntime) -> int | None:
     """Hybrid descent over a maximal disjoint set G of falsified clauses.
 
     The repair code over {1..K}^t at radius t/K is the only parameter.
@@ -320,24 +295,26 @@ def kpbs_hybrid(
     words on the first t clauses, shrinking the radius by t/K, so the
     first radius at or below r_max lies within t/K of it.
     """
-    f, center, t = inst.formula, inst.center, code.word_length
-    if evaluate(f, center):
+    f, center, fixed, t = inst.formula, inst.center, inst.fixed, code.word_length
+    unsat = f.read(center)
+    if not unsat:
         return center
     if inst.radius <= 0:
         return None
     if inst.radius <= inst.r_max:
         # first time below the cap: radius is in (r_max - t/K, r_max]
         return quantum_kpbs(inst, rt)
-    group = max_disjoint_unsat(f, center)
+    group = max_disjoint_unsat(f, unsat, fixed)
     if len(group) <= t:
-        block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
-        trail = _Trail(f, center)
+        block = functools.reduce(int.__or__, (f.clause_vars[i] for i in group)) & ~fixed
+        block_vars = [v for v in range(1, f.num_vars + 1) if block >> (v - 1) & 1]
+        trail = _Trail(f, center, fixed)
         return _run_branches(trail, inst, rt, _block_points(trail, block_vars, inst.radius))
     batch = group[:t]
     moves = []
     for ci, word in enumerate(code.codewords):
-        moved = modify_assignment(f, center, batch, word)
-        moves.append((unsat_count(f, moved), ci, moved))
+        moved = modify_assignment(f, center, batch, word, fixed)
+        moves.append((f.read(moved).bit_count(), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
         rt.branches += 1

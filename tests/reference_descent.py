@@ -1,10 +1,14 @@
-"""Restrict-based classical and hybrid descent, kept as a test reference.
+"""Restrict-based classical and hybrid descent on assignment tuples, kept as a test reference.
 
-This is the descent as written before the bind/unbind trail: every
-candidate branch allocates `restrict(f, binding)`, scores it with
+This is the descent as written before the packed trail.  The root
+restricts the formula by the variables the instance holds, every
+candidate branch allocates `restrict(f, binding)` and scores it with
 `unsat_count`, and each level lifts and verifies its child's model.
-The production `kqcpbs` and `kpbs_hybrid` must make the same choices
-in the same order, so models, branch counts and quantum attempts agree.
+The repair flip and the greedy disjoint set are its own, clause by
+clause on tuples; the only production code it shares is the quantum
+leaf, which it calls on its restricted formulas with nothing held.
+The production `kqcpbs` and `kpbs_hybrid` must make the same choices in
+the same order, so models, branch counts and quantum attempts agree.
 """
 
 from dataclasses import replace
@@ -14,11 +18,44 @@ from ballsat.formula import (
     CONFLICT,
     evaluate,
     first_unsat_clause,
-    max_disjoint_unsat,
+    pack,
     restrict,
+    unpack,
     unsat_count,
 )
-from ballsat.pbs import modify_assignment, quantum_kpbs
+from ballsat.pbs import quantum_kpbs
+
+
+def held_root(inst):
+    """(formula restricted by the variables inst.fixed holds, tuple center) of an instance."""
+    n = inst.formula.num_vars
+    center = unpack(inst.center, n)
+    binding = {v: center[v - 1] for v in range(1, n + 1) if inst.fixed >> (v - 1) & 1}
+    return restrict(inst.formula, binding), center
+
+
+def satisfied(clause, center):
+    return any(center[abs(lit) - 1] == (lit > 0) for lit in clause)
+
+
+def ref_disjoint(f, center):
+    """Greedy maximal set of variable-disjoint falsified clauses (indices), first clause in."""
+    used, picked = set(), []
+    for idx, clause in enumerate(f.clauses):
+        cvars = {abs(lit) for lit in clause}
+        if not satisfied(clause, center) and not cvars & used:
+            used |= cvars
+            picked.append(idx)
+    return picked
+
+
+def ref_repair(f, center, clause_indices, word):
+    """Flip, in each listed clause, the variable its symbol picks, wrapping modulo width."""
+    bits = list(center)
+    for idx, choice in zip(clause_indices, word):
+        clause = f.clauses[idx]
+        bits[abs(clause[(choice - 1) % len(clause)]) - 1] ^= 1
+    return tuple(bits)
 
 
 def lift_and_verify(f, model, binding):
@@ -32,24 +69,35 @@ def lift_and_verify(f, model, binding):
     return candidate if evaluate(f, candidate) else None
 
 
+def _leaf(f, center, radius, inst, rt):
+    leaf = replace(inst, formula=f, center=pack(center), radius=radius, fixed=0)
+    got = quantum_kpbs(leaf, rt)
+    return None if got is None else unpack(got, f.num_vars)
+
+
+def _packed(model):
+    return None if model is None else pack(model)
+
+
 def ref_kqcpbs(inst, rt):
-    f, center = inst.formula, inst.center
+    f, center = held_root(inst)
+    return _packed(_ref_kq(f, center, inst.radius, inst, rt))
+
+
+def _ref_kq(f, center, radius, inst, rt):
     if evaluate(f, center):
         return center
-    if inst.radius <= 0:
+    if radius <= 0:
         return None
-    if inst.radius <= inst.r_max:
-        return quantum_kpbs(replace(inst, radius=inst.r_max), rt)
-    clause_idx = first_unsat_clause(f, center)
-    bindings = (
-        ({abs(lit): 1 if lit > 0 else 0}, inst.radius - 1) for lit in f.clauses[clause_idx]
-    )
-    return _ref_descend(inst, rt, bindings)
+    if radius <= inst.r_max:
+        return _leaf(f, center, inst.r_max, inst, rt)
+    clause = f.clauses[first_unsat_clause(f, center)]
+    bindings = (({abs(lit): 1 if lit > 0 else 0}, radius - 1) for lit in clause)
+    return _ref_descend(f, center, inst, rt, bindings)
 
 
-def _ref_descend(inst, rt, bindings):
+def _ref_descend(f, center, inst, rt, bindings):
     """Descend into (binding, radius) pairs, fewest falsified clauses first."""
-    f, center = inst.formula, inst.center
     branches = []
     for binding, radius in bindings:
         sub = restrict(f, binding)
@@ -58,41 +106,43 @@ def _ref_descend(inst, rt, bindings):
     branches.sort(key=lambda b: b[0])
     for _, binding, sub, radius in branches:
         rt.branches += 1
-        got = ref_kqcpbs(replace(inst, formula=sub, radius=radius), rt)
-        model = lift_and_verify(f, got, binding)
+        model = lift_and_verify(f, _ref_kq(sub, center, radius, inst, rt), binding)
         if model is not None:
             return model
     return None
 
 
 def ref_kpbs_hybrid(inst, code, rt):
-    f, center = inst.formula, inst.center
+    f, center = held_root(inst)
+    return _packed(_ref_hybrid(f, center, inst.radius, inst, code, rt))
+
+
+def _ref_hybrid(f, center, radius, inst, code, rt):
     if evaluate(f, center):
         return center
-    if inst.radius <= 0:
+    if radius <= 0:
         return None
-    if inst.radius <= inst.r_max:
-        return quantum_kpbs(inst, rt)
-    group = max_disjoint_unsat(f, center)
+    if radius <= inst.r_max:
+        return _leaf(f, center, radius, inst, rt)
+    group = ref_disjoint(f, center)
     if len(group) <= code.word_length:
         block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
         bindings = []
         for bits in product((0, 1), repeat=len(block_vars)):
             # a ball witness lies within radius - d of its block point elsewhere
             d = sum(bit != center[var - 1] for var, bit in zip(block_vars, bits))
-            if d <= inst.radius:
-                bindings.append((dict(zip(block_vars, bits)), inst.radius - d))
-        return _ref_descend(inst, rt, bindings)
+            if d <= radius:
+                bindings.append((dict(zip(block_vars, bits)), radius - d))
+        return _ref_descend(f, center, inst, rt, bindings)
     batch = group[: code.word_length]
     moves = []
     for ci, word in enumerate(code.codewords):
-        moved = modify_assignment(f, center, batch, word)
+        moved = ref_repair(f, center, batch, word)
         moves.append((unsat_count(f, moved), ci, moved))
     moves.sort(key=lambda m: (m[0], m[1]))
     for _, _, moved in moves:
         rt.branches += 1
-        moved_inst = replace(inst, center=moved, radius=inst.radius - code.radius)
-        got = ref_kpbs_hybrid(moved_inst, code, rt)
+        got = _ref_hybrid(f, moved, radius - code.radius, inst, code, rt)
         if got is not None:
             return got
     return None

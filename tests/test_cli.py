@@ -47,6 +47,11 @@ def model_from_stdout(out: str):
     raise AssertionError(f"no v-line in {out!r}")
 
 
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs a /dev/full device"
+)
+
+
 class TestExitCodes:
     def test_sat(self, sat_file, capsys):
         code = run(["--input", sat_file, "--k", "2", "--r-max", "2", "--seed", "7"])
@@ -161,6 +166,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert f"error: cannot write {stats}" in err
         assert out == ""
+
+    @needs_dev_full
+    def test_failed_stats_write_is_an_error(self, unsat_file, capsys):
+        # the file opens; the records do not fit when they are written
+        argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--stats", "/dev/full"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot write /dev/full: ") and "Traceback" not in err
+        assert out == ""
+
+    @needs_dev_full
+    def test_failed_stdout_write_is_an_error(self, unsat_file):
+        src = str(Path(ballsat.__file__).resolve().parents[1])
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ballsat", "--input", unsat_file, "--r-max", "1"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write standard output: "), proc.stderr
+        assert proc.stderr.count("\n") == 1  # no traceback, no message from the exit flush
 
     def test_bad_flags(self, sat_file, capsys):
         assert run(["--input", sat_file, "--mode", "nonsense"]) == 1

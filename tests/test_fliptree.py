@@ -5,7 +5,7 @@ import pytest
 
 from ballsat import CONFLICT, parse_dimacs, restrict
 from ballsat.fliptree import marked_fraction, marked_mask, walk
-from ballsat.formula import first_unsat_clause
+from ballsat.formula import first_unsat_clause, pack
 from ballsat.oracle import ball_promise
 
 from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
@@ -15,30 +15,30 @@ SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 
 class TestWalk:
     def test_single_step_flips_chosen_literal(self):
-        out = walk(SINGLE, (0, 0, 0), (2,))
-        assert out.candidate == (0, 1, 0)
+        out = walk(SINGLE, 0, (2,))
+        assert out.candidate == pack((0, 1, 0))
         assert out.value == 1
 
     def test_symbol_wraps_modulo_width(self):
         f = parse_dimacs("p cnf 3 2\n1 2 0\n3 0\n")
         # width-2 clause, symbol 3 wraps to position 0 -> literal 1
-        out = walk(f, (0, 0, 0), (3,))
-        assert out.candidate == (1, 0, 0)
+        out = walk(f, 0, (3,))
+        assert out.candidate == pack((1, 0, 0))
 
     def test_reflip_leaves_the_set(self):
         f = parse_dimacs("p cnf 3 2\n1 2 3 0\n-2 0\n")
-        out = walk(f, (0, 0, 0), (2, 1))
-        assert out.candidate == (0, 0, 0)
+        out = walk(f, 0, (2, 1))
+        assert out.candidate == 0
         assert out.value == 0
 
     def test_satisfied_formula_ignores_remaining_symbols(self):
-        out = walk(SINGLE, (0, 0, 0), (1, 3, 2))
-        assert out.candidate == (1, 0, 0)
+        out = walk(SINGLE, 0, (1, 3, 2))
+        assert out.candidate == pack((1, 0, 0))
         assert out.value == 1
 
     def test_empty_sequence(self):
-        out = walk(SINGLE, (1, 0, 0), ())
-        assert out.value == 1 and out.candidate == (1, 0, 0)
+        out = walk(SINGLE, pack((1, 0, 0)), ())
+        assert out.value == 1 and out.candidate == pack((1, 0, 0))
 
     def test_flip_set_bounded_by_length(self):
         rng = random.Random(5)
@@ -47,9 +47,8 @@ class TestWalk:
             center = random_assignment(6, rng)
             r = rng.randrange(4)
             seq = tuple(rng.randrange(1, 4) for _ in range(r))
-            out = walk(f, center, seq)
-            dist = sum(a != b for a, b in zip(out.candidate, center))
-            assert dist <= r
+            out = walk(f, pack(center), seq)
+            assert (out.candidate ^ pack(center)).bit_count() <= r
 
 
 class TestMarkedFraction:
@@ -70,7 +69,7 @@ class TestMarkedFraction:
             r = rng.randrange(3)
             frac, marked = marked_fraction(f, center, r, 3)
             direct = sum(
-                walk(f, center, seq).value
+                walk(f, pack(center), seq).value
                 for seq in product((1, 2, 3), repeat=r)
             )
             assert marked == direct
@@ -95,7 +94,7 @@ class TestMarkedFraction:
 def walk_mask(f, center, radius, alphabet):
     """Reference marking: one walk per word, lexicographic order."""
     return [
-        walk(f, center, seq).value
+        walk(f, pack(center), seq).value
         for seq in product(range(1, alphabet + 1), repeat=radius)
     ]
 
@@ -118,7 +117,7 @@ class TestMarkedMask:
             else:
                 f = random_ksat(n, m, alphabet, rng)
                 center = random_assignment(n, rng)
-            mask = marked_mask(f, center, radius, alphabet)
+            mask = marked_mask(f, pack(center), radius, alphabet)
             assert mask.dtype == bool and mask.size == alphabet**radius
             assert mask.tolist() == walk_mask(f, center, radius, alphabet)
 
@@ -126,7 +125,7 @@ class TestMarkedMask:
     def test_satisfying_center_marks_everything(self, alphabet):
         f, hidden = planted_ksat(6, 20, alphabet, random.Random(alphabet))
         for radius in range(4):
-            assert marked_mask(f, hidden, radius, alphabet).all()
+            assert marked_mask(f, pack(hidden), radius, alphabet).all()
 
     def test_narrow_and_wide_clauses(self):
         # width 1 and 2 wrap onto repeated literals; width 5 exceeds K = 3
@@ -135,18 +134,18 @@ class TestMarkedMask:
         for _ in range(20):
             center = random_assignment(6, rng)
             for radius in range(4):
-                mask = marked_mask(f, center, radius, 3)
+                mask = marked_mask(f, pack(center), radius, 3)
                 assert mask.tolist() == walk_mask(f, center, radius, 3)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            marked_mask(SINGLE, (0, 0), 1, 3)
+            marked_mask(SINGLE, 1 << 3, 1, 3)  # x4 is outside the 3 variables
         with pytest.raises(ValueError):
-            marked_mask(SINGLE, (0, 0, 0), -1, 3)
+            marked_mask(SINGLE, 0, -1, 3)
 
 
 class TestBoundVariables:
-    """The leaf on a trail: walks under a bound set against walks on restrict(f, bound)."""
+    """The leaf on a trail: walks under a fixed mask against walks on restrict(f, binding)."""
 
     @pytest.mark.parametrize("alphabet", [3, 4])
     @pytest.mark.parametrize("mixed", [False, True])
@@ -166,13 +165,14 @@ class TestBoundVariables:
                     binding[var] = center[var - 1] = bit
             center = tuple(center)
             sub = restrict(f, binding)
-            bound = frozenset(binding)
+            fixed = sum(1 << (v - 1) for v in binding)
             idx = first_unsat_clause(sub, center)
             narrowed_first += idx is not None and len(sub.clauses[idx]) < alphabet
+            x = pack(center)
             for radius in range(4):
-                mask = marked_mask(f, center, radius, alphabet, bound)
-                assert mask.tolist() == marked_mask(sub, center, radius, alphabet).tolist()
+                mask = marked_mask(f, x, radius, alphabet, fixed)
+                assert mask.tolist() == marked_mask(sub, x, radius, alphabet).tolist()
             for seq in product(range(1, alphabet + 1), repeat=3):
-                assert walk(f, center, seq, bound) == walk(sub, center, seq)
+                assert walk(f, x, seq, fixed) == walk(sub, x, seq)
         # the first falsified clause often lost bound literals, so symbols wrap
         assert narrowed_first >= 10, narrowed_first

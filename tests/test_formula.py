@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from ballsat import (
     top_k_vars,
     unsat_count,
 )
-from ballsat.formula import all_assignments, pack, unpack, unsat_reader
+from ballsat.formula import all_assignments, pack, unpack
 
 from helpers import random_ksat
 
@@ -250,17 +251,22 @@ class TestDecompose:
 class TestMaxDisjoint:
     def test_greedy_first_clause_in(self):
         f = parse_dimacs("p cnf 9 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n")
-        assert max_disjoint_unsat(f, (0,) * 9) == [0, 1, 2]
+        assert max_disjoint_unsat(f, f.read(0)) == [0, 1, 2]
 
     def test_overlap_skipped(self):
         f = parse_dimacs("p cnf 4 2\n1 2 0\n2 3 0\n")
-        assert max_disjoint_unsat(f, (0, 0, 0, 0)) == [0]
+        assert max_disjoint_unsat(f, f.read(0)) == [0]
+
+    def test_fixed_variables_do_not_overlap(self):
+        # clause 1 shares only x2 with clause 0; with x2 fixed both are picked
+        f = parse_dimacs("p cnf 4 2\n1 2 0\n2 3 0\n")
+        assert max_disjoint_unsat(f, f.read(0), fixed=0b10) == [0, 1]
 
     @given(small_formulas())
     @settings(max_examples=60, deadline=None)
     def test_maximal(self, f):
         a = tuple(0 for _ in range(f.num_vars))
-        chosen = max_disjoint_unsat(f, a)
+        chosen = max_disjoint_unsat(f, f.read(0))
         used = {abs(l) for i in chosen for l in f.clauses[i]}
         for i, clause in enumerate(f.clauses):
             if i in chosen:
@@ -306,7 +312,8 @@ def test_sat_table_reads_equal_clause_scans(n, m):
     assert [len(row) for row in f.sat_table] == [
         1 << min(8, n - lo) for lo in range(0, n, 8)
     ]
-    read = unsat_reader(f)
+    read = f.read
+    assert read is f.read  # one reader per formula
     singles = [Formula(n, (clause,)) for clause in f.clauses]
     points = [(0,) * n, (1,) * n] + [tuple(rng.randrange(2) for _ in range(n)) for _ in range(60)]
     for a in points:
@@ -318,3 +325,11 @@ def test_sat_table_reads_equal_clause_scans(n, m):
         assert first == first_unsat_clause(f, a)
         assert unsat.bit_count() == unsat_count(f, a)
         assert (unsat == 0) == (evaluate(f, a) == 1)
+
+
+def test_a_read_formula_pickles():
+    # dispatch messages stay plain data after the reader is cached
+    f = parse_dimacs(EXAMPLE)
+    unsat = f.read(0)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.read(0) == unsat

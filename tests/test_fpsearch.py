@@ -8,6 +8,7 @@ import pytest
 from ballsat import parse_dimacs
 from ballsat.codes import _kary_word
 from ballsat.fliptree import marked_fraction, marked_mask
+from ballsat.formula import pack
 from ballsat.fpsearch import (
     apply_g,
     apply_schedule,
@@ -165,12 +166,12 @@ class TestSampling:
 
     def test_quantum_kpbs_contract(self):
         rt = PbsRuntime(seed=(7,), retries=1)
-        candidate = quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)
+        candidate = quantum_kpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt)
         schedule = make_schedule(0.1, 1 / 27)
         [attempt] = rt.records
         assert attempt.queries == schedule.L - 1
         assert attempt.outcome == "sat"
-        assert candidate == (1, 1, 1, 0, 0, 0)
+        assert candidate == pack((1, 1, 1, 0, 0, 0))
 
 
 class TestExactProbability:
@@ -243,7 +244,7 @@ def leaf_cases():
 
 
 def two_level_cdf(f, center, radius, alphabet, eps):
-    marked = marked_mask(f, center, radius, alphabet)
+    marked = marked_mask(f, pack(center), radius, alphabet)
     return marked, word_cdf(marked, eps, 1 / alphabet**radius)
 
 
@@ -291,7 +292,7 @@ class TestTwoLevelLeaf:
             for module in (fps, pbs):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         rt = PbsRuntime(seed=(7,), retries=3)
-        assert quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt) is not None
+        assert quantum_kpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt) is not None
 
     def test_walk_must_agree_with_mark(self, monkeypatch):
         import ballsat.pbs as pbs
@@ -300,4 +301,4 @@ class TestTwoLevelLeaf:
         monkeypatch.setattr(pbs, "marked_mask", lambda *a: ~real(*a))
         rt = PbsRuntime(seed=(7,), retries=1)
         with pytest.raises(RuntimeError, match="disagrees"):
-            quantum_kpbs(PbsInstance(NARROW, (0,) * 6, 3, 3, 0.1, 3), rt)
+            quantum_kpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt)

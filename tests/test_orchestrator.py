@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, Formula, decompose, evaluate, orchestrator, parse_dimacs, restrict
+from ballsat import CONFLICT, Formula, decompose, evaluate, orchestrator, parse_dimacs
 from ballsat.codes import BinaryCoveringCode, KaryCoveringCode, build_kary_cover, write_cover
 from ballsat.orchestrator import (
     MAX_RETRIES,
@@ -21,6 +22,7 @@ from ballsat.oracle import brute_sat
 from ballsat.pbs import PbsInstance, PbsRuntime
 
 from helpers import planted_ksat, random_ksat
+from test_golden import CONFIGS, GOLDEN, corpus
 
 SAT6 = parse_dimacs("p cnf 6 4\n1 2 3 0\n-1 4 0\n-2 5 6 0\n-3 -6 0\n")
 
@@ -192,21 +194,38 @@ class TestSolve:
             else:
                 assert res.stats.failure_bound == 0.0
 
-    @pytest.mark.parametrize("mode", ["classical", "hybrid"])
-    def test_prefixes_restricted_at_their_turn(self, monkeypatch, mode):
+    def test_solves_call_no_clause_by_clause_reference(self, monkeypatch):
+        # restrict, unsat_count and first_unsat_clause are test references only:
+        # in every ballsat namespace that holds one, a call now fails the solve
+        def refuse(name):
+            def raising(*args, **kwargs):
+                raise AssertionError(f"{name} called by a solve")
+            return raising
+
+        patched = 0
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "ballsat" or mod_name.startswith("ballsat."):
+                for name in ("restrict", "unsat_count", "first_unsat_clause"):
+                    if hasattr(mod, name):
+                        monkeypatch.setattr(mod, name, refuse(name))
+                        patched += 1
+        assert patched >= 5
         # one clause over 4 of 12 variables: no 3-bit prefix conflicts, and the
         # first prefix in the order already holds a model
-        calls = []
-
-        def counting(f, binding):
-            calls.append(binding)
-            return restrict(f, binding)
-
-        monkeypatch.setattr(orchestrator, "restrict", counting)
         f = parse_dimacs("p cnf 12 1\n1 -2 3 -4 0\n")
-        res = solve(f, SolveConfig(k=3, r_max=1, seed=5, mode=mode))
-        assert res.status == "SAT" and evaluate(f, res.model) == 1
-        assert len(calls) == 1
+        for mode in ("classical", "hybrid"):
+            res = solve(f, SolveConfig(k=3, r_max=1, seed=5, mode=mode))
+            assert res.status == "SAT" and evaluate(f, res.model) == 1
+        # one seeded solve per benchmark config gives its pinned row
+        for name, config in CONFIGS.items():
+            res = solve(next(corpus(name)), SolveConfig(seed=0, **config))
+            s = res.stats
+            model = "".join(map(str, res.model)) if res.model is not None else None
+            got = (
+                res.status, model, s.branches, s.quantum_calls,
+                s.total_queries, s.dispatches, s.groups_failed,
+            )
+            assert got == GOLDEN[name, 0], name
 
     def test_seeds_share_the_repair_code(self):
         # the K-ary code depends on the shape (K, t, s) alone, not on the seed
@@ -257,9 +276,9 @@ class TestConfigErrors:
     def test_k_above_space_limit(self, monkeypatch):
         # the prefix order permutes all 2^k prefixes: 2^24 is past the 10^7 limit
         def never(*args):
-            raise AssertionError("restrict reached")
+            raise AssertionError("prefix variables chosen")
 
-        monkeypatch.setattr(orchestrator, "restrict", never)
+        monkeypatch.setattr(orchestrator, "top_k_vars", never)
         f = parse_dimacs("p cnf 24 1\n1 2 3 0\n")
         for mode in ("classical", "hybrid"):
             with pytest.raises(ConfigError, match="too large"):

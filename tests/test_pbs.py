@@ -5,7 +5,7 @@ import pytest
 
 from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
 from ballsat.codes import build_kary_cover, prune_cover
-from ballsat.formula import restrict, unsat_count
+from ballsat.formula import pack, restrict, unpack, unsat_count
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
     PbsInstance,
@@ -45,7 +45,11 @@ def runtime(seed=0, **kw):
 
 
 def hamming(a, b):
-    return sum(x != y for x, y in zip(a, b))
+    return (a ^ b).bit_count()
+
+
+def satisfies(f, x):
+    return evaluate(f, unpack(x, f.num_vars)) == 1
 
 
 def narrowed(f, rng):
@@ -72,36 +76,44 @@ class TestDescentT:
 
 class TestModifyAssignment:
     def test_three_disjoint_blocks(self):
-        got = modify_assignment(THREE_BLOCKS, (0,) * 9, [0, 1, 2], (1, 2, 3))
-        assert got == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+        got = modify_assignment(THREE_BLOCKS, 0, [0, 1, 2], (1, 2, 3))
+        assert got == pack((1, 0, 0, 0, 1, 0, 0, 0, 1))
 
     def test_wraps_modulo_width(self):
         f = parse_dimacs("p cnf 3 1\n1 2 0\n")
-        got = modify_assignment(f, (0, 0, 0), [0], (3,))
-        assert got == (1, 0, 0)
+        got = modify_assignment(f, 0, [0], (3,))
+        assert got == pack((1, 0, 0))
+
+    def test_fixed_variables_narrow_the_clause(self):
+        # x1 held: the clause narrows to (2, 3), so symbol 1 flips x2 and 3 wraps to x2
+        f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
+        assert modify_assignment(f, 0, [0], (1,), fixed=0b1) == pack((0, 1, 0))
+        assert modify_assignment(f, 0, [0], (3,), fixed=0b1) == pack((0, 1, 0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            modify_assignment(THREE_BLOCKS, (0,) * 9, [0, 1], (1,))
+            modify_assignment(THREE_BLOCKS, 0, [0, 1], (1,))
 
     def test_shared_variables_rejected(self):
         f = parse_dimacs("p cnf 3 2\n1 2 0\n2 3 0\n")
         with pytest.raises(ValueError):
-            modify_assignment(f, (0, 0, 0), [0, 1], (1, 1))
+            modify_assignment(f, 0, [0, 1], (1, 1))
+        # only the shared x2 overlaps: held, the clauses are disjoint
+        assert modify_assignment(f, 0, [0, 1], (1, 2), fixed=0b10) == pack((1, 0, 1))
 
 
 class TestQuantumLeaf:
     def test_promise_instance_found(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
-        inst = PbsInstance(f, (0, 0, 0), 1, 2, 0.1, 3)
+        inst = PbsInstance(f, 0, 1, 2, 0.1, 3)
         rt = runtime(42)
         got = quantum_kpbs(inst, rt)
-        assert got is not None and evaluate(f, got) == 1
+        assert got is not None and satisfies(f, got)
         assert rt.records[0].outcome == "sat"
         assert rt.groups_failed == 0
 
     def test_hopeless_instance_burns_retries(self):
-        inst = PbsInstance(UNSAT3, (0, 0, 0), 1, 1, 0.1, 3)
+        inst = PbsInstance(UNSAT3, 0, 1, 1, 0.1, 3)
         rt = runtime(3, retries=3)
         assert quantum_kpbs(inst, rt) is None
         assert len(rt.records) == 3
@@ -110,7 +122,7 @@ class TestQuantumLeaf:
 
     def test_attempt_metadata(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
-        inst = PbsInstance(f, (0, 0, 0), 2, 2, 0.3, 3)
+        inst = PbsInstance(f, 0, 2, 2, 0.3, 3)
         rt = runtime(1)
         quantum_kpbs(inst, rt)
         att = rt.records[0]
@@ -125,16 +137,16 @@ class TestClassicalDescent:
             f = random_ksat(6, 12, 3, rng)
             center = random_assignment(6, rng)
             radius = rng.randrange(4)
-            inst = PbsInstance(f, center, radius, 0, 0.1, 3)
+            inst = PbsInstance(f, pack(center), radius, 0, 0.1, 3)
             got = kqcpbs(inst, runtime(0))
             witness = ball_promise(f, center, radius)
             assert (got is None) == (witness is None)
             if got is not None:
-                assert evaluate(f, got) == 1
-                assert hamming(got, center) <= radius
+                assert satisfies(f, got)
+                assert hamming(got, pack(center)) <= radius
 
     def test_counts_branches(self):
-        inst = PbsInstance(UNSAT3, (0, 0, 0), 2, 0, 0.1, 3)
+        inst = PbsInstance(UNSAT3, 0, 2, 0, 0.1, 3)
         rt = runtime(0)
         assert kqcpbs(inst, rt) is None
         assert rt.branches > 0
@@ -148,10 +160,10 @@ class TestClassicalDescent:
             radius = 4
             if ball_promise(f, center, radius) is None:
                 continue
-            inst = PbsInstance(f, center, radius, 2, 0.1, 3)
+            inst = PbsInstance(f, pack(center), radius, 2, 0.1, 3)
             rt = runtime(5)
             got = kqcpbs(inst, rt)
-            assert got is not None and evaluate(f, got) == 1
+            assert got is not None and satisfies(f, got)
             if rt.records:
                 assert all(a.radius == 2 for a in rt.records)
                 hits += 1
@@ -162,24 +174,23 @@ class TestHybridDescent:
     def test_small_group_path(self):
         # one falsified clause -> |G| = 1 <= t: block enumeration route
         f = parse_dimacs("p cnf 4 2\n1 2 3 0\n-4 0\n")
-        inst = PbsInstance(f, (0, 0, 0, 1), 3, 1, 0.1, 3)
+        inst = PbsInstance(f, pack((0, 0, 0, 1)), 3, 1, 0.1, 3)
         rt = runtime(11)
         got = kpbs_hybrid(inst, repair_code(3, 3, seed=0), rt)
-        assert got is not None and evaluate(f, got) == 1
+        assert got is not None and satisfies(f, got)
 
     def test_large_group_path_descends(self):
         # four disjoint falsified clauses force the codeword jump
         f = parse_dimacs("p cnf 12 4\n1 2 3 0\n4 5 6 0\n7 8 9 0\n10 11 12 0\n")
-        center = (0,) * 12
         code = repair_code(3, 4, seed=0)
-        inst = PbsInstance(f, center, 4, 1, 0.1, 3)
+        inst = PbsInstance(f, 0, 4, 1, 0.1, 3)
         rt = runtime(2)
         got = kpbs_hybrid(inst, code, rt)
-        assert got is not None and evaluate(f, got) == 1
+        assert got is not None and satisfies(f, got)
 
     def test_unsat_returns_none(self):
         code = repair_code(3, 3, seed=0)
-        inst = PbsInstance(UNSAT3, (0, 0, 0), 3, 1, 0.1, 3)
+        inst = PbsInstance(UNSAT3, 0, 3, 1, 0.1, 3)
         rt = runtime(0)
         assert kpbs_hybrid(inst, code, rt) is None
 
@@ -190,10 +201,10 @@ class TestHybridDescent:
             center = random_assignment(8, rng)
             radius = rng.randrange(2, 5)
             code = repair_code(3, radius, seed=1)
-            inst = PbsInstance(f, center, radius, 1, 0.1, 3)
+            inst = PbsInstance(f, pack(center), radius, 1, 0.1, 3)
             got = kpbs_hybrid(inst, code, runtime(6))
             if got is not None:
-                assert evaluate(f, got) == 1
+                assert satisfies(f, got)
             elif ball_promise(f, center, radius) is not None:
                 pytest.fail("hybrid missed a promised ball twice in a row")
 
@@ -217,9 +228,10 @@ class TestHybridDescent:
             f = planted_ksat(n, m, k, rng)[0] if rng.random() < 0.5 else random_ksat(n, m, k, rng)
             f = narrowed(f, rng)
             center, radius = random_assignment(n, rng), rng.randrange(1, 6)
-            got = kpbs_hybrid(PbsInstance(f, center, radius, 0, 0.1, k), codes[k], runtime())
+            inst = PbsInstance(f, pack(center), radius, 0, 0.1, k)
+            got = kpbs_hybrid(inst, codes[k], runtime())
             if got is not None:
-                assert evaluate(f, got) == 1
+                assert satisfies(f, got)
             if ball_promise(f, center, radius) is not None:
                 assert got is not None, (f, center, radius)
                 found += 1
@@ -240,8 +252,8 @@ class TestResidualRadius:
             sub, d = restrict(self.F, binding), sum(bits)
             if sub is not CONFLICT and d <= radius:
                 want.append((unsat_count(sub, center), tuple(binding.items()), radius - d))
-        trail = _Trail(self.F, center)
+        trail = _Trail(self.F, pack(center))
         assert _block_points(trail, block_vars, radius) == want
-        assert trail.bound == {} and trail.val == list(center)
+        assert (trail.x, trail.free) == (pack(center), (1 << 7) - 1)
         # both clauses of G must be repaired, so d >= 2 for every point
         assert bool(want) == (radius >= 2)
