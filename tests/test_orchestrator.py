@@ -194,6 +194,24 @@ class TestSolve:
             else:
                 assert res.stats.failure_bound == 0.0
 
+    @pytest.mark.parametrize("mode", ["classical", "hybrid"])
+    def test_prefixes_restricted_at_their_turn(self, monkeypatch, mode):
+        # one clause over 4 of 12 variables: no 3-bit prefix conflicts, and the
+        # first prefix in the order already holds a model, so every clause read
+        # of the solve holds that one prefix
+        f = parse_dimacs("p cnf 12 1\n1 -2 3 -4 0\n")
+        fixed = sum(1 << (v - 1) for v in orchestrator.top_k_vars(f, 3))
+        read, held = f.read, set()
+
+        def counting(x):
+            held.add(x & fixed)
+            return read(x)
+
+        monkeypatch.setitem(f.__dict__, "read", counting)
+        res = solve(f, SolveConfig(k=3, r_max=1, seed=5, mode=mode))
+        assert res.status == "SAT" and evaluate(f, res.model) == 1
+        assert len(held) == 1
+
     def test_solves_call_no_clause_by_clause_reference(self, monkeypatch):
         # restrict, unsat_count and first_unsat_clause are test references only:
         # in every ballsat namespace that holds one, a call now fails the solve
