@@ -27,9 +27,9 @@ class FlipOutcome:
     value: int                # 1 iff candidate satisfies the formula
 
 
-def _narrowed_flips(f: Formula, unsat: int, fixed: int) -> list[int]:
-    """Variable bits outside `fixed` of the lowest clause in `unsat`, in clause order."""
-    return [b for b in f.flips[(unsat & -unsat).bit_length() - 1] if not b & fixed]
+def _narrowed_flips(f: Formula, idx: int, fixed: int) -> list[int]:
+    """Variable bits outside `fixed` of clause idx, in clause order."""
+    return [b for b in f.flips[idx] if not b & fixed]
 
 
 def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> FlipOutcome:
@@ -39,7 +39,7 @@ def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> FlipOutc
         unsat = read(x)
         if not unsat:
             break
-        flips = _narrowed_flips(f, unsat, fixed)
+        flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
         x ^= flips[(choice - 1) % len(flips)]
     return FlipOutcome(x, 0 if read(x) else 1)
 
@@ -73,7 +73,7 @@ def marked_mask(
             return
         if depth == radius:
             return
-        flips = _narrowed_flips(f, unsat, fixed)
+        flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
         width = len(flips)
         span //= alphabet
         for choice in range(alphabet):

@@ -289,7 +289,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
             if not score and evaluate(f, model := unpack(center, n)):
                 return finish("SAT", model)
             scored.append((score, ci, center))
-        scored.sort(key=lambda sc: (sc[0], sc[1]))
+        scored.sort(key=lambda sc: sc[0])
         for _, ci, center in scored:
             inst = PbsInstance(f, center, radius, r_cap, cfg.epsilon, alphabet, fixed)
             rt = PbsRuntime((seed, 1 + prefix_pos, ci), cfg.retries, prefix_str, ci)

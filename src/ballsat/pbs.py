@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
 from .codes import KaryCoveringCode, _kary_word
-from .fliptree import marked_mask, walk
+from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
 from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
 from .fpsearch import make_schedule, measure, word_cdf
@@ -118,59 +118,18 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     return None
 
 
-class _Trail:
-    """Bindings over a fixed center, held as packed ints (x_v at bit v - 1).
+State = tuple[int, int, int]   # (x, free, falsified), packed ints
 
-    `x` is the center with the bound variables overwritten, `free` masks
-    the unbound variables (the instance's fixed ones start bound) and
-    `falsified` the clauses x falsifies.  The center evaluated on
-    restrict(f, bound) is f evaluated on x: its first falsified clause
-    is the lowest bit of `falsified`, narrowed to its unbound literals.
-    A falsified clause with an unbound variable turns true when every
-    unbound variable flips, so the binding empties a clause iff x and
-    x ^ free both falsify it.  Unbind order is free.
+
+def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
+    """(x, free, falsified) of the assignment x that binds the variables outside `free`.
+
+    None iff the binding empties a clause: a falsified clause with a free
+    variable turns true when every free variable flips, so it is empty
+    iff x and x ^ free both falsify it.
     """
-
-    __slots__ = ("formula", "read", "center", "x", "free", "falsified")
-
-    def __init__(self, f: Formula, center: int, fixed: int = 0):
-        self.formula, self.read, self.center = f, f.read, center
-        self.x, self.free = center, ((1 << f.num_vars) - 1) ^ fixed
-        self.falsified = self.read(center)
-
-    def probe(self, x: int, free: int, var: int, bit: int) -> tuple[int, int, int] | None:
-        """(x, free, falsified) once var is bound to bit in (x, free); None on a conflict."""
-        b = 1 << (var - 1)
-        x, free = x | b if bit else x & ~b, free & ~b
-        falsified = self.read(x)
-        return None if falsified & self.read(x ^ free) else (x, free, falsified)
-
-    def bind(self, var: int, bit: int) -> bool:
-        """Bind var; False iff a clause now has every literal bound and false."""
-        self.assign(((var, bit),))
-        return not self.falsified & self.read(self.x ^ self.free)
-
-    def assign(self, binding: Iterable[tuple[int, int]]) -> None:
-        """Bind each (var, bit) with one table read and no conflict check."""
-        x, free = self.x, self.free
-        for var, bit in binding:
-            b = 1 << (var - 1)
-            x, free = x | b if bit else x & ~b, free & ~b
-        self.x, self.free, self.falsified = x, free, self.read(x)
-
-    def unbind(self, *variables: int) -> None:
-        """Unbind each variable with one table read."""
-        x, free = self.x, self.free
-        for var in variables:
-            b = 1 << (var - 1)
-            x, free = x & ~b | self.center & b, free | b
-        self.x, self.free, self.falsified = x, free, self.read(x)
-
-    def branch_literals(self) -> list[int]:
-        """Unbound literals of the first falsified clause, in clause order."""
-        first = self.falsified & -self.falsified
-        clause = self.formula.clauses[first.bit_length() - 1]
-        return [lit for lit in clause if self.free >> (abs(lit) - 1) & 1]
+    falsified = read(x)
+    return None if falsified & read(x ^ free) else (x, free, falsified)
 
 
 def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
@@ -179,86 +138,83 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     Each branch binds one literal true and recurses at radius - 1 (the
     bound variable leaves the formula, and a ball witness loses one
     disagreement with the center).  At radius <= r_max the quantum leaf
-    takes over at radius r_max.  Bindings live on one trail for the
-    whole descent, and every assignment it returns is a packed model of
-    inst.formula: the trail's assignment once it falsifies no clause, or
-    a leaf model started from it.  Nothing is restricted.
+    takes over at radius r_max.  Each node is an immutable
+    (x, free, falsified) state, and every assignment the descent returns
+    is a packed model of inst.formula: a state's x once it falsifies no
+    clause, or a leaf model started from it.  Nothing is restricted.
     """
-    return _classical(_Trail(inst.formula, inst.center, inst.fixed), inst, rt, inst.radius)
+    f = inst.formula
+    free = ((1 << f.num_vars) - 1) ^ inst.fixed
+    return _classical(inst, rt, inst.center, free, f.read(inst.center), inst.radius)
 
 
-def _classical(trail: _Trail, inst: PbsInstance, rt: PbsRuntime, radius: int) -> int | None:
-    """kqcpbs on restrict(inst.formula, binding the trail holds), read off the trail.
+def _classical(
+    inst: PbsInstance, rt: PbsRuntime, x: int, free: int, falsified: int, radius: int
+) -> int | None:
+    """kqcpbs on restrict(inst.formula, the binding x holds off `free`).
 
-    Branches run fewest-falsified-clauses first, ties in clause order;
-    a branch whose binding empties a clause is skipped.  The leaf runs
-    on inst.formula, centered on the trail's assignment, with the trail's
-    held variables fixed: its marks and draws are those of the
+    Every literal of a falsified clause is false at x, so binding one
+    true flips its variable.  Branches run fewest-falsified-clauses
+    first, ties in clause order; a branch whose binding empties a clause
+    is skipped.  The leaf runs on inst.formula, centered on x, with the
+    variables outside `free` fixed: its marks and draws are those of the
     restricted formula, and its model keeps the binding.
     """
-    if not trail.falsified:
-        return trail.x
+    if not falsified:
+        return x
     if radius <= 0:
         return None
+    f = inst.formula
     if radius <= inst.r_max:
-        held = ((1 << inst.formula.num_vars) - 1) ^ trail.free   # fixed and bound variables
-        return quantum_kpbs(replace(inst, center=trail.x, radius=inst.r_max, fixed=held), rt)
+        held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
+        return quantum_kpbs(replace(inst, center=x, radius=inst.r_max, fixed=held), rt)
     branches = []
-    for lit in trail.branch_literals():
-        var, bit = abs(lit), 1 if lit > 0 else 0
-        state = trail.probe(trail.x, trail.free, var, bit)
+    for b in _narrowed_flips(f, (falsified & -falsified).bit_length() - 1, ~free):
+        state = _state(f.read, x ^ b, free ^ b)
         if state is not None:
-            branches.append((state[2].bit_count(), ((var, bit),), radius - 1))
-    return _run_branches(trail, inst, rt, branches)
+            branches.append((state[2].bit_count(), state, radius - 1))
+    return _run_branches(inst, rt, branches)
 
 
-Branch = tuple[int, tuple[tuple[int, int], ...], int]   # (score, binding, radius)
+Branch = tuple[int, State, int]   # (score, state, radius)
 
 
-def _run_branches(
-    trail: _Trail, inst: PbsInstance, rt: PbsRuntime, branches: list[Branch]
-) -> int | None:
-    """Descend into (score, binding, radius) branches, lowest score first, ties in order."""
+def _run_branches(inst: PbsInstance, rt: PbsRuntime, branches: list[Branch]) -> int | None:
+    """Descend into (score, state, radius) branches, lowest score first, ties in order."""
     branches.sort(key=lambda b: b[0])
-    for _, binding, radius in branches:
+    for _, state, radius in branches:
         rt.branches += 1
-        trail.assign(binding)
-        model = _classical(trail, inst, rt, radius)
-        trail.unbind(*(var for var, _ in binding))
+        model = _classical(inst, rt, *state, radius)
         if model is not None:
             return model
     return None
 
 
-def _block_points(trail: _Trail, block_vars: list[int], radius: int) -> list[Branch]:
-    """(falsified count, binding, radius - d) of every conflict-free assignment of block_vars.
+def _block_points(
+    read: Callable[[int], int], root: State, block_vars: list[int], radius: int
+) -> list[Branch]:
+    """(falsified count, state, radius - d) of every conflict-free assignment of block_vars.
 
-    d is the point's Hamming distance from the center on block_vars: a
+    d is the point's Hamming distance from the root's x on block_vars: a
     ball witness matches one point and lies within radius - d of it on
     the other variables.  Depth first, one variable per level, 0 before
     1: itertools.product order.  A conflicting prefix is pruned, since
     every extension of it conflicts too, and so is one with d > radius.
     """
     points: list[Branch] = []
-    bits: list[int] = []
-    center = trail.center
 
-    def visit(depth: int, left: int, x: int, free: int, falsified: int) -> None:
+    def visit(depth: int, left: int, state: State) -> None:
         if depth == len(block_vars):
-            points.append((falsified.bit_count(), tuple(zip(block_vars, bits)), left))
+            points.append((state[2].bit_count(), state, left))
             return
-        var = block_vars[depth]
-        for bit in (0, 1):
-            rest = left - (bit != (center >> (var - 1)) & 1)
-            if rest < 0:
-                continue
-            state = trail.probe(x, free, var, bit)
-            if state is not None:
-                bits.append(bit)
-                visit(depth + 1, rest, *state)
-                bits.pop()
+        x, free, _ = state
+        b = 1 << (block_vars[depth] - 1)
+        for y in (x & ~b, x | b):
+            rest = left - (y != x)
+            if rest >= 0 and (child := _state(read, y, free ^ b)) is not None:
+                visit(depth + 1, rest, child)
 
-    visit(0, radius, trail.x, trail.free, trail.falsified)
+    visit(0, radius, root)
     return points
 
 
@@ -275,7 +231,7 @@ def modify_assignment(
         raise ValueError("clause list and repair word differ in length")
     seen = 0
     for idx, choice in zip(clause_indices, word):
-        flips = [b for b in f.flips[idx] if not b & fixed]
+        flips = _narrowed_flips(f, idx, fixed)
         cvars = f.clause_vars[idx] & ~fixed
         if cvars & seen:
             raise ValueError("clauses share variables")
@@ -308,15 +264,15 @@ def kpbs_hybrid(inst: PbsInstance, code: KaryCoveringCode, rt: PbsRuntime) -> in
     if len(group) <= t:
         block = functools.reduce(int.__or__, (f.clause_vars[i] for i in group)) & ~fixed
         block_vars = [v for v in range(1, f.num_vars + 1) if block >> (v - 1) & 1]
-        trail = _Trail(f, center, fixed)
-        return _run_branches(trail, inst, rt, _block_points(trail, block_vars, inst.radius))
+        root = (center, ((1 << f.num_vars) - 1) ^ fixed, unsat)
+        return _run_branches(inst, rt, _block_points(f.read, root, block_vars, inst.radius))
     batch = group[:t]
     moves = []
-    for ci, word in enumerate(code.codewords):
+    for word in code.codewords:
         moved = modify_assignment(f, center, batch, word, fixed)
-        moves.append((f.read(moved).bit_count(), ci, moved))
-    moves.sort(key=lambda m: (m[0], m[1]))
-    for _, _, moved in moves:
+        moves.append((f.read(moved).bit_count(), moved))
+    moves.sort(key=lambda m: m[0])
+    for _, moved in moves:
         rt.branches += 1
         got = kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - code.radius), code, rt)
         if got is not None:

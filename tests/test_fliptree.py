@@ -145,7 +145,7 @@ class TestMarkedMask:
 
 
 class TestBoundVariables:
-    """The leaf on a trail: walks under a fixed mask against walks on restrict(f, binding)."""
+    """The leaf under bound variables: fixed-mask walks against walks on restrict(f, binding)."""
 
     @pytest.mark.parametrize("alphabet", [3, 4])
     @pytest.mark.parametrize("mixed", [False, True])

@@ -11,7 +11,6 @@ from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
     _block_points,
-    _Trail,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
@@ -246,14 +245,16 @@ class TestResidualRadius:
     @pytest.mark.parametrize("radius", range(7))
     def test_each_point_descends_at_the_radius_its_flips_leave(self, radius):
         center, block_vars = (0,) * 7, [1, 2, 3, 4, 5]
+        free = ((1 << 7) - 1) ^ pack((1, 1, 1, 1, 1, 0, 0))
         want = []
         for bits in product((0, 1), repeat=len(block_vars)):
             binding = dict(zip(block_vars, bits))
             sub, d = restrict(self.F, binding), sum(bits)
             if sub is not CONFLICT and d <= radius:
-                want.append((unsat_count(sub, center), tuple(binding.items()), radius - d))
-        trail = _Trail(self.F, pack(center))
-        assert _block_points(trail, block_vars, radius) == want
-        assert (trail.x, trail.free) == (pack(center), (1 << 7) - 1)
+                x = pack(bits + center[len(bits):])
+                state = (x, free, self.F.read(x))
+                want.append((unsat_count(sub, center), state, radius - d))
+        root = (pack(center), (1 << 7) - 1, self.F.read(pack(center)))
+        assert _block_points(self.F.read, root, block_vars, radius) == want
         # both clauses of G must be repaired, so d >= 2 for every point
         assert bool(want) == (radius >= 2)

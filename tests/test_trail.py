@@ -1,6 +1,7 @@
-"""The descent's bind/unbind trail against restrict-based evaluation.
+"""The descent's (x, free, falsified) states against restrict-based evaluation.
 
-Unit tests check each trail read-out against `restrict` followed by
+Unit tests build states with `_state`, binding one variable at a time,
+and check each against `restrict` followed by
 `first_unsat_clause`/`unsat_count`, with and without a held prefix;
 differential tests run the production `kqcpbs` and `kpbs_hybrid`
 beside the restrict-based tuple reference in `reference_descent.py`.
@@ -12,6 +13,7 @@ import pytest
 
 from ballsat import CONFLICT, parse_dimacs
 from ballsat.codes import build_kary_cover
+from ballsat.fliptree import _narrowed_flips
 from ballsat.formula import (
     first_unsat_clause,
     max_disjoint_unsat,
@@ -24,7 +26,7 @@ from ballsat.formula import (
 from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
-    _Trail,
+    _state,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
@@ -34,37 +36,48 @@ from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
 from reference_descent import ref_disjoint, ref_kpbs_hybrid, ref_kqcpbs
 
 
-def binding_of(trail):
-    """The trail's binding as a dict: every held variable at its value in x."""
-    held = ((1 << trail.formula.num_vars) - 1) ^ trail.free
-    return {
-        v: trail.x >> (v - 1) & 1 for v in range(1, trail.formula.num_vars + 1)
-        if held >> (v - 1) & 1
-    }
+def bound(x, free, var, bit):
+    """(x, free) once var is bound to bit."""
+    b = 1 << (var - 1)
+    return (x | b if bit else x & ~b), free & ~b
 
 
-def snapshot(trail):
-    """What the descent reads off a trail: assignment, masks, branch literals."""
-    literals = trail.branch_literals() if trail.falsified else None
-    return trail.x, trail.free, trail.falsified, literals
+def first_flips(f, state):
+    """The descent's branch flips at a state: the narrowed bits of its first falsified clause."""
+    _, free, falsified = state
+    return _narrowed_flips(f, (falsified & -falsified).bit_length() - 1, ~free)
 
 
-def check_against_restrict(trail, f, center, conflicted):
-    binding = binding_of(trail)
+def bits_of(clause):
+    return [1 << (abs(lit) - 1) for lit in clause]
+
+
+def binding_of(n, x, free):
+    """The binding (x, free) holds: every variable outside `free` at its value in x."""
+    return {v: x >> (v - 1) & 1 for v in range(1, n + 1) if not free >> (v - 1) & 1}
+
+
+def check_against_restrict(f, x, free):
+    """_state(x, free) against restrict(f, binding); returns whether the binding conflicts."""
+    state = _state(f.read, x, free)
+    binding = binding_of(f.num_vars, x, free)
     sub = restrict(f, binding)
-    assert (sub is CONFLICT) == conflicted
-    lifted = list(center)
-    for var, bit in binding.items():
-        lifted[var - 1] = bit
-    assert unpack(trail.x, f.num_vars) == tuple(lifted)
-    if conflicted:
-        return
-    assert trail.falsified.bit_count() == unsat_count(sub, center)
+    assert (state is None) == (sub is CONFLICT)
+    if state is None:
+        return True
+    assert state == (x, free, f.read(x))
+    center = unpack(x, f.num_vars)
+    assert state[2].bit_count() == unsat_count(sub, center)
     idx = first_unsat_clause(sub, center)
     if idx is None:
-        assert trail.falsified == 0
-    else:
-        assert trail.branch_literals() == list(sub.clauses[idx])
+        assert state[2] == 0
+        return False
+    assert first_flips(f, state) == bits_of(sub.clauses[idx])
+    # each flip binds its literal true: a branch state is the restriction by one more literal
+    for b, lit in zip(first_flips(f, state), sub.clauses[idx]):
+        child = restrict(f, {**binding, abs(lit): int(lit > 0)})
+        assert (_state(f.read, x ^ b, free ^ b) is None) == (child is CONFLICT)
+    return False
 
 
 class TestOccurrences:
@@ -83,112 +96,60 @@ class TestOccurrences:
 
 
 class TestTrail:
+    """Chains of _state calls, one binding at a time."""
+
     def test_fresh_trail_reads_the_center(self):
         f = parse_dimacs("p cnf 3 3\n1 2 0\n-1 3 0\n2 -2 0\n")
-        trail = _Trail(f, pack((0, 0, 1)))
-        assert trail.x == pack((0, 0, 1)) and binding_of(trail) == {}
-        assert trail.falsified.bit_count() == 1
-        assert trail.branch_literals() == [1, 2]
-        assert trail.bind(2, 1)
-        assert trail.x == pack((0, 1, 1)) and trail.falsified == 0
+        state = _state(f.read, pack((0, 0, 1)), 0b111)
+        assert state[:2] == (pack((0, 0, 1)), 0b111)
+        assert state[2].bit_count() == 1
+        assert first_flips(f, state) == bits_of((1, 2))
+        assert _state(f.read, *bound(*state[:2], 2, 1)) == (pack((0, 1, 1)), 0b101, 0)
 
     def test_all_bound_false_clause_conflicts(self):
         f = parse_dimacs("p cnf 3 2\n1 -2 0\n3 0\n")
-        trail = _Trail(f, pack((1, 1, 1)))
-        assert trail.bind(1, 0)
-        assert not trail.bind(2, 1)
-        trail.unbind(2)
-        trail.unbind(1)
-        assert not trail.bind(3, 0)  # a unit clause conflicts at once
+        root = pack((1, 1, 1)), 0b111
+        x, free = bound(*root, 1, 0)
+        assert _state(f.read, x, free) is not None
+        assert _state(f.read, *bound(x, free, 2, 1)) is None
+        assert _state(f.read, *bound(*root, 3, 0)) is None  # a unit clause conflicts at once
 
     def test_no_flip_bind_can_conflict(self):
         # the center already falsifies the clause; binding keeps the value
         f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-        trail = _Trail(f, pack((0, 0)))
-        assert trail.bind(1, 0)
-        assert not trail.bind(2, 0)
+        x, free = bound(pack((0, 0)), 0b11, 1, 0)
+        assert _state(f.read, x, free) is not None
+        assert _state(f.read, *bound(x, free, 2, 0)) is None
 
     def test_tautology_never_falsified(self):
         # bound through both its literals, the tautology neither conflicts nor counts
         f = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
         for center in ((0, 0), (1, 0)):
-            trail = _Trail(f, pack(center))
             for bit in (0, 1):
-                assert trail.bind(1, bit)
-                assert trail.x == pack((bit, 0))
-                assert trail.falsified.bit_count() == 1
-                assert trail.branch_literals() == [2]
-                trail.unbind(1)
+                state = _state(f.read, *bound(pack(center), 0b11, 1, bit))
+                assert state[0] == pack((bit, 0))
+                assert state[2].bit_count() == 1
+                assert first_flips(f, state) == bits_of((2,))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_bindings_agree_with_restrict(self, seed):
         rng = random.Random(seed)
+        seen = {"conflicts": 0, "branches": 0}
         for _ in range(30):
             n = rng.randrange(3, 9)
             f = mixed_formula(n, rng.randrange(4, 16), rng)
-            center = random_assignment(n, rng)
-            trail = _Trail(f, pack(center))
-            check_against_restrict(trail, f, center, False)
+            x, free = pack(random_assignment(n, rng)), (1 << n) - 1
+            assert not check_against_restrict(f, x, free)
             conflicted = False
             for var in rng.sample(range(1, n + 1), rng.randrange(n + 1)):
-                conflicted = not trail.bind(var, rng.randrange(2)) or conflicted
-                check_against_restrict(trail, f, center, conflicted)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_round_trip_restores_state(self, seed):
-        rng = random.Random(100 + seed)
-        for _ in range(30):
-            n = rng.randrange(2, 9)
-            f = mixed_formula(n, rng.randrange(3, 14), rng)
-            trail = _Trail(f, pack(random_assignment(n, rng)))
-            fresh = snapshot(trail)
-            bound = rng.sample(range(1, n + 1), rng.randrange(1, n + 1))
-            for var in bound:
-                before = snapshot(trail)
-                ok = trail.bind(var, rng.randrange(2))
-                # the binding so far conflicts iff bind answered False
-                assert ok == (restrict(f, binding_of(trail)) is not CONFLICT)
-                if rng.random() < 0.5:
-                    trail.unbind(var)
-                    assert snapshot(trail) == before
-                    trail.bind(var, rng.randrange(2))
-            rng.shuffle(bound)
-            for var in bound:
-                trail.unbind(var)
-            assert snapshot(trail) == fresh
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_probe_and_assign_agree_with_bind(self, seed):
-        rng = random.Random(200 + seed)
-        for _ in range(30):
-            n = rng.randrange(2, 9)
-            f = mixed_formula(n, rng.randrange(3, 14), rng)
-            trail = _Trail(f, pack(random_assignment(n, rng)))
-            for var in rng.sample(range(1, n + 1), rng.randrange(n)):
-                if not trail.bind(var, rng.randrange(2)):
-                    trail.unbind(var)
-            before = snapshot(trail)
-            unbound = [v for v in range(1, n + 1) if v not in binding_of(trail)]
-            for var in unbound:
-                for bit in (0, 1):
-                    state = trail.probe(trail.x, trail.free, var, bit)
-                    assert snapshot(trail) == before  # probing writes nothing
-                    ok = trail.bind(var, bit)
-                    assert (state is not None) == ok
-                    if ok:
-                        assert state == (trail.x, trail.free, trail.falsified)
-                    trail.unbind(var)
-            binding = tuple((v, rng.randrange(2)) for v in rng.sample(unbound, len(unbound)))
-            for var, bit in binding:
-                trail.bind(var, bit)
-            one_by_one = snapshot(trail)
-            rng.shuffle(unbound)
-            trail.unbind(*unbound)
-            assert snapshot(trail) == before
-            trail.assign(binding)
-            assert snapshot(trail) == one_by_one
-            trail.unbind(*unbound)
-            assert snapshot(trail) == before
+                x, free = bound(x, free, var, rng.randrange(2))
+                now = check_against_restrict(f, x, free)
+                # a binding that empties a clause stays conflicting as it grows
+                assert now or not conflicted
+                conflicted = now
+                seen["conflicts"] += now
+                seen["branches"] += not now and f.read(x) != 0
+        assert all(seen.values()), seen
 
 
 def descent_roots(rng):
@@ -277,17 +238,19 @@ class TestHeldPrefix:
             # the orchestrator's verdict: falsified whatever the free variables hold
             conflicted = bool(f.read(px) & f.read(px | free))
             assert conflicted == (sub is CONFLICT)
+            state = _state(f.read, x, free)
+            assert (state is None) == conflicted
             if conflicted:
                 seen["conflicts"] += 1
                 continue
             center = unpack(x, n)
-            trail = _Trail(f, x, fixed)
-            assert trail.falsified.bit_count() == unsat_count(sub, center)
+            assert state == (x, free, f.read(x))
+            assert state[2].bit_count() == unsat_count(sub, center)
             idx = first_unsat_clause(sub, center)
             if idx is not None:
-                assert trail.branch_literals() == list(sub.clauses[idx])
+                assert first_flips(f, state) == bits_of(sub.clauses[idx])
                 seen["narrowed_first"] += len(sub.clauses[idx]) < len(f.clauses[
-                    (trail.falsified & -trail.falsified).bit_length() - 1
+                    (state[2] & -state[2]).bit_length() - 1
                 ])
             group = max_disjoint_unsat(f, f.read(x), fixed)
             narrowed = [
