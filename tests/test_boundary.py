@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ballsat import Formula, ParseError, brute_sat, evaluate, parse_dimacs
 from ballsat.cli import run
-from ballsat.codes import BinaryCoveringCode, build_binary_cover, build_kary_cover, write_cover
+from ballsat.codes import build_binary_cover, build_kary_cover, write_cover
 
 MAX_VARS = 12
 MAX_WIDTH = 6
@@ -192,7 +192,7 @@ def test_classical_mode_agrees_with_brute(text, data):
 @st.composite
 def cover_files(draw, code) -> str:
     """Cover-file text for the code's shape: its file edited, other words, or any header."""
-    alphabet, first = (2, 0) if isinstance(code, BinaryCoveringCode) else (code.alphabet, 1)
+    alphabet, first = code.alphabet, code.first
     length, radius = code.word_length, code.radius
     word = st.lists(
         st.integers(first, first + alphabet - 1), min_size=length, max_size=length

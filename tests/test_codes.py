@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from ballsat.codes import (
-    BinaryCoveringCode,
-    KaryCoveringCode,
+    CoveringCode,
     build_binary_cover,
     build_kary_cover,
     kary_draw_bound,
@@ -55,6 +54,23 @@ class TestBinaryCover:
             build_binary_cover(25, radius=1)
 
 
+# sha256 of write_cover(build_binary_cover(L, radius=r)): the CI and workload sweep shapes
+BINARY_PINS = {
+    (2, 0): "99edf85ae085536e35074724a36d6eb4fe6854f82318a8d54285f4540cd508f9",
+    (10, 2): "6e0b388979dd9f991ef948099564cc0934b0b1087259274a3ea278337683055b",
+    (11, 3): "0b26a8f8e7325d31b57b3d31001f6925c3f7f493d8f712b7649bb2ffedd8abba",
+    (12, 4): "1419c05271214156f58f1fdf6060256410f74c9de9589aac0ff8970849e79f36",
+    (13, 4): "425e835e09eee22f0403ed8800ce8c01ac6a444b32e5c3845e3b4a588271623d",
+}
+
+
+@pytest.mark.parametrize("length,radius", sorted(BINARY_PINS))
+def test_binary_construction_pinned(length, radius):
+    code = build_binary_cover(length, radius=radius)
+    digest = hashlib.sha256(write_cover(code).encode()).hexdigest()
+    assert digest == BINARY_PINS[length, radius]
+
+
 class TestKaryCover:
     def test_small_cover_shape(self):
         code = build_kary_cover(3, 3, 1, seed=7)
@@ -84,6 +100,11 @@ class TestKaryCover:
         assert code.codewords == ((),)
         assert verify_cover(code)[0]
 
+    def test_alphabet_2_rejected(self):
+        # a draw over 1/2 would not be a code: alphabet 2 words are over 0/1
+        with pytest.raises(ValueError, match="alphabet 2"):
+            build_kary_cover(2, 3, 1)
+
     def test_k4_cover(self):
         code = build_kary_cover(4, 4, 1, seed=5)
         ok, witness = verify_cover(code)
@@ -92,8 +113,10 @@ class TestKaryCover:
     def test_plain_value_with_derived_fields(self):
         # size_bound and repaired follow from the four fields, so a code read
         # back from its text form carries the builder's values
-        fields = [fld.name for fld in dataclasses.fields(KaryCoveringCode)]
+        fields = [fld.name for fld in dataclasses.fields(CoveringCode)]
         assert fields == ["alphabet", "word_length", "radius", "codewords"]
+        # alphabet 2 words are assignments over 0/1, larger ones repair moves over 1..K
+        assert [CoveringCode(a, 0, 0, ((),)).first for a in (2, 3, 4)] == [0, 1, 1]
         assert build_kary_cover(3, 2, 2, seed=0).size_bound == 1
         assert build_kary_cover(3, 3, 1, seed=0).size_bound == kary_draw_bound(3, 3, 1)
         assert not build_kary_cover(3, 3, 1, seed=0).repaired
@@ -153,7 +176,7 @@ class TestPrune:
         assert (len(built.codewords), len(prune_cover(built).codewords)) == (drawn, kept)
 
     def test_later_duplicate_dropped(self):
-        code = KaryCoveringCode(3, 1, 0, ((1,), (2,), (3,), (2,)))
+        code = CoveringCode(3, 1, 0, ((1,), (2,), (3,), (2,)))
         assert prune_cover(code).codewords == ((1,), (2,), (3,))
 
     def test_pruned_code_reads_unrepaired(self):
@@ -164,12 +187,12 @@ class TestPrune:
 
 class TestVerify:
     def test_reports_lex_first_hole(self):
-        broken = BinaryCoveringCode(3, 0, ((1, 1, 1),))
+        broken = CoveringCode(2, 3, 0, ((1, 1, 1),))
         ok, witness = verify_cover(broken)
         assert not ok and witness == (0, 0, 0)
 
     def test_kary_hole(self):
-        broken = KaryCoveringCode(3, 2, 0, ((3, 3),))
+        broken = CoveringCode(3, 2, 0, ((3, 3),))
         ok, witness = verify_cover(broken)
         assert not ok and witness == (1, 1)
 
@@ -200,12 +223,12 @@ class TestSerialization:
 
     def test_blank_lines_skipped_in_nonzero_length_code(self):
         code = read_cover("\ncover 2 3 1 2\n\n000\n\n111\n\n")
-        assert code == BinaryCoveringCode(3, 1, ((0, 0, 0), (1, 1, 1)))
+        assert code == CoveringCode(2, 3, 1, ((0, 0, 0), (1, 1, 1)))
 
-    @pytest.mark.parametrize("alphabet", [2, 10])
+    @pytest.mark.parametrize("alphabet", [10])
     def test_kary_alphabet_without_digit_form_rejected(self, alphabet):
-        # a K=2 file would read back as a binary code over symbols 0/1
-        code = KaryCoveringCode(alphabet, 2, 1, ((1, 2), (2, 1)))
+        # above 9 a symbol is not one digit
+        code = CoveringCode(alphabet, 2, 1, ((1, 2), (2, 1)))
         with pytest.raises(ValueError, match="alphabet"):
             write_cover(code)
 
@@ -281,10 +304,7 @@ def test_ball_engine_against_hamming_distance(alphabet, length):
     for radius in range(length + 1):
         drawn = [tuple(map(int, rng.choice(space))) for _ in range(rng.randrange(12))]
         words = tuple(drawn + rng.choices(drawn, k=len(drawn) // 3))
-        if alphabet == 2:
-            code = BinaryCoveringCode(length, radius, words)
-        else:
-            code = KaryCoveringCode(alphabet, length, radius, words)
+        code = CoveringCode(alphabet, length, radius, words)
         within = _within(code, space)
         ok, hole = verify_cover(code)
         assert (ok, hole) == _reference_verify(code, within, space)
