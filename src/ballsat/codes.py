@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 from pathlib import Path
@@ -253,7 +254,8 @@ def read_cover(text: str) -> CoveringCode:
     if start is None or not lines[start].startswith("cover "):
         raise ValueError("missing cover header")
     parts = lines[start].split()
-    if len(parts) != 5:
+    # ASCII digits only (int() also reads "1_0" and other scripts'); "-" gets to the range checks
+    if len(parts) != 5 or not all(re.fullmatch(r"-?[0-9]+", field) for field in parts[1:]):
         raise ValueError(f"malformed cover header {lines[start]!r}")
     alphabet, word_length, radius, count = map(int, parts[1:])
     # the alphabets write_cover emits; the shapes every builder accepts
@@ -271,38 +273,48 @@ def read_cover(text: str) -> CoveringCode:
     symbols = range(code.first, code.first + alphabet)
     words = []
     for ln in body:
-        word = tuple(int(ch) for ch in ln.strip())
+        word = ln.strip()
         if len(word) != word_length:
             raise ValueError(f"codeword {ln!r} has wrong length")
-        if not all(sym in symbols for sym in word):
+        if not all(ch in "0123456789" and int(ch) in symbols for ch in word):
             raise ValueError(f"codeword {ln!r} has a symbol outside {symbols}")
-        words.append(word)
+        words.append(tuple(map(int, word)))
     return replace(code, codewords=tuple(words))
 
 
 @functools.lru_cache(maxsize=16)
-def _build_cover(alphabet: int, length: int, radius: int) -> CoveringCode:
-    """Built covers, cached per process; a K-ary code is seeded by its shape.
+def _build_cover(alphabet: int, length: int, radius: int, text: str | None = None) -> CoveringCode:
+    """The code of a shape, cached per process: read from a cover file's text, else built.
 
-    A K-ary code is pruned here, once per process: each of its words is
-    a descent branch.  Building and pruning takes about 3 ms for (4, 4, 1),
-    0.4 s for (6, 6, 1) and 7.1 s for (7, 7, 1) (2 vCPU, CPython 3.11).
+    A text is shape-checked and verified; a built K-ary code is seeded by
+    its shape.  A K-ary code is pruned here, once per process and text:
+    each of its words is a descent branch.  Building and pruning takes
+    about 3 ms for (4, 4, 1), 0.4 s for (6, 6, 1) and 7.1 s for (7, 7, 1)
+    (2 vCPU, CPython 3.11).
     """
-    if alphabet == 2:
-        return build_binary_cover(length, radius=radius)
-    return prune_cover(
-        build_kary_cover(alphabet, length, radius, alphabet * 10007 + length * 101 + radius)
-    )
+    if text is None:
+        if alphabet == 2:
+            return build_binary_cover(length, radius=radius)
+        code = build_kary_cover(alphabet, length, radius, alphabet * 10007 + length * 101 + radius)
+    else:
+        code = read_cover(text)
+        shape = (code.alphabet, code.word_length, code.radius)
+        if shape != (alphabet, length, radius):
+            raise ValueError(f"shape does not match: {shape}, want {(alphabet, length, radius)}")
+        ok, witness = verify_cover(code)
+        if not ok:
+            raise ValueError(f"does not cover {witness}")
+    return code if alphabet == 2 else prune_cover(code)
 
 
 def cover(alphabet: int, length: int, radius: int, cache_dir: str | Path | None = None) -> CoveringCode:
     """The solver's code of this shape: the greedy sweep cover at alphabet 2, else the repair code.
 
-    A file in `cache_dir` always wins: it is read, shape-checked and
-    verified on every call, and a missing one is built and written.  A
-    K-ary file is pruned like a built code; pruning is idempotent, so a
-    file of the unpruned draw gives the same code.  A cache path that
-    cannot be used raises ValueError naming it.
+    A file in `cache_dir` always wins: it is read on every call and checked
+    once per text per process, so an edited file is checked again; a
+    missing one is built and written.  A K-ary file is pruned like a built
+    code; pruning is idempotent, so a file of the unpruned draw gives the
+    same code.  A cache path that cannot be used raises ValueError naming it.
     """
     if cache_dir is None:
         return _build_cover(alphabet, length, radius)
@@ -312,14 +324,7 @@ def cover(alphabet: int, length: int, radius: int, cache_dir: str | Path | None 
         name = f"kary-{alphabet}-t{length}-s{radius}.cover"
     path = Path(cache_dir) / name
     try:
-        code = read_cover(path.read_text())
-        shape = (code.alphabet, code.word_length, code.radius)
-        if shape != (alphabet, length, radius):
-            raise ValueError(f"shape does not match: {shape}, want {(alphabet, length, radius)}")
-        ok, witness = verify_cover(code)
-        if not ok:
-            raise ValueError(f"does not cover {witness}")
-        return code if alphabet == 2 else prune_cover(code)
+        return _build_cover(alphabet, length, radius, path.read_text())
     except FileNotFoundError:
         pass
     except (OSError, ValueError) as exc:

@@ -3,14 +3,13 @@
 A word over {1..K} drives repair steps: each symbol picks a literal of
 the first falsified clause (wrapping modulo clause width) and flips its
 variable.  Once the formula is satisfied the remaining symbols are
-no-ops, so every satisfying prefix stays satisfying.  Variables in the
-`fixed` mask never flip and clauses narrow to their other literals: on
-a center holding the fixed values, this is the walk on the restriction.
+no-ops, so every satisfying prefix stays satisfying.  A walk returns its
+packed endpoint, which satisfies f iff f.read of it is 0.  Variables in
+the `fixed` mask never flip and clauses narrow to their other literals:
+on a center holding the fixed values, this is the walk on the restriction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +20,13 @@ from .formula import Assignment, Formula, first_unsat_clause, pack  # noqa: F401
 FlipSequence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FlipOutcome:
-    candidate: int            # packed endpoint
-    value: int                # 1 iff candidate satisfies the formula
-
-
 def _narrowed_flips(f: Formula, idx: int, fixed: int) -> list[int]:
     """Variable bits outside `fixed` of clause idx, in clause order."""
     return [b for b in f.flips[idx] if not b & fixed]
 
 
-def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> FlipOutcome:
-    """Run the walk for one choice word from the packed center and return its endpoint."""
+def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> int:
+    """Run the walk for one choice word from the packed center and return its packed endpoint."""
     read, x = f.read, center
     for choice in seq:
         unsat = read(x)
@@ -41,7 +34,7 @@ def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> FlipOutc
             break
         flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
         x ^= flips[(choice - 1) % len(flips)]
-    return FlipOutcome(x, 0 if read(x) else 1)
+    return x
 
 
 def marked_mask(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
@@ -82,14 +82,14 @@ class Formula:
     def read(self) -> Callable[[int], int]:
         """x -> mask of the clauses the packed assignment x falsifies, clause i at bit i.
 
-        Built once per formula; unrolled up to 24 variables, where a missing
-        row satisfies nothing."""
-        rows, full = self.sat_table, (1 << len(self.clauses)) - 1
-        if len(rows) > 3:
-            chunks = tuple(enumerate(rows))
-            return lambda x: full ^ reduce(int.__or__, (r[x >> 8 * c & 255] for c, r in chunks))
-        r0, r1, r2 = (*rows, (0,), (0,), (0,))[:3]
-        return lambda x: full ^ (r0[x & 255] | r1[x >> 8 & 255] | r2[x >> 16])
+        Built once per formula as one expression, unrolled from source that
+        holds only integer literals and row names (as dataclasses builds
+        __init__): one table lookup per 8-variable chunk, at any size."""
+        top = len(self.sat_table) - 1   # unmasked: the top chunk's row is as long as its bits allow
+        terms = [f"r{c}[x{f' >> {8 * c}' * (c > 0)}{' & 255' * (c < top)}]" for c in range(top + 1)]
+        rows = "".join(f", r{c}" for c in range(top + 1))
+        make = eval(f"lambda full{rows}: lambda x: full ^ ({' | '.join(terms) or 0})")
+        return make((1 << len(self.clauses)) - 1, *self.sat_table)
 
     @cached_property
     def flips(self) -> tuple[tuple[int, ...], ...]:
@@ -124,6 +124,13 @@ class Formula:
         return "\n".join(lines) + "\n"
 
 
+def _decimal(tok: str) -> int:
+    """int(tok) for [+-]?[0-9]+ only: int() also reads "1_0" as 10, and other scripts' digits."""
+    if not tok.isascii() or "_" in tok:   # with no whitespace, that leaves int() only [+-]?[0-9]+
+        raise ValueError(f"not a decimal integer: {tok!r}")
+    return int(tok)
+
+
 def parse_dimacs(text: str) -> Formula:
     """Parse DIMACS CNF.
 
@@ -138,8 +145,7 @@ def parse_dimacs(text: str) -> Formula:
     num_vars: int | None = None
     declared = 0
     clauses: list[Clause] = []
-    current: list[int] = []
-    seen: set[int] = set()
+    current: dict[int, None] = {}   # the clause's literals, each first occurrence in order
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -155,7 +161,7 @@ def parse_dimacs(text: str) -> Formula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(line_no, f"malformed header {stripped!r}")
             try:
-                num_vars, declared = int(parts[2]), int(parts[3])
+                num_vars, declared = map(_decimal, parts[2:])
             except ValueError:
                 raise ParseError(line_no, f"malformed header {stripped!r}") from None
             if num_vars < 0 or declared < 0:
@@ -165,7 +171,7 @@ def parse_dimacs(text: str) -> Formula:
             raise ParseError(line_no, "clause data before 'p cnf' header")
         for tok in stripped.split():
             try:
-                lit = int(tok)
+                lit = _decimal(tok)
             except ValueError:
                 raise ParseError(line_no, f"bad token {tok!r}") from None
             if lit == 0:
@@ -173,16 +179,10 @@ def parse_dimacs(text: str) -> Formula:
                     raise ParseError(line_no, "empty clause")
                 clauses.append(tuple(current))
                 current.clear()
-                seen.clear()
+            elif abs(lit) > num_vars:
+                raise ParseError(line_no, f"variable {abs(lit)} out of declared range {num_vars}")
             else:
-                if abs(lit) > num_vars:
-                    raise ParseError(
-                        line_no,
-                        f"variable {abs(lit)} out of declared range {num_vars}",
-                    )
-                if lit not in seen:
-                    seen.add(lit)
-                    current.append(lit)
+                current[lit] = None
     if num_vars is None:
         raise ParseError(last_line or 1, "missing 'p cnf' header")
     if current:

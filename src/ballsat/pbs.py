@@ -89,8 +89,8 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     N = K^r words whose walk succeeds, the closed form gives the marked
     probability p, and each retry measures a word from p/M per marked
     and (1-p)/(N-M) per unmarked word.  Retries multiply only the query
-    count.  The measured word is walked once more for its candidate,
-    which must agree with its mark.  Variables in `inst.fixed` never flip.
+    count.  The measured word is walked again: its endpoint satisfies f
+    iff the word is marked.  Variables in `inst.fixed` never flip.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
     marked = marked_mask(f, center, radius, k, inst.fixed)
@@ -98,8 +98,9 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
     for attempt in range(max(1, rt.retries)):
         index = measure(cdf, rt.rng)
-        out = walk(f, center, _kary_word(index, k, radius), inst.fixed)
-        if out.value != marked[index]:
+        candidate = walk(f, center, _kary_word(index, k, radius), inst.fixed)
+        hit = not f.read(candidate)
+        if hit != marked[index]:
             raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
         rt.records.append(
             QuantumCallRecord(
@@ -108,12 +109,12 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
                 radius,
                 schedule.L,
                 schedule.queries,
-                "sat" if out.value else "false",
+                "sat" if hit else "false",
                 attempt,
             )
         )
-        if out.value:
-            return out.candidate
+        if hit:
+            return candidate
     rt.groups_failed += 1
     return None
 

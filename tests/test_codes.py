@@ -244,6 +244,21 @@ class TestSerialization:
             read_cover(text)
 
     @pytest.mark.parametrize("text,message", [
+        pytest.param("cover 2 1_0 3 0\n", "malformed cover header", id="underscore-length"),
+        pytest.param("cover \u0663 1 0 3\n1\n2\n3\n", "malformed cover header", id="arabic-indic-alphabet"),
+        pytest.param("cover 2 +3 1 2\n000\n111\n", "malformed cover header", id="plus-length"),
+        pytest.param("cover 3 2 1 1\n1\u0663\n", "outside", id="arabic-indic-symbol"),
+        pytest.param("cover 2 2 1 1\n0\uff11\n", "outside", id="fullwidth-symbol"),
+        pytest.param("cover 3 2 1 1\n1+\n", "outside", id="sign-symbol"),
+    ])
+    def test_fields_and_symbols_are_ascii_digits(self, text, message):
+        # int() alone reads "1_0" as 10, U+0663 as 3 and U+FF11 as 1; the
+        # error names the header or codeword line
+        with pytest.raises(ValueError, match=message) as err:
+            read_cover(text)
+        assert repr(text.splitlines()[0 if "header" in message else -1]) in str(err.value)
+
+    @pytest.mark.parametrize("text,message", [
         pytest.param("cover 1 3 1 1\n111\n", "alphabet", id="alphabet-1"),
         pytest.param("cover 0 0 0 1\n\n", "alphabet", id="alphabet-0"),
         pytest.param("cover 3 3 4 1\n111\n", "radius", id="kary-radius-above-length"),

@@ -15,30 +15,29 @@ SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 
 class TestWalk:
     def test_single_step_flips_chosen_literal(self):
-        out = walk(SINGLE, 0, (2,))
-        assert out.candidate == pack((0, 1, 0))
-        assert out.value == 1
+        end = walk(SINGLE, 0, (2,))
+        assert end == pack((0, 1, 0))
+        assert not SINGLE.read(end)
 
     def test_symbol_wraps_modulo_width(self):
         f = parse_dimacs("p cnf 3 2\n1 2 0\n3 0\n")
         # width-2 clause, symbol 3 wraps to position 0 -> literal 1
-        out = walk(f, 0, (3,))
-        assert out.candidate == pack((1, 0, 0))
+        assert walk(f, 0, (3,)) == pack((1, 0, 0))
 
     def test_reflip_leaves_the_set(self):
         f = parse_dimacs("p cnf 3 2\n1 2 3 0\n-2 0\n")
-        out = walk(f, 0, (2, 1))
-        assert out.candidate == 0
-        assert out.value == 0
+        end = walk(f, 0, (2, 1))
+        assert end == 0
+        assert f.read(end)
 
     def test_satisfied_formula_ignores_remaining_symbols(self):
-        out = walk(SINGLE, 0, (1, 3, 2))
-        assert out.candidate == pack((1, 0, 0))
-        assert out.value == 1
+        end = walk(SINGLE, 0, (1, 3, 2))
+        assert end == pack((1, 0, 0))
+        assert not SINGLE.read(end)
 
     def test_empty_sequence(self):
-        out = walk(SINGLE, pack((1, 0, 0)), ())
-        assert out.value == 1 and out.candidate == pack((1, 0, 0))
+        end = walk(SINGLE, pack((1, 0, 0)), ())
+        assert not SINGLE.read(end) and end == pack((1, 0, 0))
 
     def test_flip_set_bounded_by_length(self):
         rng = random.Random(5)
@@ -47,8 +46,8 @@ class TestWalk:
             center = random_assignment(6, rng)
             r = rng.randrange(4)
             seq = tuple(rng.randrange(1, 4) for _ in range(r))
-            out = walk(f, pack(center), seq)
-            assert (out.candidate ^ pack(center)).bit_count() <= r
+            end = walk(f, pack(center), seq)
+            assert (end ^ pack(center)).bit_count() <= r
 
 
 class TestMarkedFraction:
@@ -69,7 +68,7 @@ class TestMarkedFraction:
             r = rng.randrange(3)
             frac, marked = marked_fraction(f, center, r, 3)
             direct = sum(
-                walk(f, pack(center), seq).value
+                not f.read(walk(f, pack(center), seq))
                 for seq in product((1, 2, 3), repeat=r)
             )
             assert marked == direct
@@ -94,7 +93,7 @@ class TestMarkedFraction:
 def walk_mask(f, center, radius, alphabet):
     """Reference marking: one walk per word, lexicographic order."""
     return [
-        walk(f, pack(center), seq).value
+        not f.read(walk(f, pack(center), seq))
         for seq in product(range(1, alphabet + 1), repeat=radius)
     ]
 

@@ -76,6 +76,24 @@ class TestParse:
             parse_dimacs("p cnf 2 1\n1 x 0\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("text,line,message", [
+        pytest.param("p cnf 10 1\n1_0 0\n", 2, "bad token", id="underscore-literal"),
+        pytest.param("p cnf 3 1\n\u0663 0\n", 2, "bad token", id="arabic-indic-literal"),
+        pytest.param("p cnf 3 1\n\uff11 0\n", 2, "bad token", id="fullwidth-literal"),
+        pytest.param("p cnf 3 1\n-\u0661 0\n", 2, "bad token", id="signed-arabic-indic-literal"),
+        pytest.param("c x\np cnf 1_0 1\n10 0\n", 2, "malformed header", id="underscore-vars"),
+        pytest.param("p cnf 3 \u0661\n1 0\n", 1, "malformed header", id="arabic-indic-count"),
+    ])
+    def test_integers_are_ascii_decimal(self, text, line, message):
+        # int() alone reads "1_0" as 10 and U+0663 as 3
+        with pytest.raises(ParseError, match=message) as err:
+            parse_dimacs(text)
+        assert err.value.line_no == line
+
+    def test_signed_literals_and_leading_zeros_accepted(self):
+        f = parse_dimacs("p cnf +3 1\n+1 -02 003 0\n")
+        assert f == Formula(3, ((1, -2, 3),))
+
     def test_satlib_trailer_ends_input(self):
         f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
         assert f.clauses == ((1, -2), (2, 3))
@@ -302,11 +320,11 @@ def kernel_formula(n, m, rng):
     return Formula(n, tuple(clauses))
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 23, 25, 33])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 23, 25, 33, 40, 46, 47])
 @pytest.mark.parametrize("m", [0, 1, 70, 140])
 def test_sat_table_reads_equal_clause_scans(n, m):
-    # n crosses the 8-variable chunk edges and the unrolled 24-variable read,
-    # m crosses 64-bit words of the clause mask
+    # n crosses the 8-variable chunk edges up to past 46, the most a solve
+    # admits; m crosses 64-bit words of the clause mask
     rng = random.Random(1000 * n + m)
     f = kernel_formula(n, m, rng)
     assert [len(row) for row in f.sat_table] == [
@@ -328,8 +346,9 @@ def test_sat_table_reads_equal_clause_scans(n, m):
 
 
 def test_a_read_formula_pickles():
-    # dispatch messages stay plain data after the reader is cached
-    f = parse_dimacs(EXAMPLE)
-    unsat = f.read(0)
-    g = pickle.loads(pickle.dumps(f))
-    assert g == f and g.read(0) == unsat
+    # dispatch messages stay plain data after the reader is cached, also
+    # for a reader of more than three chunks
+    for f in (parse_dimacs(EXAMPLE), kernel_formula(30, 40, random.Random(30))):
+        unsat = f.read(0)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.read(0) == unsat

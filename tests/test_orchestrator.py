@@ -402,6 +402,25 @@ class TestCoverCache:
         # every counter and record
         assert cached.stats == uncached.stats
 
+    def test_unchanged_file_checked_once_per_process(self, tmp_path, monkeypatch):
+        cfg = SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path)
+        first = solve(UNSAT3, cfg)   # writes bin-2-r0.cover and kary-3-t3-s1.cover
+        checks = []
+        real = codes.verify_cover
+        monkeypatch.setattr(codes, "verify_cover", lambda code: checks.append(code) or real(code))
+        codes._build_cover.cache_clear()
+        counts = []
+        for _ in range(4):
+            assert solve(UNSAT3, cfg).stats == first.stats
+            counts.append(len(checks))
+        # each file's first read: verify_cover once, and once more in the K-ary prune
+        assert counts == [3, 3, 3, 3]
+        # an edited file is a new text: checked again, the same code
+        kary = tmp_path / "kary-3-t3-s1.cover"
+        kary.write_text(kary.read_text() + "\n")
+        assert solve(UNSAT3, cfg).stats == first.stats
+        assert len(checks) == 5
+
     def test_cache_file_wins_over_earlier_build(self, tmp_path):
         cfg = SolveConfig(k=3, r_max=1)
         assert solve(SAT6, cfg).status == "SAT"
