@@ -101,30 +101,6 @@ def run(argv: list[str] | None = None) -> int:
     for warning in caught:
         print(f"c warning: {warning.message}", file=sys.stderr)
 
-    if args.mode == "brute":
-        try:
-            model = brute_sat(formula)
-        except ValueError as exc:
-            print(f"c {exc}", file=sys.stderr)
-            print("s UNKNOWN")
-            return EXIT_UNKNOWN
-        if model is not None:
-            print("s SATISFIABLE")
-            _print_model(model)
-            return EXIT_SAT
-        print("s UNSATISFIABLE")
-        return EXIT_UNSAT
-
-    cfg = SolveConfig(
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-        retries=args.retries,
-        seed=args.seed,
-        r_max=args.r_max,
-        mode=args.mode,
-        cover_cache=args.cover_cache,
-    )
     # opened before solving so an unwritable path fails before the work
     try:
         stats_file = open(args.stats, "w") if args.stats else contextlib.nullcontext()
@@ -132,6 +108,29 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     with stats_file as fh:
+        if args.mode == "brute":   # no quantum call: --stats stays empty
+            try:
+                model = brute_sat(formula)
+            except ValueError as exc:
+                print(f"c {exc}", file=sys.stderr)
+                print("s UNKNOWN")
+                return EXIT_UNKNOWN
+            if model is not None:
+                print("s SATISFIABLE")
+                _print_model(model)
+                return EXIT_SAT
+            print("s UNSATISFIABLE")
+            return EXIT_UNSAT
+        cfg = SolveConfig(
+            k=args.k,
+            epsilon=args.epsilon,
+            workers=args.workers,
+            retries=args.retries,
+            seed=args.seed,
+            r_max=args.r_max,
+            mode=args.mode,
+            cover_cache=args.cover_cache,
+        )
         try:
             rm = None
             # classical mode never reads the model, so its constants cannot fail it

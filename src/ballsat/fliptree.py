@@ -7,6 +7,8 @@ no-ops, so every satisfying prefix stays satisfying.  A walk returns its
 packed endpoint, which satisfies f iff f.read of it is 0.  Variables in
 the `fixed` mask never flip and clauses narrow to their other literals:
 on a center holding the fixed values, this is the walk on the restriction.
+A clause the fixed values empty is the restriction's CONFLICT: the walk
+stops there, and no word through it is marked.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> int:
         if not unsat:
             break
         flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
+        if not flips:
+            break
         x ^= flips[(choice - 1) % len(flips)]
     return x
 
@@ -68,6 +72,8 @@ def marked_mask(
             return
         flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
         width = len(flips)
+        if not width:
+            return
         span //= alphabet
         for choice in range(alphabet):
             start = lo + choice * span

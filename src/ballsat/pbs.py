@@ -5,11 +5,11 @@ decide whether a satisfying assignment lies in the Hamming ball.  The
 center holds the variables of the `fixed` mask at their prefix values;
 the search never flips them and reads each clause narrowed to its
 other variables: the search on restrict(f, binding of fixed).  The
-quantum leaf amplifies over flip words; the classical descent branches
-on literals of the first falsified clause; the hybrid recursion steers
-long jumps through a K-ary covering code over clause-repair choices.
-FALSE returns are one-sided: each quantum group errs with probability
-at most eps^(2R).
+quantum leaf amplifies over flip words.  One descent serves the
+classical and the hybrid search: a node branches on literals of the
+first falsified clause or, given the K-ary repair code, steers long
+jumps through it over clause-repair choices.  FALSE returns are
+one-sided: each quantum group errs with probability at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -120,6 +120,7 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
 
 
 State = tuple[int, int, int]   # (x, free, falsified), packed ints
+Branch = tuple[int, State, int]   # (score, state, radius)
 
 
 def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
@@ -139,56 +140,10 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     Each branch binds one literal true and recurses at radius - 1 (the
     bound variable leaves the formula, and a ball witness loses one
     disagreement with the center).  At radius <= r_max the quantum leaf
-    takes over at radius r_max.  Each node is an immutable
-    (x, free, falsified) state, and every assignment the descent returns
-    is a packed model of inst.formula: a state's x once it falsifies no
-    clause, or a leaf model started from it.  Nothing is restricted.
+    takes over at radius r_max.  Every assignment the descent returns is
+    a packed model of inst.formula.
     """
-    f = inst.formula
-    free = ((1 << f.num_vars) - 1) ^ inst.fixed
-    return _classical(inst, rt, inst.center, free, f.read(inst.center), inst.radius)
-
-
-def _classical(
-    inst: PbsInstance, rt: PbsRuntime, x: int, free: int, falsified: int, radius: int
-) -> int | None:
-    """kqcpbs on restrict(inst.formula, the binding x holds off `free`).
-
-    Every literal of a falsified clause is false at x, so binding one
-    true flips its variable.  Branches run fewest-falsified-clauses
-    first, ties in clause order; a branch whose binding empties a clause
-    is skipped.  The leaf runs on inst.formula, centered on x, with the
-    variables outside `free` fixed: its marks and draws are those of the
-    restricted formula, and its model keeps the binding.
-    """
-    if not falsified:
-        return x
-    if radius <= 0:
-        return None
-    f = inst.formula
-    if radius <= inst.r_max:
-        held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
-        return quantum_kpbs(replace(inst, center=x, radius=inst.r_max, fixed=held), rt)
-    branches = []
-    for b in _narrowed_flips(f, (falsified & -falsified).bit_length() - 1, ~free):
-        state = _state(f.read, x ^ b, free ^ b)
-        if state is not None:
-            branches.append((state[2].bit_count(), state, radius - 1))
-    return _run_branches(inst, rt, branches)
-
-
-Branch = tuple[int, State, int]   # (score, state, radius)
-
-
-def _run_branches(inst: PbsInstance, rt: PbsRuntime, branches: list[Branch]) -> int | None:
-    """Descend into (score, state, radius) branches, lowest score first, ties in order."""
-    branches.sort(key=lambda b: b[0])
-    for _, state, radius in branches:
-        rt.branches += 1
-        model = _classical(inst, rt, *state, radius)
-        if model is not None:
-            return model
-    return None
+    return _search(inst, None, rt)
 
 
 def _block_points(
@@ -226,13 +181,15 @@ def modify_assignment(
 
     x is packed; each clause is narrowed to its variables outside `fixed`.
     Symbols wrap modulo narrowed width; the clauses must be pairwise
-    variable-disjoint so the flips commute.
+    variable-disjoint so the flips commute, and none may be emptied.
     """
     if len(clause_indices) != len(word):
         raise ValueError("clause list and repair word differ in length")
     seen = 0
     for idx, choice in zip(clause_indices, word):
         flips = _narrowed_flips(f, idx, fixed)
+        if not flips:
+            raise ValueError(f"clause {idx} has no variable outside the held mask")
         cvars = f.clause_vars[idx] & ~fixed
         if cvars & seen:
             raise ValueError("clauses share variables")
@@ -252,30 +209,66 @@ def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | 
     words on the first t clauses, shrinking the radius by t/K, so the
     first radius at or below r_max lies within t/K of it.
     """
-    f, center, fixed, t = inst.formula, inst.center, inst.fixed, code.word_length
-    unsat = f.read(center)
-    if not unsat:
-        return center
-    if inst.radius <= 0:
+    return _search(inst, code, rt)
+
+
+def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int | None:
+    """The descent from inst's center; None at once if the held variables empty a clause."""
+    f = inst.formula
+    root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
+    return None if root is None else _descend(inst, code, rt, root, inst.radius)
+
+
+def _descend(
+    inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime, state: State, radius: int
+) -> int | None:
+    """The ball search on restrict(inst.formula, the binding x holds off `free`).
+
+    With no code, a node branches on the literals of its first falsified
+    clause: every one is false at x, so binding it true flips its
+    variable, and a binding that empties a clause is skipped.  With the
+    repair code, a node branches on the block points of a small disjoint
+    group G of falsified clauses, whose subtrees go on without the code,
+    or jumps through the code's words on the first t clauses of a large G.
+    Branches run fewest-falsified-clauses first, ties in order.  The
+    leaf runs on inst.formula, centered on x, with the variables outside
+    `free` fixed, at radius r_max below a literal branch and at the
+    node's own radius below a jump: its marks and draws are those of the
+    restricted formula, and its model keeps the binding.
+    """
+    x, free, falsified = state
+    if not falsified:
+        return x
+    if radius <= 0:
         return None
-    if inst.radius <= inst.r_max:
-        # first time below the cap: radius is in (r_max - t/K, r_max]
-        return quantum_kpbs(inst, rt)
-    group = max_disjoint_unsat(f, unsat, fixed)
-    if len(group) <= t:
-        block = functools.reduce(int.__or__, (f.clause_vars[i] for i in group)) & ~fixed
-        block_vars = [v for v in range(1, f.num_vars + 1) if block >> (v - 1) & 1]
-        root = (center, ((1 << f.num_vars) - 1) ^ fixed, unsat)
-        return _run_branches(inst, rt, _block_points(f.read, root, block_vars, inst.radius))
-    batch = group[:t]
-    moves = []
-    for word in code.codewords:
-        moved = modify_assignment(f, center, batch, word, fixed)
-        moves.append((f.read(moved).bit_count(), moved))
-    moves.sort(key=lambda m: m[0])
-    for _, moved in moves:
+    f = inst.formula
+    if radius <= inst.r_max:
+        held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
+        leaf_radius = inst.r_max if code is None else radius
+        return quantum_kpbs(replace(inst, center=x, radius=leaf_radius, fixed=held), rt)
+    if code is None:
+        branches = []
+        for b in _narrowed_flips(f, (falsified & -falsified).bit_length() - 1, ~free):
+            child = _state(f.read, x ^ b, free ^ b)
+            if child is not None:
+                branches.append((child[2].bit_count(), child, radius - 1))
+    else:
+        group, t = max_disjoint_unsat(f, falsified, ~free), code.word_length
+        if len(group) <= t:
+            block = functools.reduce(int.__or__, (f.clause_vars[i] for i in group)) & free
+            block_vars = [v for v in range(1, f.num_vars + 1) if block >> (v - 1) & 1]
+            branches = _block_points(f.read, state, block_vars, radius)
+            code = None
+        else:
+            branches, batch = [], group[:t]
+            for word in code.codewords:
+                moved = modify_assignment(f, x, batch, word, ~free)
+                after = f.read(moved)
+                branches.append((after.bit_count(), (moved, free, after), radius - code.radius))
+    branches.sort(key=lambda b: b[0])
+    for _, state, rest in branches:
         rt.branches += 1
-        got = kpbs_hybrid(replace(inst, center=moved, radius=inst.radius - code.radius), code, rt)
-        if got is not None:
-            return got
+        model = _descend(inst, code, rt, state, rest)
+        if model is not None:
+            return model
     return None

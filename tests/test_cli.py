@@ -303,6 +303,18 @@ class TestModes:
     def test_brute_unsat(self, unsat_file, capsys):
         assert run(["--input", unsat_file, "--mode", "brute"]) == 20
 
+    def test_brute_honours_stats(self, unsat_file, tmp_path, capsys):
+        # no amplified call, so an empty file; an unwritable path fails like the other modes
+        stats = tmp_path / "calls.jsonl"
+        assert run(["--input", unsat_file, "--mode", "brute", "--stats", str(stats)]) == 20
+        assert stats.read_text() == ""
+        capsys.readouterr()
+        missing = tmp_path / "missing" / "calls.jsonl"
+        assert run(["--input", unsat_file, "--mode", "brute", "--stats", str(missing)]) == 1
+        out, err = capsys.readouterr()
+        assert f"error: cannot write {missing}" in err
+        assert out == ""
+
     def test_brute_too_large(self, tmp_path, capsys):
         p = tmp_path / "big.cnf"
         p.write_text("p cnf 30 1\n1 2 3 0\n")

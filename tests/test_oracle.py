@@ -26,7 +26,8 @@ def test_brute_unsat_returns_none():
 
 
 def test_brute_guard():
-    f = parse_dimacs("p cnf 25 1\n1 0\n")
+    # the all-zero assignment, enumerated first, satisfies it
+    f = parse_dimacs("p cnf 25 1\n-1 0\n")
     with pytest.raises(ValueError):
         brute_sat(f)
     assert brute_sat(f, max_vars=25) is not None

@@ -13,7 +13,7 @@ import pytest
 
 from ballsat import CONFLICT, parse_dimacs
 from ballsat.codes import build_kary_cover
-from ballsat.fliptree import _narrowed_flips
+from ballsat.fliptree import _narrowed_flips, marked_mask, walk
 from ballsat.formula import (
     first_unsat_clause,
     max_disjoint_unsat,
@@ -30,6 +30,8 @@ from ballsat.pbs import (
     descent_t,
     kpbs_hybrid,
     kqcpbs,
+    modify_assignment,
+    quantum_kpbs,
 )
 
 from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
@@ -258,4 +260,66 @@ class TestHeldPrefix:
             ]
             assert narrowed == [sub.clauses[j] for j in ref_disjoint(sub, center)]
             seen["groups"] += len(group) > 1
+        assert all(seen.values()), seen
+
+
+def searches_find_nothing(inst, code):
+    """kqcpbs and kpbs_hybrid both return None with no branch and no leaf record."""
+    for search in (lambda rt: kqcpbs(inst, rt), lambda rt: kpbs_hybrid(inst, code, rt)):
+        rt = PbsRuntime(seed=(0,))
+        if search(rt) is not None or rt.branches or rt.records:
+            return False
+    return True
+
+
+class TestHeldConflict:
+    """A held mask that empties a falsified clause is restrict's CONFLICT at every layer."""
+
+    CODE = build_kary_cover(3, 3, 1, seed=0)
+
+    def test_emptied_unit_clause(self):
+        f = parse_dimacs("p cnf 3 2\n1 0\n2 3 0\n")
+        assert restrict(f, {1: 0}) is CONFLICT
+        assert walk(f, 0, (1, 2, 3), fixed=0b1) == 0
+        assert not marked_mask(f, 0, 2, 3, fixed=0b1).any()
+        assert quantum_kpbs(PbsInstance(f, 0, 2, 2, 0.1, 3, 0b1), PbsRuntime(seed=(0,))) is None
+        with pytest.raises(ValueError, match="clause 0 "):
+            modify_assignment(f, 0, [0], (1,), fixed=0b1)
+
+    def test_jump_over_an_emptied_clause(self):
+        # five falsified disjoint clauses, more than t = 3: the node would jump
+        f = parse_dimacs("p cnf 13 5\n1 0\n2 3 4 0\n5 6 7 0\n8 9 10 0\n11 12 13 0\n")
+        assert restrict(f, {1: 0}) is CONFLICT
+        assert len(max_disjoint_unsat(f, f.read(0), 0b1)) > self.CODE.word_length
+        assert searches_find_nothing(PbsInstance(f, 0, 4, 1, 0.1, 3, 0b1), self.CODE)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_conflicts_agree_with_restrict(self, seed):
+        rng = random.Random(900 + seed)
+        seen = {"conflicts": 0, "first_emptied": 0, "jumps": 0}
+        for _ in range(150):
+            n = rng.randrange(3, 14)
+            f = mixed_formula(n, rng.randrange(n, 4 * n), rng)
+            fixed = sum(1 << (v - 1) for v in rng.sample(range(1, n + 1), rng.randrange(1, n)))
+            x = pack(random_assignment(n, rng))
+            if restrict(f, binding_of(n, x, ~fixed)) is not CONFLICT:
+                continue
+            seen["conflicts"] += 1
+            falsified = f.read(x)
+            emptied = [i for i in range(len(f.clauses)) if falsified >> i & 1
+                       and not f.clause_vars[i] & ~fixed]
+            seen["first_emptied"] += (falsified & -falsified).bit_length() - 1 in emptied
+            radius = rng.randrange(1, 5)
+            word = tuple(rng.randrange(1, 4) for _ in range(radius))
+            end = walk(f, x, word, fixed)
+            assert f.read(end) and end & fixed == x & fixed
+            assert not marked_mask(f, x, radius, 3, fixed).any()
+            with pytest.raises(ValueError, match=f"clause {emptied[0]} "):
+                modify_assignment(f, x, [emptied[0]], (1,), fixed)
+            r_max = rng.randrange(radius)
+            inst = PbsInstance(f, x, radius, r_max, 0.2, 3, fixed)
+            assert quantum_kpbs(inst, PbsRuntime(seed=(seed,))) is None
+            assert searches_find_nothing(inst, self.CODE)
+            seen["jumps"] += len(max_disjoint_unsat(f, falsified, fixed)) > 3
+        # the sample holds conflicts the walk meets first and nodes that would jump
         assert all(seen.values()), seen
