@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
@@ -38,6 +38,20 @@ class _Conflict:
 
 
 CONFLICT = _Conflict()
+
+
+@lru_cache(maxsize=None)   # one entry per chunk count: a solve admits at most 46 variables, 6 chunks
+def _reader_factory(chunks: int) -> Callable[..., Callable[[int], int]]:
+    """(full, r0, ..., r{chunks-1}) -> the clause reader over those sat_table rows.
+
+    One expression, unrolled from source that holds only integer literals
+    and row names (as dataclasses builds __init__), compiled once per
+    chunk count.
+    """
+    top = chunks - 1   # unmasked: the top chunk's row is as long as its bits allow
+    terms = [f"r{c}[x{f' >> {8 * c}' * (c > 0)}{' & 255' * (c < top)}]" for c in range(chunks)]
+    rows = "".join(f", r{c}" for c in range(chunks))
+    return eval(f"lambda full{rows}: lambda x: full ^ ({' | '.join(terms) or 0})")
 
 
 @dataclass(frozen=True)
@@ -82,14 +96,9 @@ class Formula:
     def read(self) -> Callable[[int], int]:
         """x -> mask of the clauses the packed assignment x falsifies, clause i at bit i.
 
-        Built once per formula as one expression, unrolled from source that
-        holds only integer literals and row names (as dataclasses builds
-        __init__): one table lookup per 8-variable chunk, at any size."""
-        top = len(self.sat_table) - 1   # unmasked: the top chunk's row is as long as its bits allow
-        terms = [f"r{c}[x{f' >> {8 * c}' * (c > 0)}{' & 255' * (c < top)}]" for c in range(top + 1)]
-        rows = "".join(f", r{c}" for c in range(top + 1))
-        make = eval(f"lambda full{rows}: lambda x: full ^ ({' | '.join(terms) or 0})")
-        return make((1 << len(self.clauses)) - 1, *self.sat_table)
+        Built once per formula from `_reader_factory`: one table lookup per
+        8-variable chunk, at any size."""
+        return _reader_factory(len(self.sat_table))((1 << len(self.clauses)) - 1, *self.sat_table)
 
     @cached_property
     def flips(self) -> tuple[tuple[int, ...], ...]:

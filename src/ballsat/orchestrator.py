@@ -144,6 +144,14 @@ class SolveResult:
     stats: SolveStats
 
 
+def _subset_masks(bits: list[int]) -> list[int]:
+    """Entry i: the OR of the bits[j] for which i has bit j set."""
+    table = [0]
+    for b in bits:
+        table += [m | b for m in table]
+    return table
+
+
 def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> SolveResult:
     """Decide satisfiability of a formula that validates; SAT answers carry a re-verified model."""
     f.validate()
@@ -198,6 +206,12 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     lifted = [sum(bit << (v - 1) for v, bit in zip(free_vars, word)) for word in sweep.codewords]
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     order = order_rng.permutation(1 << cfg.k)
+    # decompose's entry at prefix_pos, packed: bit j of prefix_pos holds kvars[k - 1 - j];
+    # one table per half of the prefix bits (k <= 23, so at most 4,096 entries each)
+    half = cfg.k // 2
+    low_bits = (1 << half) - 1
+    bit_vars = [1 << (v - 1) for v in reversed(kvars)]
+    low_px, high_px = _subset_masks(bit_vars[:half]), _subset_masks(bit_vars[half:])
 
     stats = SolveStats()
 
@@ -206,14 +220,13 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         stats.failure_bound = min(1.0, stats.groups_failed * per_group)
         return SolveResult(status, model, stats)
 
-    for prefix_pos in map(int, order):
-        # decompose's entry at prefix_pos, held under the `fixed` mask
-        prefix_bits = tuple((prefix_pos >> j) & 1 for j in reversed(range(cfg.k)))
-        px = sum(bit << (v - 1) for v, bit in zip(kvars, prefix_bits))
+    read = f.read
+    for prefix_pos in order.tolist():
+        px = low_px[prefix_pos & low_bits] | high_px[prefix_pos >> half]
         # a clause falsified whatever the free variables hold is one the prefix empties
-        if f.read(px) & f.read(px | free_mask):
+        if read(px) & read(px | free_mask):
             continue
-        prefix_str = "".join(map(str, prefix_bits))
+        prefix_str = format(prefix_pos | 1 << cfg.k, "b")[1:]   # k digits, also for k = 0
         scored = []
         for ci, word in enumerate(lifted):
             center = word | px

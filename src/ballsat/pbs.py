@@ -5,11 +5,13 @@ decide whether a satisfying assignment lies in the Hamming ball.  The
 center holds the variables of the `fixed` mask at their prefix values;
 the search never flips them and reads each clause narrowed to its
 other variables: the search on restrict(f, binding of fixed).  The
-quantum leaf amplifies over flip words.  One descent serves the
-classical and the hybrid search: a node branches on literals of the
-first falsified clause or, given the K-ary repair code, steers long
-jumps through it over clause-repair choices.  FALSE returns are
-one-sided: each quantum group errs with probability at most eps^(2R).
+quantum leaf amplifies over flip words, each symbol repairing the
+first falsified clause.  One descent serves the classical and the
+hybrid search: a node branches on literals of its narrowest falsified
+clause (fewest unbound variables, ties to the lowest index) or, given
+the K-ary repair code, steers long jumps through it over clause-repair
+choices.  FALSE returns are one-sided: each quantum group errs with
+probability at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -134,14 +136,36 @@ def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
     return None if falsified & read(x ^ free) else (x, free, falsified)
 
 
-def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
-    """Classical descent: branch on literals of the first falsified clause.
+def _narrowest(clause_vars: tuple[int, ...], falsified: int, free: int) -> int:
+    """Index of the falsified clause with the fewest variables in `free`, ties to the lowest.
 
-    Each branch binds one literal true and recurses at radius - 1 (the
-    bound variable leaves the formula, and a ball witness loses one
-    disagreement with the center).  At radius <= r_max the quantum leaf
-    takes over at radius r_max.  Every assignment the descent returns is
-    a packed model of inst.formula.
+    Every falsified clause of a state has a free variable, so a width-1
+    clause ends the scan.
+    """
+    best, best_width = -1, free.bit_count() + 1
+    while falsified:
+        low = falsified & -falsified
+        falsified ^= low
+        i = low.bit_length() - 1
+        width = (clause_vars[i] & free).bit_count()
+        if width < best_width:
+            if width == 1:
+                return i
+            best, best_width = i, width
+    return best
+
+
+def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
+    """Classical descent: branch on literals of the narrowest falsified clause.
+
+    The narrowest clause has the fewest unbound variables, ties to the
+    lowest index, so a forced literal gets no siblings; the search stays
+    complete, since a ball witness differs from the center on a variable
+    of every falsified clause.  Each branch binds one literal true and
+    recurses at radius - 1 (the bound variable leaves the formula, and a
+    ball witness loses one disagreement with the center).  At radius
+    <= r_max the quantum leaf takes over at radius r_max.  Every
+    assignment the descent returns is a packed model of inst.formula.
     """
     return _search(inst, None, rt)
 
@@ -224,12 +248,13 @@ def _descend(
 ) -> int | None:
     """The ball search on restrict(inst.formula, the binding x holds off `free`).
 
-    With no code, a node branches on the literals of its first falsified
-    clause: every one is false at x, so binding it true flips its
-    variable, and a binding that empties a clause is skipped.  With the
-    repair code, a node branches on the block points of a small disjoint
-    group G of falsified clauses, whose subtrees go on without the code,
-    or jumps through the code's words on the first t clauses of a large G.
+    With no code, a node branches on the literals of its narrowest
+    falsified clause (`_narrowest`): every one is false at x, so binding
+    it true flips its variable, and a binding that empties a clause is
+    skipped.  With the repair code, a node branches on the block points
+    of a small disjoint group G of falsified clauses, whose subtrees go
+    on without the code, or jumps through the code's words on the first
+    t clauses of a large G.
     Branches run fewest-falsified-clauses first, ties in order.  The
     leaf runs on inst.formula, centered on x, with the variables outside
     `free` fixed, at radius r_max below a literal branch and at the
@@ -248,7 +273,7 @@ def _descend(
         return quantum_kpbs(replace(inst, center=x, radius=leaf_radius, fixed=held), rt)
     if code is None:
         branches = []
-        for b in _narrowed_flips(f, (falsified & -falsified).bit_length() - 1, ~free):
+        for b in _narrowed_flips(f, _narrowest(f.clause_vars, falsified, free), ~free):
             child = _state(f.read, x ^ b, free ^ b)
             if child is not None:
                 branches.append((child[2].bit_count(), child, radius - 1))

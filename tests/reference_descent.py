@@ -17,7 +17,6 @@ from itertools import product
 from ballsat.formula import (
     CONFLICT,
     evaluate,
-    first_unsat_clause,
     pack,
     restrict,
     unpack,
@@ -91,7 +90,10 @@ def _ref_kq(f, center, radius, inst, rt):
         return None
     if radius <= inst.r_max:
         return _leaf(f, center, inst.r_max, inst, rt)
-    clause = f.clauses[first_unsat_clause(f, center)]
+    # the narrowest falsified clause, ties to the lowest index; a falsified
+    # clause holds no literal and its negation, so its literals are its variables
+    falsified = [c for c in f.clauses if not satisfied(c, center)]
+    clause = min(falsified, key=lambda c: len(set(c)))
     bindings = (({abs(lit): 1 if lit > 0 else 0}, radius - 1) for lit in clause)
     return _ref_descend(f, center, inst, rt, bindings)
 

@@ -345,6 +345,14 @@ def test_sat_table_reads_equal_clause_scans(n, m):
         assert (unsat == 0) == (evaluate(f, a) == 1)
 
 
+def test_readers_of_one_chunk_count_share_one_compiled_factory():
+    rng = random.Random(17)
+    f, g, h = kernel_formula(17, 77, rng), kernel_formula(24, 30, rng), kernel_formula(25, 30, rng)
+    assert f.read is not g.read and f.read(0) != g.read(0)
+    assert f.read.__code__ is g.read.__code__  # 3 chunks each: compiled once
+    assert h.read.__code__ is not f.read.__code__
+
+
 def test_a_read_formula_pickles():
     # dispatch messages stay plain data after the reader is cached, also
     # for a reader of more than three chunks

@@ -38,12 +38,12 @@ GOLDEN = {
     ("unsat3-hybrid", 3): ("FALSE", None, 226, 462, 10164, 32, 154),
     ("unsat3-hybrid", 4): ("FALSE", None, 152, 294, 6468, 32, 98),
     ("unsat3-hybrid", 5): ("FALSE", None, 215, 378, 8316, 32, 126),
-    ("unsat3-classical", 0): ("FALSE", None, 361, 0, 0, 160, 0),
-    ("unsat3-classical", 1): ("SAT", "010010000011", 131, 0, 0, 34, 0),
+    ("unsat3-classical", 0): ("FALSE", None, 251, 0, 0, 160, 0),
+    ("unsat3-classical", 1): ("SAT", "010010000011", 51, 0, 0, 34, 0),
     ("unsat3-classical", 2): ("SAT", "010100001100", 2, 0, 0, 1, 0),
-    ("unsat3-classical", 3): ("FALSE", None, 762, 0, 0, 224, 0),
-    ("unsat3-classical", 4): ("FALSE", None, 557, 0, 0, 208, 0),
-    ("unsat3-classical", 5): ("FALSE", None, 507, 0, 0, 224, 0),
+    ("unsat3-classical", 3): ("FALSE", None, 353, 0, 0, 224, 0),
+    ("unsat3-classical", 4): ("FALSE", None, 261, 0, 0, 208, 0),
+    ("unsat3-classical", 5): ("FALSE", None, 272, 0, 0, 224, 0),
     ("planted-pool", 0): ("SAT", "011111100011", 0, 118, 2596, 40, 39),
     ("planted-pool", 1): ("SAT", "100010010100", 0, 4, 88, 2, 1),
     ("planted-pool", 2): ("SAT", "011001111010", 0, 39, 858, 13, 13),

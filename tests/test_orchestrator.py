@@ -210,6 +210,30 @@ class TestSolve:
         assert res.status == "SAT" and evaluate(f, res.model) == 1
         assert len(held) == 1
 
+    @pytest.mark.parametrize("k", [0, 1, 4, 7])
+    def test_dispatches_hold_the_decompose_prefixes(self, monkeypatch, k):
+        # every prefix restrict leaves unconflicted is dispatched, under its
+        # decompose bits as the record string and as the held center bits
+        rng = random.Random(k)
+        f = next(
+            f for f in (random_ksat(10, 60, 3, rng) for _ in range(200))
+            if brute_sat(f) is None
+        )
+        held = {}
+
+        def capture(inst, rt):
+            held.setdefault(rt.prefix, set()).add(inst.center & inst.fixed)
+            return None
+
+        monkeypatch.setattr(orchestrator, "kqcpbs", capture)
+        assert solve(f, SolveConfig(k=k, mode="classical")).status == "FALSE"
+        kvars = orchestrator.top_k_vars(f, k)
+        assert held == {
+            "".join(map(str, bits)): {sum(bit << (v - 1) for v, bit in zip(kvars, bits))}
+            for bits, sub in decompose(f, k)
+            if sub is not CONFLICT
+        }
+
     def test_solves_call_no_clause_by_clause_reference(self, monkeypatch):
         # restrict, unsat_count and first_unsat_clause are test references only:
         # in every ballsat namespace that holds one, a call now fails the solve

@@ -5,12 +5,16 @@ import pytest
 
 from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
 from ballsat.codes import build_kary_cover, prune_cover
+from ballsat.fliptree import marked_mask, walk
 from ballsat.formula import pack, restrict, unpack, unsat_count
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
     _block_points,
+    _descend,
+    _narrowest,
+    _state,
     descent_t,
     kpbs_hybrid,
     kqcpbs,
@@ -167,6 +171,67 @@ class TestClassicalDescent:
                 assert all(a.radius == 2 for a in rt.records)
                 hits += 1
         assert hits > 0  # the quantum leaf must actually fire somewhere
+
+
+class TestNarrowestClause:
+    """The descent branches on the falsified clause with the fewest unbound variables."""
+
+    @staticmethod
+    def root_children(f, center, fixed=0):
+        """Branches the classical descent takes at radius 1: the root's children only."""
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(f, center, 1, 0, 0.1, 3, fixed), rt) is None
+        return rt.branches
+
+    def test_unit_clause_after_a_wider_one_is_one_child(self):
+        f = parse_dimacs("p cnf 3 2\n1 2 0\n3 0\n")
+        assert _narrowest(f.clause_vars, f.read(0), 0b111) == 1
+        assert self.root_children(f, 0) == 1
+        # radius 2 binds the forced x3 first, then repairs clause 0 with x1
+        assert kqcpbs(PbsInstance(f, 0, 2, 0, 0.1, 3), runtime(0)) == 0b101
+
+    def test_ties_go_to_the_lowest_index(self):
+        # clauses 0 and 1 are both 2 wide; binding x3 of clause 0 empties clause 2,
+        # so clause 0 leaves one child where clause 1 would leave two
+        f = parse_dimacs("p cnf 4 3\n3 4 0\n1 2 0\n-3 0\n")
+        assert _narrowest(f.clause_vars, f.read(0), 0b1111) == 0
+        assert self.root_children(f, 0) == 1
+
+    def test_held_variables_do_not_count(self):
+        # x1 and x2 held at 0 leave clause 1 one variable wide
+        f = parse_dimacs("p cnf 5 2\n4 5 0\n1 2 3 0\n")
+        assert _narrowest(f.clause_vars, f.read(0), 0b11100) == 1
+        assert self.root_children(f, 0, fixed=0b11) == 1
+        assert self.root_children(f, 0) == 2
+
+    def test_bound_variables_do_not_count(self):
+        # x1 bound to 1 falsifies clause 2 and leaves it one variable wide;
+        # counted in full, it would tie clause 1 and lose to its lower index
+        f = parse_dimacs("p cnf 6 3\n1 2 0\n5 6 0\n-1 3 0\n")
+        state = _state(f.read, 0b1, 0b111110)
+        assert state[2] == 0b110 and _narrowest(f.clause_vars, state[2], state[1]) == 2
+        rt = runtime(0)
+        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1) is None
+        assert rt.branches == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_narrowest_by_enumeration(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            f = narrowed(random_ksat(8, 20, 3, rng), rng)
+            free = rng.randrange(1 << 8)
+            state = _state(f.read, rng.randrange(1 << 8), free)
+            if state is None or not state[2]:
+                continue
+            falsified = [i for i in range(len(f.clauses)) if state[2] >> i & 1]
+            want = min(falsified, key=lambda i: ((f.clause_vars[i] & free).bit_count(), i))
+            assert _narrowest(f.clause_vars, state[2], free) == want
+
+    def test_walk_and_marks_keep_the_first_clause(self):
+        # the narrowest clause is the unit (1); the walk repairs clause 0 first
+        f = parse_dimacs("p cnf 3 2\n1 2 3 0\n1 0\n")
+        assert walk(f, 0, (2,)) == 0b10
+        assert marked_mask(f, 0, 1, 3).tolist() == [True, False, False]
 
 
 class TestHybridDescent:

@@ -45,7 +45,7 @@ def bound(x, free, var, bit):
 
 
 def first_flips(f, state):
-    """The descent's branch flips at a state: the narrowed bits of its first falsified clause."""
+    """The walk's flips at a state: the narrowed bits of its first falsified clause."""
     _, free, falsified = state
     return _narrowed_flips(f, (falsified & -falsified).bit_length() - 1, ~free)
 
