@@ -1,9 +1,10 @@
 """Deterministic flip walks on packed assignments (x_v at bit v - 1).
 
-A word over {1..K} drives repair steps: each symbol picks a literal of
-the first falsified clause (wrapping modulo clause width) and flips its
-variable.  Once the formula is satisfied the remaining symbols are
-no-ops, so every satisfying prefix stays satisfying.  A walk returns its
+A word over {1..K} drives repair steps: each symbol picks a variable of
+the first falsified clause (`Formula.flips`: each variable once,
+wrapping modulo their count) and flips it.  Once the formula is
+satisfied the remaining symbols are no-ops, so every satisfying prefix
+stays satisfying.  A walk returns its
 packed endpoint, which satisfies f iff f.read of it is 0.  Variables in
 the `fixed` mask never flip and clauses narrow to their other literals:
 on a center holding the fixed values, this is the walk on the restriction.

@@ -102,13 +102,16 @@ class Formula:
 
     @cached_property
     def flips(self) -> tuple[tuple[int, ...], ...]:
-        """Per clause, the variable bit (x_v at bit v - 1) of each literal, in clause order."""
-        return tuple(tuple(1 << abs(lit) - 1 for lit in clause) for clause in self.clauses)
+        """Per clause, the bit (x_v at bit v - 1) of each of its variables once, in
+        order of first occurrence: a repeated literal is one repair choice."""
+        return tuple(
+            tuple(dict.fromkeys(1 << abs(lit) - 1 for lit in clause)) for clause in self.clauses
+        )
 
     @cached_property
     def clause_vars(self) -> tuple[int, ...]:
         """Per clause, the mask of its variables."""
-        return tuple(sum(set(bits)) for bits in self.flips)
+        return tuple(map(sum, self.flips))
 
     def __reduce__(self):
         # the caches (the reader is a closure) are rebuilt on the other side

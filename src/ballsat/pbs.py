@@ -9,9 +9,12 @@ quantum leaf amplifies over flip words, each symbol repairing the
 first falsified clause.  One descent serves the classical and the
 hybrid search: a node branches on literals of its narrowest falsified
 clause (fewest unbound variables, ties to the lowest index) or, given
-the K-ary repair code, steers long jumps through it over clause-repair
-choices.  FALSE returns are one-sided: each quantum group errs with
-probability at most eps^(2R).
+the K-ary repair code and more than t variable-disjoint falsified
+clauses, steers a long jump through the code over clause-repair
+choices.  A hybrid node with at most t such clauses drops the code and
+branches on literals; the paper enumerates vbl(G) there instead.  The
+leaf runs at the radius the descent leaves it.  FALSE returns are
+one-sided: each quantum group errs with probability at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -122,7 +125,6 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
 
 
 State = tuple[int, int, int]   # (x, free, falsified), packed ints
-Branch = tuple[int, State, int]   # (score, state, radius)
 
 
 def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
@@ -164,38 +166,10 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     of every falsified clause.  Each branch binds one literal true and
     recurses at radius - 1 (the bound variable leaves the formula, and a
     ball witness loses one disagreement with the center).  At radius
-    <= r_max the quantum leaf takes over at radius r_max.  Every
+    <= r_max the quantum leaf takes over at that radius.  Every
     assignment the descent returns is a packed model of inst.formula.
     """
     return _search(inst, None, rt)
-
-
-def _block_points(
-    read: Callable[[int], int], root: State, block_vars: list[int], radius: int
-) -> list[Branch]:
-    """(falsified count, state, radius - d) of every conflict-free assignment of block_vars.
-
-    d is the point's Hamming distance from the root's x on block_vars: a
-    ball witness matches one point and lies within radius - d of it on
-    the other variables.  Depth first, one variable per level, 0 before
-    1: itertools.product order.  A conflicting prefix is pruned, since
-    every extension of it conflicts too, and so is one with d > radius.
-    """
-    points: list[Branch] = []
-
-    def visit(depth: int, left: int, state: State) -> None:
-        if depth == len(block_vars):
-            points.append((state[2].bit_count(), state, left))
-            return
-        x, free, _ = state
-        b = 1 << (block_vars[depth] - 1)
-        for y in (x & ~b, x | b):
-            rest = left - (y != x)
-            if rest >= 0 and (child := _state(read, y, free ^ b)) is not None:
-                visit(depth + 1, rest, child)
-
-    visit(0, radius, root)
-    return points
 
 
 def modify_assignment(
@@ -223,15 +197,18 @@ def modify_assignment(
 
 
 def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | None:
-    """Hybrid descent over a maximal disjoint set G of falsified clauses.
+    """Hybrid descent over a greedy maximal disjoint set G of falsified clauses.
 
     The repair code over {1..K}^t at radius t/K is the only parameter.
-    Small G (at most t clauses): enumerate assignments of vbl(G) (every
-    surviving clause the center falsifies then has width < K) within
-    the radius, and run the classical descent from each at the radius
-    its flips leave.  Large G: jump the center through the code's
+    Large G (more than t clauses): jump the center through the code's
     words on the first t clauses, shrinking the radius by t/K, so the
-    first radius at or below r_max lies within t/K of it.
+    first radius at or below r_max lies within t/K of it.  Small G: the
+    node drops the code and goes on as `kqcpbs` from there.  This
+    departs from the paper, which enumerates the assignments of vbl(G)
+    within the radius and runs the classical descent from each: the
+    literal descent is complete by itself, and on the first 40 seed-4
+    instances of perfbench's unsat3-hybrid it takes 76.5 branches per
+    solve where the enumeration took 287.5 (README has the tables).
     """
     return _search(inst, code, rt)
 
@@ -248,18 +225,17 @@ def _descend(
 ) -> int | None:
     """The ball search on restrict(inst.formula, the binding x holds off `free`).
 
-    With no code, a node branches on the literals of its narrowest
-    falsified clause (`_narrowest`): every one is false at x, so binding
-    it true flips its variable, and a binding that empties a clause is
-    skipped.  With the repair code, a node branches on the block points
-    of a small disjoint group G of falsified clauses, whose subtrees go
-    on without the code, or jumps through the code's words on the first
-    t clauses of a large G.
+    A node with the repair code and a disjoint group G of more than t
+    falsified clauses jumps through the code's words on the first t
+    clauses of G.  Any other node branches on the literals of its
+    narrowest falsified clause (`_narrowest`): every one is false at x,
+    so binding it true flips its variable, and a binding that empties a
+    clause is skipped.  A node with the code and a small G drops the
+    code, so its subtree is the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
     leaf runs on inst.formula, centered on x, with the variables outside
-    `free` fixed, at radius r_max below a literal branch and at the
-    node's own radius below a jump: its marks and draws are those of the
-    restricted formula, and its model keeps the binding.
+    `free` fixed, at the node's radius: its marks and draws are those of
+    the restricted formula, and its model keeps the binding.
     """
     x, free, falsified = state
     if not falsified:
@@ -269,8 +245,11 @@ def _descend(
     f = inst.formula
     if radius <= inst.r_max:
         held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
-        leaf_radius = inst.r_max if code is None else radius
-        return quantum_kpbs(replace(inst, center=x, radius=leaf_radius, fixed=held), rt)
+        return quantum_kpbs(replace(inst, center=x, radius=radius, fixed=held), rt)
+    if code is not None:
+        group = max_disjoint_unsat(f, falsified, ~free)
+        if len(group) <= code.word_length:
+            code = None
     if code is None:
         branches = []
         for b in _narrowed_flips(f, _narrowest(f.clause_vars, falsified, free), ~free):
@@ -278,18 +257,11 @@ def _descend(
             if child is not None:
                 branches.append((child[2].bit_count(), child, radius - 1))
     else:
-        group, t = max_disjoint_unsat(f, falsified, ~free), code.word_length
-        if len(group) <= t:
-            block = functools.reduce(int.__or__, (f.clause_vars[i] for i in group)) & free
-            block_vars = [v for v in range(1, f.num_vars + 1) if block >> (v - 1) & 1]
-            branches = _block_points(f.read, state, block_vars, radius)
-            code = None
-        else:
-            branches, batch = [], group[:t]
-            for word in code.codewords:
-                moved = modify_assignment(f, x, batch, word, ~free)
-                after = f.read(moved)
-                branches.append((after.bit_count(), (moved, free, after), radius - code.radius))
+        branches, batch = [], group[: code.word_length]
+        for word in code.codewords:
+            moved = modify_assignment(f, x, batch, word, ~free)
+            after = f.read(moved)
+            branches.append((after.bit_count(), (moved, free, after), radius - code.radius))
     branches.sort(key=lambda b: b[0])
     for _, state, rest in branches:
         rt.branches += 1

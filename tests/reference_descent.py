@@ -12,7 +12,6 @@ the same order, so models, branch counts and quantum attempts agree.
 """
 
 from dataclasses import replace
-from itertools import product
 
 from ballsat.formula import (
     CONFLICT,
@@ -49,11 +48,14 @@ def ref_disjoint(f, center):
 
 
 def ref_repair(f, center, clause_indices, word):
-    """Flip, in each listed clause, the variable its symbol picks, wrapping modulo width."""
+    """Flip, in each listed clause, the variable its symbol picks, wrapping modulo width.
+
+    The width counts each variable once, so a repeated literal is one choice.
+    """
     bits = list(center)
     for idx, choice in zip(clause_indices, word):
-        clause = f.clauses[idx]
-        bits[abs(clause[(choice - 1) % len(clause)]) - 1] ^= 1
+        variables = list(dict.fromkeys(abs(lit) for lit in f.clauses[idx]))
+        bits[variables[(choice - 1) % len(variables)] - 1] ^= 1
     return tuple(bits)
 
 
@@ -89,11 +91,11 @@ def _ref_kq(f, center, radius, inst, rt):
     if radius <= 0:
         return None
     if radius <= inst.r_max:
-        return _leaf(f, center, inst.r_max, inst, rt)
+        return _leaf(f, center, radius, inst, rt)
     # the narrowest falsified clause, ties to the lowest index; a falsified
-    # clause holds no literal and its negation, so its literals are its variables
-    falsified = [c for c in f.clauses if not satisfied(c, center)]
-    clause = min(falsified, key=lambda c: len(set(c)))
+    # clause holds no literal and its negation, so its distinct literals are its variables
+    falsified = [list(dict.fromkeys(c)) for c in f.clauses if not satisfied(c, center)]
+    clause = min(falsified, key=len)
     bindings = (({abs(lit): 1 if lit > 0 else 0}, radius - 1) for lit in clause)
     return _ref_descend(f, center, inst, rt, bindings)
 
@@ -120,22 +122,10 @@ def ref_kpbs_hybrid(inst, code, rt):
 
 
 def _ref_hybrid(f, center, radius, inst, code, rt):
-    if evaluate(f, center):
-        return center
-    if radius <= 0:
-        return None
-    if radius <= inst.r_max:
-        return _leaf(f, center, radius, inst, rt)
     group = ref_disjoint(f, center)
-    if len(group) <= code.word_length:
-        block_vars = sorted({abs(lit) for i in group for lit in f.clauses[i]})
-        bindings = []
-        for bits in product((0, 1), repeat=len(block_vars)):
-            # a ball witness lies within radius - d of its block point elsewhere
-            d = sum(bit != center[var - 1] for var, bit in zip(block_vars, bits))
-            if d <= radius:
-                bindings.append((dict(zip(block_vars, bits)), radius - d))
-        return _ref_descend(f, center, inst, rt, bindings)
+    # a small group (also the empty one of a model) goes on without the code
+    if radius <= inst.r_max or len(group) <= code.word_length:
+        return _ref_kq(f, center, radius, inst, rt)
     batch = group[: code.word_length]
     moves = []
     for ci, word in enumerate(code.codewords):

@@ -323,8 +323,6 @@ def test_ball_engine_against_hamming_distance(alphabet, length):
         within = _within(code, space)
         ok, hole = verify_cover(code)
         assert (ok, hole) == _reference_verify(code, within, space)
-        if alphabet == 2:
-            continue  # the solver prunes K-ary codes only
         # complete the draw with its holes, shuffled in among the drawn words
         holes = [tuple(map(int, w)) for w in space[~within.any(axis=0)]]
         words = list(words) + holes

@@ -32,12 +32,12 @@ FAMILIES = {
 
 # status, model bits, branches, quantum_calls, total_queries, dispatches, groups_failed
 GOLDEN = {
-    ("unsat3-hybrid", 0): ("SAT", "0010001110111", 148, 312, 6864, 17, 104),
-    ("unsat3-hybrid", 1): ("SAT", "1100100100100", 97, 184, 4048, 17, 61),
-    ("unsat3-hybrid", 2): ("SAT", "0110101100010", 119, 198, 4356, 16, 66),
-    ("unsat3-hybrid", 3): ("FALSE", None, 226, 462, 10164, 32, 154),
-    ("unsat3-hybrid", 4): ("FALSE", None, 152, 294, 6468, 32, 98),
-    ("unsat3-hybrid", 5): ("FALSE", None, 215, 378, 8316, 32, 126),
+    ("unsat3-hybrid", 0): ("SAT", "0010001110111", 57, 168, 3696, 17, 56),
+    ("unsat3-hybrid", 1): ("SAT", "1100100100100", 38, 112, 2464, 17, 37),
+    ("unsat3-hybrid", 2): ("SAT", "0110101100010", 37, 111, 2442, 16, 37),
+    ("unsat3-hybrid", 3): ("FALSE", None, 93, 279, 6138, 32, 93),
+    ("unsat3-hybrid", 4): ("FALSE", None, 85, 255, 5610, 32, 85),
+    ("unsat3-hybrid", 5): ("FALSE", None, 78, 234, 5148, 32, 78),
     ("unsat3-classical", 0): ("FALSE", None, 251, 0, 0, 160, 0),
     ("unsat3-classical", 1): ("SAT", "010010000011", 51, 0, 0, 34, 0),
     ("unsat3-classical", 2): ("SAT", "010100001100", 2, 0, 0, 1, 0),

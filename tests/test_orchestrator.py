@@ -437,13 +437,13 @@ class TestCoverCache:
         for _ in range(4):
             assert solve(UNSAT3, cfg).stats == first.stats
             counts.append(len(checks))
-        # each file's first read: verify_cover once, and once more in the K-ary prune
-        assert counts == [3, 3, 3, 3]
+        # each file's first read: verify_cover once, and once more in the prune
+        assert counts == [4, 4, 4, 4]
         # an edited file is a new text: checked again, the same code
         kary = tmp_path / "kary-3-t3-s1.cover"
         kary.write_text(kary.read_text() + "\n")
         assert solve(UNSAT3, cfg).stats == first.stats
-        assert len(checks) == 5
+        assert len(checks) == 6
 
     def test_cache_file_wins_over_earlier_build(self, tmp_path):
         cfg = SolveConfig(k=3, r_max=1)
@@ -476,17 +476,25 @@ class TestGenerators:
 
     @pytest.mark.parametrize("r_max", [0, 1])
     def test_hybrid_dispatch_seeds_a_generator_only_at_the_leaf(self, built, r_max):
-        # radius 2 > r_max: at r_max = 0 no descent reaches the leaf, at 1 some do
+        # radius 2 > r_max: at r_max = 0 no descent reaches the leaf, at 1 a
+        # dispatch stops before it when binding each literal of its narrowest
+        # clause empties another; width-2 clauses make that happen in the sample
         rng = random.Random(3)
-        f = next(
-            f for f in (random_ksat(8, 48, 3, rng) for _ in range(200))
-            if brute_sat(f) is None
+        mixed = (
+            Formula(8, random_ksat(8, 20, 2, rng).clauses + random_ksat(8, 20, 3, rng).clauses)
+            for _ in range(200)
         )
-        res = solve(f, SolveConfig(k=1, r_max=r_max))
-        leaf_dispatches = {(rec.prefix, rec.codeword) for rec in res.stats.records}
-        assert res.status == "FALSE"
-        assert len(leaf_dispatches) < res.stats.dispatches
-        assert len(built) == 1 + len(leaf_dispatches)
+        sample = [f for f in mixed if brute_sat(f) is None][:10]
+        leaf_dispatches = dispatches = 0
+        for f in sample:
+            before = len(built)
+            res = solve(f, SolveConfig(k=1, r_max=r_max))
+            leaf = {(rec.prefix, rec.codeword) for rec in res.stats.records}
+            assert res.status == "FALSE"
+            assert len(built) - before == 1 + len(leaf)
+            leaf_dispatches += len(leaf)
+            dispatches += res.stats.dispatches
+        assert len(sample) == 10 and leaf_dispatches < dispatches
 
 
 class TestMessageTypes:

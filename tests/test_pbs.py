@@ -1,17 +1,16 @@
 import random
-from itertools import product
+from dataclasses import replace
 
 import pytest
 
-from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
-from ballsat.codes import build_kary_cover, prune_cover
+from ballsat import Formula, evaluate, parse_dimacs, pbs
+from ballsat.codes import CoveringCode, build_kary_cover, prune_cover
 from ballsat.fliptree import marked_mask, walk
-from ballsat.formula import pack, restrict, unpack, unsat_count
+from ballsat.formula import pack, unpack
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
-    _block_points,
     _descend,
     _narrowest,
     _state,
@@ -22,7 +21,7 @@ from ballsat.pbs import (
     quantum_kpbs,
 )
 
-from helpers import planted_ksat, random_assignment, random_ksat
+from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
 
 THREE_BLOCKS = parse_dimacs("p cnf 9 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n")
 
@@ -173,6 +172,14 @@ class TestClassicalDescent:
         assert hits > 0  # the quantum leaf must actually fire somewhere
 
 
+    def test_leaf_takes_a_ball_inside_r_max_whole(self):
+        # a radius under r_max reaches the leaf as it is, never widened to r_max
+        f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(f, 0, 1, 3, 0.1, 3), rt) is not None
+        assert [rec.radius for rec in rt.records] == [1]
+
+
 class TestNarrowestClause:
     """The descent branches on the falsified clause with the fewest unbound variables."""
 
@@ -234,9 +241,40 @@ class TestNarrowestClause:
         assert marked_mask(f, 0, 1, 3).tolist() == [True, False, False]
 
 
+class TestRepeatedLiterals:
+    """A repeated literal is one repair choice: a formula searches as its repeat-free form."""
+
+    def test_a_repeat_adds_no_branch(self):
+        for clauses in (((1, 1, 2), (3, 4)), ((1, 2), (3, 4))):
+            f = Formula(4, clauses)
+            assert f.flips == ((0b1, 0b10), (0b100, 0b1000))
+            rt = runtime(0)
+            assert kqcpbs(PbsInstance(f, 0, 1, 0, 0.1, 3), rt) is None
+            assert rt.branches == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_formulas_search_as_parsed(self, seed):
+        # mixed_formula's (v, w, v) repeats v; parse_dimacs keeps each literal once
+        rng = random.Random(seed)
+        code = repair_code(3, 3)
+
+        def run(search, inst):
+            rt = runtime(seed)
+            return search(inst, rt), rt.branches, rt.records
+
+        for _ in range(60):
+            n = rng.randrange(4, 10)
+            f = mixed_formula(n, rng.randrange(n, 3 * n), rng)
+            g = parse_dimacs(f.to_dimacs())
+            assert f.flips == g.flips and f.clause_vars == g.clause_vars
+            inst = PbsInstance(f, pack(random_assignment(n, rng)), rng.randrange(1, 5), 1, 0.2, 3)
+            for search in (kqcpbs, lambda inst, rt: kpbs_hybrid(inst, code, rt)):
+                assert run(search, inst) == run(search, replace(inst, formula=g))
+
+
 class TestHybridDescent:
     def test_small_group_path(self):
-        # one falsified clause -> |G| = 1 <= t: block enumeration route
+        # one falsified clause -> |G| = 1 <= t: the node drops the code and branches on literals
         f = parse_dimacs("p cnf 4 2\n1 2 3 0\n-4 0\n")
         inst = PbsInstance(f, pack((0, 0, 0, 1)), 3, 1, 0.1, 3)
         rt = runtime(11)
@@ -272,6 +310,54 @@ class TestHybridDescent:
             elif ball_promise(f, center, radius) is not None:
                 pytest.fail("hybrid missed a promised ball twice in a row")
 
+    def test_a_code_that_never_jumps_gives_the_classical_descent(self):
+        # a one-word code of length m, the clause count, covers every repair word
+        # and is never shorter than G: each node drops it and branches on literals
+        rng = random.Random(20261019)
+        leaves = 0
+        for _ in range(500):
+            k, n = rng.choice((3, 4)), rng.randrange(5, 10)
+            m = rng.randrange(n, 4 * n if k == 3 else 6 * n)
+            f = planted_ksat(n, m, k, rng)[0] if rng.random() < 0.5 else random_ksat(n, m, k, rng)
+            f = narrowed(f, rng)
+            code = CoveringCode(k, m, m, ((1,) * m,))
+            r_max = rng.randrange(3)
+            radius = rng.randrange(r_max + 1, 6)
+            inst = PbsInstance(f, pack(random_assignment(n, rng)), radius, r_max, 0.2, k)
+            seed = rng.randrange(2**32)
+            classical, hybrid = runtime(seed, retries=2), runtime(seed, retries=2)
+            assert kpbs_hybrid(inst, code, hybrid) == kqcpbs(inst, classical)
+            assert hybrid.branches == classical.branches
+            assert hybrid.records == classical.records
+            assert hybrid.groups_failed == classical.groups_failed
+            leaves += bool(classical.records)
+        # the sample reaches the amplified leaf below the literal branches
+        assert leaves > 100, leaves
+
+    def test_every_leaf_runs_at_r_max(self, monkeypatch):
+        # a literal branch and a jump of the (3, 3, 1) code each cut the radius by 1;
+        # four disjoint copies of UNSAT3 give every center a group of 4 > t = 3
+        blocks = Formula(12, tuple(
+            tuple(lit + b if lit > 0 else lit - b for lit in clause)
+            for b in (0, 3, 6, 9)
+            for clause in UNSAT3.clauses
+        ))
+        jumps = []
+        real = pbs.modify_assignment
+        monkeypatch.setattr(pbs, "modify_assignment", lambda *args: jumps.append(1) or real(*args))
+        rng = random.Random(5)
+        radii = set()
+        for i in range(40):
+            f = blocks if i % 2 else random_ksat(12, 60, 3, rng)
+            r_max = rng.randrange(1, 4)
+            radius = rng.randrange(r_max + 1, 6)
+            inst = PbsInstance(f, pack(random_assignment(12, rng)), radius, r_max, 0.2, 3)
+            rt = runtime(rng.randrange(2**32), retries=1)
+            kpbs_hybrid(inst, repair_code(3, radius), rt)
+            assert {rec.radius for rec in rt.records} <= {r_max}
+            radii |= {rec.radius for rec in rt.records}
+        assert radii == {1, 2, 3} and jumps
+
     def test_complete_at_r_max_zero(self, monkeypatch):
         # at r_max = 0 no quantum leaf runs, so kpbs_hybrid is deterministic and
         # must find a model in every ball that holds one
@@ -302,24 +388,3 @@ class TestHybridDescent:
         # the sample holds many promised balls and takes the repair-code jumps
         assert found > 1200 and len(jumps) > 200, (found, len(jumps))
 
-
-class TestResidualRadius:
-    # clauses 0 and 1 are falsified at the all-zero center: every block point flips >= 2
-    F = parse_dimacs("p cnf 7 4\n1 2 3 0\n4 5 0\n-1 6 0\n-4 -7 0\n")
-
-    @pytest.mark.parametrize("radius", range(7))
-    def test_each_point_descends_at_the_radius_its_flips_leave(self, radius):
-        center, block_vars = (0,) * 7, [1, 2, 3, 4, 5]
-        free = ((1 << 7) - 1) ^ pack((1, 1, 1, 1, 1, 0, 0))
-        want = []
-        for bits in product((0, 1), repeat=len(block_vars)):
-            binding = dict(zip(block_vars, bits))
-            sub, d = restrict(self.F, binding), sum(bits)
-            if sub is not CONFLICT and d <= radius:
-                x = pack(bits + center[len(bits):])
-                state = (x, free, self.F.read(x))
-                want.append((unsat_count(sub, center), state, radius - d))
-        root = (pack(center), (1 << 7) - 1, self.F.read(pack(center)))
-        assert _block_points(self.F.read, root, block_vars, radius) == want
-        # both clauses of G must be repaired, so d >= 2 for every point
-        assert bool(want) == (radius >= 2)

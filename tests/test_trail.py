@@ -51,7 +51,8 @@ def first_flips(f, state):
 
 
 def bits_of(clause):
-    return [1 << (abs(lit) - 1) for lit in clause]
+    """The clause's variable bits, each once, in order of first occurrence."""
+    return list(dict.fromkeys(1 << (abs(lit) - 1) for lit in clause))
 
 
 def binding_of(n, x, free):
@@ -75,8 +76,10 @@ def check_against_restrict(f, x, free):
         assert state[2] == 0
         return False
     assert first_flips(f, state) == bits_of(sub.clauses[idx])
-    # each flip binds its literal true: a branch state is the restriction by one more literal
-    for b, lit in zip(first_flips(f, state), sub.clauses[idx]):
+    # each flip binds its literal true: a branch state is the restriction by one more literal;
+    # a falsified clause holds no literal and its negation, so its distinct
+    # literals pair with its flips
+    for b, lit in zip(first_flips(f, state), dict.fromkeys(sub.clauses[idx])):
         child = restrict(f, {**binding, abs(lit): int(lit > 0)})
         assert (_state(f.read, x ^ b, free ^ b) is None) == (child is CONFLICT)
     return False
