@@ -9,6 +9,8 @@ import pytest
 
 from ballsat.codes import (
     CoveringCode,
+    _balls,
+    _greedy_cover_ints,
     build_binary_cover,
     build_kary_cover,
     kary_draw_bound,
@@ -54,6 +56,35 @@ class TestBinaryCover:
             build_binary_cover(25, radius=1)
 
 
+def recount_greedy_cover_ints(length: int, radius: int) -> list[int]:
+    """Reference greedy: recounts every word's uncovered ball at every pick."""
+    if radius >= length:
+        return [0]
+    n_words = 1 << length
+    if radius == 0:
+        return list(range(n_words))
+    masks = next(_balls(CoveringCode(2, length, radius, ((0,) * length,))))
+    all_words = np.arange(n_words, dtype=np.int64)
+    uncovered = np.ones(n_words, dtype=bool)
+    code: list[int] = []
+    while uncovered.any():
+        counts = np.zeros(n_words, dtype=np.int64)
+        for m in masks:
+            counts += uncovered[all_words ^ m]
+        # argmax returns the lowest index on ties
+        pick = int(counts.argmax())
+        code.append(pick)
+        uncovered[pick ^ masks] = False
+    return code
+
+
+@pytest.mark.parametrize(
+    "length,radius", [(L, r) for L in range(13) for r in range(L + 1)] + [(13, 4)]
+)
+def test_incremental_greedy_matches_recount(length, radius):
+    assert _greedy_cover_ints(length, radius) == recount_greedy_cover_ints(length, radius)
+
+
 # sha256 of write_cover(build_binary_cover(L, radius=r)): the CI and workload sweep shapes
 BINARY_PINS = {
     (2, 0): "99edf85ae085536e35074724a36d6eb4fe6854f82318a8d54285f4540cd508f9",
@@ -61,6 +92,8 @@ BINARY_PINS = {
     (11, 3): "0b26a8f8e7325d31b57b3d31001f6925c3f7f493d8f712b7649bb2ffedd8abba",
     (12, 4): "1419c05271214156f58f1fdf6060256410f74c9de9589aac0ff8970849e79f36",
     (13, 4): "425e835e09eee22f0403ed8800ce8c01ac6a444b32e5c3845e3b4a588271623d",
+    (14, 4): "3c3a9e4d668894684129eac40015e3f943ca8e2987425fd59f182612f03fdc65",
+    (16, 5): "750675b62dcb76a1ae4804e85d705d12988ccbc8205e0706794945e70ed5ed6e",
 }
 
 
