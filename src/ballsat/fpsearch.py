@@ -190,24 +190,31 @@ def success_probability_exact(
     return 1.0 - miss * miss
 
 
+@lru_cache(maxsize=64)
+def _uniform_cdf(n: int) -> np.ndarray:
+    """Read-only CDF of the uniform distribution over n words, shared by every caller."""
+    cdf = np.full(n, 1.0 / n).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarray:
     """Normalised cumulative measurement probabilities of the amplified register.
 
     With M of N words marked, the closed form gives the marked probability
     p; each marked word gets p/M and each unmarked word (1-p)/(N-M).
-    With M = 0 or M = N the distribution is uniform.  The arithmetic
-    after the per-word probabilities is that of `Generator.choice`, so
-    `measure` draws the word `sample_sequence` would draw from the state
-    vector.
+    With M = 0 or M = N the distribution is uniform, and the read-only
+    CDF is built once per N.  The arithmetic after the per-word
+    probabilities is that of `Generator.choice`, so `measure` draws the
+    word `sample_sequence` would draw from the state vector.
     """
     n = marked.size
     m = int(np.count_nonzero(marked))
     if m in (0, n):
-        probs = np.full(n, 1.0 / n)
-    else:
-        p = success_probability_exact(m / n, epsilon, lambda_min)
-        probs = np.where(marked, p / m, (1.0 - p) / (n - m))
-    cdf = probs.cumsum()
+        return _uniform_cdf(n)
+    p = success_probability_exact(m / n, epsilon, lambda_min)
+    cdf = np.where(marked, p / m, (1.0 - p) / (n - m)).cumsum()
     cdf /= cdf[-1]
     return cdf
 

@@ -12,9 +12,12 @@ clause (fewest unbound variables, ties to the lowest index) or, given
 the K-ary repair code and more than t variable-disjoint falsified
 clauses, steers a long jump through the code over clause-repair
 choices.  A hybrid node with at most t such clauses drops the code and
-branches on literals; the paper enumerates vbl(G) there instead.  The
-leaf runs at the radius the descent leaves it.  FALSE returns are
-one-sided: each quantum group errs with probability at most eps^(2R).
+branches on literals; the paper enumerates vbl(G) there instead.  A
+node that branches on literals returns at once when more of its
+falsified clauses than its radius are pairwise variable-disjoint: each
+needs a flip of its own, so its ball is empty.  The leaf runs at the
+radius the descent leaves it.  FALSE returns are one-sided: each
+quantum group errs with probability at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -138,23 +141,33 @@ def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
     return None if falsified & read(x ^ free) else (x, free, falsified)
 
 
-def _narrowest(clause_vars: tuple[int, ...], falsified: int, free: int) -> int:
-    """Index of the falsified clause with the fewest variables in `free`, ties to the lowest.
+def _narrowest(
+    clause_vars: tuple[int, ...], falsified: int, free: int, radius: int
+) -> tuple[int, int]:
+    """(narrowest falsified clause, size of the greedy disjoint group), one scan.
 
-    Every falsified clause of a state has a free variable, so a width-1
-    clause ends the scan.
+    The narrowest clause has the fewest variables in `free`, ties to the
+    lowest index.  The group is `max_disjoint_unsat(f, falsified, ~free)`:
+    the lowest-index greedy set of falsified clauses pairwise disjoint on
+    `free`.  The scan stops once the group exceeds `radius`, and then the
+    index is -1.
     """
     best, best_width = -1, free.bit_count() + 1
+    used = size = 0
     while falsified:
         low = falsified & -falsified
         falsified ^= low
         i = low.bit_length() - 1
-        width = (clause_vars[i] & free).bit_count()
+        cvars = clause_vars[i] & free
+        if not cvars & used:
+            used |= cvars
+            size += 1
+            if size > radius:
+                return -1, size
+        width = cvars.bit_count()
         if width < best_width:
-            if width == 1:
-                return i
             best, best_width = i, width
-    return best
+    return best, size
 
 
 def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
@@ -163,7 +176,9 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     The narrowest clause has the fewest unbound variables, ties to the
     lowest index, so a forced literal gets no siblings; the search stays
     complete, since a ball witness differs from the center on a variable
-    of every falsified clause.  Each branch binds one literal true and
+    of every falsified clause.  For the same reason a node with more
+    pairwise disjoint falsified clauses than its radius has an empty
+    ball and takes no branch.  Each branch binds one literal true and
     recurses at radius - 1 (the bound variable leaves the formula, and a
     ball witness loses one disagreement with the center).  At radius
     <= r_max the quantum leaf takes over at that radius.  Every
@@ -230,8 +245,13 @@ def _descend(
     clauses of G.  Any other node branches on the literals of its
     narrowest falsified clause (`_narrowest`): every one is false at x,
     so binding it true flips its variable, and a binding that empties a
-    clause is skipped.  A node with the code and a small G drops the
-    code, so its subtree is the classical descent.
+    clause is skipped.  The same scan counts the greedy group of
+    falsified clauses disjoint on `free`.  When the group outnumbers the
+    radius, the node returns None without branching: each group clause
+    needs a flip of its own, so the subtree holds no model, and the
+    order of the other subtrees and the model found stay as they were.
+    Jump nodes keep the jump.  A node with the code and a small G drops
+    the code, so its subtree is the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
     leaf runs on inst.formula, centered on x, with the variables outside
     `free` fixed, at the node's radius: its marks and draws are those of
@@ -251,8 +271,11 @@ def _descend(
         if len(group) <= code.word_length:
             code = None
     if code is None:
+        clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+        if disjoint > radius:   # each clause of the group needs its own flip
+            return None
         branches = []
-        for b in _narrowed_flips(f, _narrowest(f.clause_vars, falsified, free), ~free):
+        for b in _narrowed_flips(f, clause, ~free):
             child = _state(f.read, x ^ b, free ^ b)
             if child is not None:
                 branches.append((child[2].bit_count(), child, radius - 1))

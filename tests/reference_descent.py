@@ -92,6 +92,9 @@ def _ref_kq(f, center, radius, inst, rt):
         return None
     if radius <= inst.r_max:
         return _leaf(f, center, radius, inst, rt)
+    # more disjoint falsified clauses than flips left: the ball holds no model
+    if len(ref_disjoint(f, center)) > radius:
+        return None
     # the narrowest falsified clause, ties to the lowest index; a falsified
     # clause holds no literal and its negation, so its distinct literals are its variables
     falsified = [list(dict.fromkeys(c)) for c in f.clauses if not satisfied(c, center)]

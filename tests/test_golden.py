@@ -38,12 +38,12 @@ GOLDEN = {
     ("unsat3-hybrid", 3): ("FALSE", None, 93, 279, 6138, 32, 93),
     ("unsat3-hybrid", 4): ("FALSE", None, 85, 255, 5610, 32, 85),
     ("unsat3-hybrid", 5): ("FALSE", None, 78, 234, 5148, 32, 78),
-    ("unsat3-classical", 0): ("FALSE", None, 251, 0, 0, 160, 0),
-    ("unsat3-classical", 1): ("SAT", "010010000011", 51, 0, 0, 34, 0),
+    ("unsat3-classical", 0): ("FALSE", None, 25, 0, 0, 160, 0),
+    ("unsat3-classical", 1): ("SAT", "010010000011", 19, 0, 0, 34, 0),
     ("unsat3-classical", 2): ("SAT", "010100001100", 2, 0, 0, 1, 0),
-    ("unsat3-classical", 3): ("FALSE", None, 353, 0, 0, 224, 0),
-    ("unsat3-classical", 4): ("FALSE", None, 261, 0, 0, 208, 0),
-    ("unsat3-classical", 5): ("FALSE", None, 272, 0, 0, 224, 0),
+    ("unsat3-classical", 3): ("FALSE", None, 68, 0, 0, 224, 0),
+    ("unsat3-classical", 4): ("FALSE", None, 36, 0, 0, 208, 0),
+    ("unsat3-classical", 5): ("FALSE", None, 25, 0, 0, 224, 0),
     ("planted-pool", 0): ("SAT", "011111100011", 0, 118, 2596, 40, 39),
     ("planted-pool", 1): ("SAT", "100010010100", 0, 4, 88, 2, 1),
     ("planted-pool", 2): ("SAT", "011001111010", 0, 39, 858, 13, 13),

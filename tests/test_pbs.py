@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from ballsat import Formula, evaluate, parse_dimacs, pbs
+from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
 from ballsat.codes import CoveringCode, build_kary_cover, prune_cover
 from ballsat.fliptree import marked_mask, walk
-from ballsat.formula import pack, unpack
+from ballsat.formula import max_disjoint_unsat, pack, unpack
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
     PbsInstance,
@@ -22,6 +22,7 @@ from ballsat.pbs import (
 )
 
 from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
+from reference_descent import held_root
 
 THREE_BLOCKS = parse_dimacs("p cnf 9 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n")
 
@@ -56,7 +57,10 @@ def satisfies(f, x):
 
 def narrowed(f, rng):
     """f with about a third of its clauses cut to a shorter prefix, as restriction leaves them."""
-    clauses = [c[: rng.randrange(1, len(c))] if rng.random() < 0.3 else c for c in f.clauses]
+    clauses = [
+        c[: rng.randrange(1, len(c))] if len(c) > 1 and rng.random() < 0.3 else c
+        for c in f.clauses
+    ]
     return Formula(f.num_vars, tuple(clauses))
 
 
@@ -181,42 +185,54 @@ class TestClassicalDescent:
 
 
 class TestNarrowestClause:
-    """The descent branches on the falsified clause with the fewest unbound variables."""
+    """The descent branches on the falsified clause with the fewest unbound variables.
+
+    Each formula's falsified clauses at the root share a free variable, so
+    their disjoint group is one clause and the radius-1 bound does not fire.
+    """
 
     @staticmethod
     def root_children(f, center, fixed=0):
-        """Branches the classical descent takes at radius 1: the root's children only."""
+        """Branches of a classical descent at radius 1 that finds no model.
+
+        Its children sit at radius 0, so these are the root's children; a
+        root whose disjoint falsified clauses outnumber the radius has none.
+        """
         rt = runtime(0)
         assert kqcpbs(PbsInstance(f, center, 1, 0, 0.1, 3, fixed), rt) is None
         return rt.branches
 
     def test_unit_clause_after_a_wider_one_is_one_child(self):
-        f = parse_dimacs("p cnf 3 2\n1 2 0\n3 0\n")
-        assert _narrowest(f.clause_vars, f.read(0), 0b111) == 1
+        # binding x3 satisfies clauses 0 and 1 and falsifies clause 2;
+        # branching on clause 0 would take three children
+        f = parse_dimacs("p cnf 3 3\n1 2 3 0\n3 0\n-3 1 0\n")
+        assert _narrowest(f.clause_vars, f.read(0), 0b111, 1) == (1, 1)
         assert self.root_children(f, 0) == 1
-        # radius 2 binds the forced x3 first, then repairs clause 0 with x1
+        # radius 2 binds the forced x3 first, then repairs clause 2 with x1
         assert kqcpbs(PbsInstance(f, 0, 2, 0, 0.1, 3), runtime(0)) == 0b101
 
     def test_ties_go_to_the_lowest_index(self):
         # clauses 0 and 1 are both 2 wide; binding x3 of clause 0 empties clause 2,
         # so clause 0 leaves one child where clause 1 would leave two
-        f = parse_dimacs("p cnf 4 3\n3 4 0\n1 2 0\n-3 0\n")
-        assert _narrowest(f.clause_vars, f.read(0), 0b1111) == 0
+        f = parse_dimacs("p cnf 5 4\n3 4 0\n1 4 0\n-3 0\n-4 5 0\n")
+        assert _narrowest(f.clause_vars, f.read(0), 0b11111, 1) == (0, 1)
         assert self.root_children(f, 0) == 1
 
     def test_held_variables_do_not_count(self):
-        # x1 and x2 held at 0 leave clause 1 one variable wide
-        f = parse_dimacs("p cnf 5 2\n4 5 0\n1 2 3 0\n")
-        assert _narrowest(f.clause_vars, f.read(0), 0b11100) == 1
+        # x1 and x2 held at 0 leave clause 1 one variable wide;
+        # counted in full, clause 0 is the narrower, with two children
+        f = parse_dimacs("p cnf 5 3\n4 5 0\n1 2 4 0\n-4 5 0\n")
+        assert _narrowest(f.clause_vars, f.read(0), 0b11100, 1) == (1, 1)
         assert self.root_children(f, 0, fixed=0b11) == 1
         assert self.root_children(f, 0) == 2
 
     def test_bound_variables_do_not_count(self):
         # x1 bound to 1 falsifies clause 2 and leaves it one variable wide;
         # counted in full, it would tie clause 1 and lose to its lower index
-        f = parse_dimacs("p cnf 6 3\n1 2 0\n5 6 0\n-1 3 0\n")
+        f = parse_dimacs("p cnf 6 4\n1 2 0\n3 6 0\n-1 3 0\n-3 4 0\n")
         state = _state(f.read, 0b1, 0b111110)
-        assert state[2] == 0b110 and _narrowest(f.clause_vars, state[2], state[1]) == 2
+        assert state[2] == 0b110
+        assert _narrowest(f.clause_vars, state[2], state[1], 1) == (2, 1)
         rt = runtime(0)
         assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1) is None
         assert rt.branches == 1
@@ -232,7 +248,8 @@ class TestNarrowestClause:
                 continue
             falsified = [i for i in range(len(f.clauses)) if state[2] >> i & 1]
             want = min(falsified, key=lambda i: ((f.clause_vars[i] & free).bit_count(), i))
-            assert _narrowest(f.clause_vars, state[2], free) == want
+            # a disjoint group never outnumbers the free variables, so the scan runs to the end
+            assert _narrowest(f.clause_vars, state[2], free, free.bit_count())[0] == want
 
     def test_walk_and_marks_keep_the_first_clause(self):
         # the narrowest clause is the unit (1); the walk repairs clause 0 first
@@ -241,13 +258,99 @@ class TestNarrowestClause:
         assert marked_mask(f, 0, 1, 3).tolist() == [True, False, False]
 
 
+class TestDisjointBound:
+    """A literal node whose disjoint falsified clauses outnumber its radius has an empty ball."""
+
+    def test_one_clause_more_than_the_radius_cuts_the_node(self):
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(THREE_BLOCKS, 0, 2, 0, 0.1, 3), rt) is None
+        assert rt.branches == 0
+
+    def test_as_many_clauses_as_the_radius_branch(self):
+        # one literal per block, lowest index first: x1, x4, x7
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(THREE_BLOCKS, 0, 3, 0, 0.1, 3), rt) == 0b1001001
+        assert rt.branches == 3
+
+    def test_a_shared_held_or_bound_variable_leaves_clauses_disjoint(self):
+        f = parse_dimacs("p cnf 3 2\n1 2 0\n1 3 0\n")
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(f, 0, 1, 0, 0.1, 3, fixed=0b1), rt) is None
+        assert rt.branches == 0
+        rt = runtime(0)
+        state = _state(f.read, 0, 0b110)   # x1 bound to 0
+        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), None, rt, state, 1) is None
+        assert rt.branches == 0
+        # free, x1 joins the clauses: one group clause, and binding x1 repairs both
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(f, 0, 1, 0, 0.1, 3), rt) == 0b1
+        assert rt.branches == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scan_counts_the_greedy_group(self, seed):
+        rng = random.Random(400 + seed)
+        cut = kept = 0
+        for _ in range(300):
+            n = rng.randrange(4, 12)
+            f = narrowed(mixed_formula(n, rng.randrange(n, 2 * n), rng), rng)
+            free = rng.randrange(1 << n) | rng.randrange(1 << n)
+            state = _state(f.read, rng.randrange(1 << n), free)
+            if state is None or not state[2]:
+                continue
+            radius = rng.randrange(1, 5)
+            group = len(max_disjoint_unsat(f, state[2], ~free))
+            clause, size = _narrowest(f.clause_vars, state[2], free, radius)
+            if size <= radius:
+                assert size == group
+                kept += 1
+            else:
+                assert clause == -1 and size == radius + 1 and group > radius
+                cut += 1
+        assert cut > 30 and kept > 100, (cut, kept)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finds_a_model_whenever_the_held_ball_holds_one(self, seed, monkeypatch):
+        # at r_max = 0 the descent is deterministic and must stay complete
+        cuts = []
+        real = pbs._narrowest
+
+        def counting(clause_vars, falsified, free, radius):
+            got = real(clause_vars, falsified, free, radius)
+            cuts.append(got[1] > radius)
+            return got
+
+        monkeypatch.setattr(pbs, "_narrowest", counting)
+        rng = random.Random(500 + seed)
+        found = empty = 0
+        for _ in range(200):
+            n = rng.randrange(4, 10)
+            f = narrowed(mixed_formula(n, rng.randrange(n, 2 * n), rng), rng)
+            fixed = rng.randrange(1 << n) & rng.randrange(1 << n)
+            radius = rng.randrange(1, 6)
+            inst = PbsInstance(f, pack(random_assignment(n, rng)), radius, 0, 0.1, 3, fixed)
+            got = kqcpbs(inst, runtime(0))
+            sub, center = held_root(inst)
+            witness = None if sub is CONFLICT else ball_promise(sub, center, radius)
+            assert (got is None) == (witness is None), (f, inst.center, radius, fixed)
+            if got is not None:
+                assert satisfies(f, got) and hamming(got, inst.center) <= radius
+                assert got & fixed == inst.center & fixed
+                found += 1
+            else:
+                empty += sub is not CONFLICT
+        # both answers, and nodes the bound cuts
+        assert found > 30 and empty > 50 and sum(cuts) > 20, (found, empty, sum(cuts))
+
+
 class TestRepeatedLiterals:
     """A repeated literal is one repair choice: a formula searches as its repeat-free form."""
 
     def test_a_repeat_adds_no_branch(self):
-        for clauses in (((1, 1, 2), (3, 4)), ((1, 2), (3, 4))):
+        # clauses 0 and 1 share x2, so the radius-1 root branches on clause 0:
+        # x1 leaves clause 1 falsified and x2 falsifies clause 2
+        for clauses in (((1, 1, 2), (2, 3), (-2, 4)), ((1, 2), (2, 3), (-2, 4))):
             f = Formula(4, clauses)
-            assert f.flips == ((0b1, 0b10), (0b100, 0b1000))
+            assert f.flips == ((0b1, 0b10), (0b10, 0b100), (0b10, 0b1000))
             rt = runtime(0)
             assert kqcpbs(PbsInstance(f, 0, 1, 0, 0.1, 3), rt) is None
             assert rt.branches == 2
