@@ -16,8 +16,11 @@ branches on literals; the paper enumerates vbl(G) there instead.  A
 node that branches on literals returns at once when more of its
 falsified clauses than its radius are pairwise variable-disjoint: each
 needs a flip of its own, so its ball is empty.  The leaf runs at the
-radius the descent leaves it.  FALSE returns are one-sided: each
-quantum group errs with probability at most eps^(2R).
+radius the descent leaves it.  It first runs the same literal nodes
+over its own ball, with no leaf below them: when they find no model,
+no flip word can reach one, and the leaf measures the uniform register
+without building the flip-word trie.  FALSE returns are one-sided:
+each quantum group errs with probability at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -25,15 +28,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from .codes import CoveringCode, _kary_word
+from .codes import CoveringCode, _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
 from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
-from .fpsearch import make_schedule, measure, word_cdf
+from .fpsearch import _uniform_cdf, make_schedule, measure, word_cdf
 
 
 @dataclass(frozen=True)
@@ -93,23 +97,32 @@ class PbsRuntime:
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
-    The amplified register is two-level: the trie pass marks the M of
-    N = K^r words whose walk succeeds, the closed form gives the marked
-    probability p, and each retry measures a word from p/M per marked
-    and (1-p)/(N-M) per unmarked word.  Retries multiply only the query
-    count.  The measured word is walked again: its endpoint satisfies f
-    iff the word is marked.  Variables in `inst.fixed` never flip.
+    The amplified register is two-level: M of N = K^r words are marked,
+    the closed form gives the marked probability p, and each retry
+    measures a word from p/M per marked and (1-p)/(N-M) per unmarked
+    word.  Retries multiply only the query count.  A walk flips at most
+    r variables outside `inst.fixed`, so its endpoint lies in the ball:
+    when the literal descent (`_ball_empty`) finds no model there, M = 0
+    and the register is uniform, with no trie pass.  Otherwise the trie
+    pass marks the words whose walk succeeds.  The measured word is
+    walked again: its endpoint satisfies f iff the word is marked, and
+    one that does in a ball proved empty raises.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
-    marked = marked_mask(f, center, radius, k, inst.fixed)
+    check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
+    if _ball_empty(f, center, radius, inst.fixed):
+        marked, cdf = None, _uniform_cdf(k**radius)
+    else:
+        marked = marked_mask(f, center, radius, k, inst.fixed)
+        cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
     for attempt in range(max(1, rt.retries)):
         index = measure(cdf, rt.rng)
         candidate = walk(f, center, _kary_word(index, k, radius), inst.fixed)
         hit = not f.read(candidate)
-        if hit != marked[index]:
-            raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
+        if hit != (marked is not None and marked[index]):
+            basis = "its trie mark" if marked is not None else "the empty-ball proof"
+            raise RuntimeError(f"walk of word {index} disagrees with {basis}")
         rt.records.append(
             QuantumCallRecord(
                 rt.prefix,
@@ -128,6 +141,7 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
 
 
 State = tuple[int, int, int]   # (x, free, falsified), packed ints
+_by_score = itemgetter(0)
 
 
 def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
@@ -235,6 +249,51 @@ def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int
     return None if root is None else _descend(inst, code, rt, root, inst.radius)
 
 
+def _literal_branches(f: Formula, state: State, radius: int) -> list[tuple[int, State]]:
+    """(falsified-clause count, child state) per branch of a literal node, in clause order.
+
+    The node branches on the literals of its narrowest falsified clause
+    (`_narrowest`): every one is false at x, so binding it true flips its
+    variable, and a binding that empties a clause is skipped.  The same
+    scan counts the greedy group of falsified clauses disjoint on `free`;
+    when the group outnumbers the radius the node has no children, since
+    each group clause needs a flip of its own.
+    """
+    x, free, falsified = state
+    clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+    if disjoint > radius:
+        return []
+    read, branches = f.read, []
+    for b in _narrowed_flips(f, clause, ~free):
+        child = _state(read, x ^ b, free ^ b)
+        if child is not None:
+            branches.append((child[2].bit_count(), child))
+    return branches
+
+
+def _ball_empty(f: Formula, center: int, radius: int, fixed: int) -> bool:
+    """True iff no model of f lies within `radius` of center off the `fixed` variables.
+
+    The classical descent without leaf, sort or count: the same literal
+    nodes, depth first, complete since a ball witness differs from a
+    node's assignment on a variable of every falsified clause.
+    """
+    root = _state(f.read, center, ((1 << f.num_vars) - 1) ^ fixed)
+    return root is None or not _holds_model(f, root, radius)
+
+
+def _holds_model(f: Formula, state: State, radius: int) -> bool:
+    """Whether a model lies within `radius` of the state's x, flipping only free variables."""
+    if not state[2]:
+        return True
+    if radius <= 0:
+        return False
+    for _, child in _literal_branches(f, state, radius):
+        if _holds_model(f, child, radius - 1):
+            return True
+    return False
+
+
 def _descend(
     inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime, state: State, radius: int
 ) -> int | None:
@@ -242,16 +301,12 @@ def _descend(
 
     A node with the repair code and a disjoint group G of more than t
     falsified clauses jumps through the code's words on the first t
-    clauses of G.  Any other node branches on the literals of its
-    narrowest falsified clause (`_narrowest`): every one is false at x,
-    so binding it true flips its variable, and a binding that empties a
-    clause is skipped.  The same scan counts the greedy group of
-    falsified clauses disjoint on `free`.  When the group outnumbers the
-    radius, the node returns None without branching: each group clause
-    needs a flip of its own, so the subtree holds no model, and the
-    order of the other subtrees and the model found stay as they were.
-    Jump nodes keep the jump.  A node with the code and a small G drops
-    the code, so its subtree is the classical descent.
+    clauses of G.  Any other node takes `_literal_branches`: the
+    literals of its narrowest falsified clause, or none when its
+    disjoint group outnumbers the radius, so the subtree holds no model
+    and the order of the other subtrees and the model found stay as they
+    were.  Jump nodes keep the jump.  A node with the code and a small
+    G drops the code, so its subtree is the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
     leaf runs on inst.formula, centered on x, with the variables outside
     `free` fixed, at the node's radius: its marks and draws are those of
@@ -271,24 +326,17 @@ def _descend(
         if len(group) <= code.word_length:
             code = None
     if code is None:
-        clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
-        if disjoint > radius:   # each clause of the group needs its own flip
-            return None
-        branches = []
-        for b in _narrowed_flips(f, clause, ~free):
-            child = _state(f.read, x ^ b, free ^ b)
-            if child is not None:
-                branches.append((child[2].bit_count(), child, radius - 1))
+        branches, rest = _literal_branches(f, state, radius), radius - 1
     else:
-        branches, batch = [], group[: code.word_length]
+        branches, batch, rest = [], group[: code.word_length], radius - code.radius
         for word in code.codewords:
             moved = modify_assignment(f, x, batch, word, ~free)
             after = f.read(moved)
-            branches.append((after.bit_count(), (moved, free, after), radius - code.radius))
-    branches.sort(key=lambda b: b[0])
-    for _, state, rest in branches:
+            branches.append((after.bit_count(), (moved, free, after)))
+    branches.sort(key=_by_score)
+    for _, child in branches:
         rt.branches += 1
-        model = _descend(inst, code, rt, state, rest)
+        model = _descend(inst, code, rt, child, rest)
         if model is not None:
             return model
     return None

@@ -2,14 +2,17 @@
 
 The (k, mode, r_max) triples are those of the `perfbench` workloads;
 the formulas come from the shared generators.  Status, model and the
-deterministic `SolveStats` counters are pinned, so a change that moves
-any of them fails here and has to update the table on purpose.  The
+deterministic `SolveStats` counters are pinned, and so is a digest of
+each workload's leaf records, so a change that moves any of them fails
+here and has to update the table on purpose.  The
 hybrid family keeps n = 13: at k = 1 that is the smallest size whose
 sweep radius exceeds r_max = 3, so the solve reaches `kpbs_hybrid`
 instead of going straight to the quantum leaf.
 """
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -53,6 +56,17 @@ GOLDEN = {
 }
 
 
+# sha256 over every QuantumCallRecord of the corpus, in order, per workload:
+# a leaf change that drops or reorders records fails here even when the
+# counters above still match
+RECORDS_SHA256 = {
+    "unsat3-hybrid": "e6fa703e1c849b4d5aca3e17c18e31a86b24e68f79fe479e4417b47c6e4adc29",
+    # no quantum call: the digest of nothing
+    "unsat3-classical": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "planted-pool": "c906b6446ab1fdd7d9da26cd902ec1a3ec5a52ba977193eb29629b6257bc1519",
+}
+
+
 def corpus(name):
     rng = random.Random(name)
     for planted, n, m, width in FAMILIES[name]:
@@ -70,3 +84,12 @@ def test_counters_match_the_recorded_values(name):
             s.total_queries, s.dispatches, s.groups_failed,
         )
         assert got == GOLDEN[name, index], f"{name} instance {index}"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_records_match_the_recorded_digest(name):
+    digest = hashlib.sha256()
+    for index, f in enumerate(corpus(name)):
+        for rec in solve(f, SolveConfig(seed=0, **CONFIGS[name])).stats.records:
+            digest.update(f"{index} {astuple(rec)!r}\n".encode())
+    assert digest.hexdigest() == RECORDS_SHA256[name], name

@@ -135,6 +135,75 @@ class TestQuantumLeaf:
         assert att.radius == 2
         assert att.queries == att.L - 1
 
+    def test_a_proved_empty_leaf_builds_no_trie(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("trie pass on a ball proved empty")
+
+        monkeypatch.setattr(pbs, "marked_mask", forbidden)
+        rt = runtime(3, retries=3)
+        assert quantum_kpbs(PbsInstance(UNSAT3, 0, 2, 2, 0.1, 3), rt) is None
+        assert [r.outcome for r in rt.records] == ["false"] * 3
+        assert rt.groups_failed == 1
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_the_proof_leaves_records_and_draws_as_the_trie(self, seed, monkeypatch):
+        rng = random.Random(600 + seed)
+        runs = []
+        for _ in range(60):
+            n = rng.randrange(3, 9)
+            f = narrowed(random_ksat(n, rng.randrange(n, 5 * n), 3, rng), rng)
+            fixed = rng.randrange(1 << n) & rng.randrange(1 << n)
+            center = rng.randrange(1 << n)
+            inst = PbsInstance(f, center, rng.randrange(4), 3, 0.1, rng.choice((3, 4)), fixed)
+            runs.append((inst, rng.randrange(1 << 30), pbs._ball_empty(f, center, inst.radius, fixed)))
+        assert 10 < sum(empty for *_, empty in runs) < 50
+
+        def leaves():
+            out = []
+            for inst, dseed, _ in runs:
+                rt = runtime(dseed)
+                got = quantum_kpbs(inst, rt)
+                out.append((got, rt.records, rt.groups_failed, rt.rng.bit_generator.state))
+            return out
+
+        proved = leaves()
+        monkeypatch.setattr(pbs, "_ball_empty", lambda *args: False)
+        assert proved == leaves()
+
+    def test_a_walk_to_a_model_in_a_proved_empty_ball_disagrees(self, monkeypatch):
+        f = Formula(1, ((1,),))
+        assert marked_mask(f, 0, 1, 3).all()
+        monkeypatch.setattr(pbs, "_ball_empty", lambda *args: True)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1))
+
+
+class TestEmptyBallProof:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_empty_exactly_when_the_held_ball_holds_no_model(self, seed):
+        rng = random.Random(700 + seed)
+        empty = conflicts = models = 0
+        for i in range(200):
+            n = rng.randrange(3, 9)
+            if i % 2:
+                base = mixed_formula(n, rng.randrange(n, 2 * n), rng)
+            else:
+                base = random_ksat(n, rng.randrange(n, 5 * n), 3, rng)
+            f = narrowed(base, rng)
+            fixed = rng.randrange(1 << n) & rng.randrange(1 << n)
+            radius, alphabet = rng.randrange(5), rng.choice((3, 4))
+            inst = PbsInstance(f, pack(random_assignment(n, rng)), radius, 0, 0.1, alphabet, fixed)
+            sub, center = held_root(inst)
+            witness = None if sub is CONFLICT else ball_promise(sub, center, radius)
+            proved = pbs._ball_empty(f, inst.center, radius, fixed)
+            assert proved == (witness is None), (f, inst.center, radius, fixed)
+            if proved:
+                assert not marked_mask(f, inst.center, radius, alphabet, fixed).any()
+            empty += proved
+            conflicts += sub is CONFLICT
+            models += not proved
+        assert conflicts > 10 and empty - conflicts > 30 and models > 30, (conflicts, empty, models)
+
 
 class TestClassicalDescent:
     def test_matches_ball_promise_status(self):
