@@ -16,8 +16,8 @@ branches on literals; the paper enumerates vbl(G) there instead.  A
 node that branches on literals returns at once when more of its
 falsified clauses than its radius are pairwise variable-disjoint: each
 needs a flip of its own, so its ball is empty.  The leaf runs at the
-radius the descent leaves it.  It first runs the same literal nodes
-over its own ball, with no leaf below them: when they find no model,
+radius the descent leaves it.  It first runs the same descent over its
+own ball at r_max 0, so with no leaf below: when that finds no model,
 no flip word can reach one, and the leaf measures the uniform register
 without building the flip-word trie.  FALSE returns are one-sided:
 each quantum group errs with probability at most eps^(2R).
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
@@ -102,16 +102,18 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     measures a word from p/M per marked and (1-p)/(N-M) per unmarked
     word.  Retries multiply only the query count.  A walk flips at most
     r variables outside `inst.fixed`, so its endpoint lies in the ball:
-    when the literal descent (`_ball_empty`) finds no model there, M = 0
-    and the register is uniform, with no trie pass.  Otherwise the trie
-    pass marks the words whose walk succeeds.  The measured word is
-    walked again: its endpoint satisfies f iff the word is marked, and
-    one that does in a ball proved empty raises.
+    when the descent over it at r_max 0 (`_search`, on a scratch
+    runtime, so no leaf runs and the dispatch counts no branch) finds no
+    model, M = 0 and the register is uniform, with no trie pass.
+    Otherwise the trie pass marks the words whose walk succeeds.  The
+    measured word is walked again: its endpoint satisfies f iff the word
+    is marked, and one that does in a ball proved empty raises.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
     check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    if _ball_empty(f, center, radius, inst.fixed):
+    proof = PbsInstance(f, center, radius, 0, inst.epsilon, k, inst.fixed)
+    if _search(proof, None, PbsRuntime(())) is None:
         marked, cdf = None, _uniform_cdf(k**radius)
     else:
         marked = marked_mask(f, center, radius, k, inst.fixed)
@@ -249,51 +251,6 @@ def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int
     return None if root is None else _descend(inst, code, rt, root, inst.radius)
 
 
-def _literal_branches(f: Formula, state: State, radius: int) -> list[tuple[int, State]]:
-    """(falsified-clause count, child state) per branch of a literal node, in clause order.
-
-    The node branches on the literals of its narrowest falsified clause
-    (`_narrowest`): every one is false at x, so binding it true flips its
-    variable, and a binding that empties a clause is skipped.  The same
-    scan counts the greedy group of falsified clauses disjoint on `free`;
-    when the group outnumbers the radius the node has no children, since
-    each group clause needs a flip of its own.
-    """
-    x, free, falsified = state
-    clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
-    if disjoint > radius:
-        return []
-    read, branches = f.read, []
-    for b in _narrowed_flips(f, clause, ~free):
-        child = _state(read, x ^ b, free ^ b)
-        if child is not None:
-            branches.append((child[2].bit_count(), child))
-    return branches
-
-
-def _ball_empty(f: Formula, center: int, radius: int, fixed: int) -> bool:
-    """True iff no model of f lies within `radius` of center off the `fixed` variables.
-
-    The classical descent without leaf, sort or count: the same literal
-    nodes, depth first, complete since a ball witness differs from a
-    node's assignment on a variable of every falsified clause.
-    """
-    root = _state(f.read, center, ((1 << f.num_vars) - 1) ^ fixed)
-    return root is None or not _holds_model(f, root, radius)
-
-
-def _holds_model(f: Formula, state: State, radius: int) -> bool:
-    """Whether a model lies within `radius` of the state's x, flipping only free variables."""
-    if not state[2]:
-        return True
-    if radius <= 0:
-        return False
-    for _, child in _literal_branches(f, state, radius):
-        if _holds_model(f, child, radius - 1):
-            return True
-    return False
-
-
 def _descend(
     inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime, state: State, radius: int
 ) -> int | None:
@@ -301,16 +258,21 @@ def _descend(
 
     A node with the repair code and a disjoint group G of more than t
     falsified clauses jumps through the code's words on the first t
-    clauses of G.  Any other node takes `_literal_branches`: the
-    literals of its narrowest falsified clause, or none when its
-    disjoint group outnumbers the radius, so the subtree holds no model
-    and the order of the other subtrees and the model found stay as they
-    were.  Jump nodes keep the jump.  A node with the code and a small
-    G drops the code, so its subtree is the classical descent.
-    Branches run fewest-falsified-clauses first, ties in order.  The
-    leaf runs on inst.formula, centered on x, with the variables outside
-    `free` fixed, at the node's radius: its marks and draws are those of
-    the restricted formula, and its model keeps the binding.
+    clauses of G.  Any other node branches on the literals of its
+    narrowest falsified clause (`_narrowest`): each is false at x, so
+    binding it true flips its variable; a binding that empties a clause
+    is skipped.  When the greedy group of falsified clauses disjoint on
+    `free`, counted in the same scan, outnumbers the radius, the node
+    returns None unbranched: each group clause needs its own flip, so
+    the subtree holds no model and the other subtrees keep their order.
+    Jump nodes keep the jump.  A node with the code and a small G drops
+    the code, so its subtree is the classical descent.  Branches run
+    fewest-falsified-clauses first, ties in order.  The leaf runs on
+    inst.formula, centered on x, with the variables outside `free`
+    fixed, at the node's radius: its marks and draws are those of the
+    restricted formula, and its model keeps the binding.  A node at
+    radius 0 returns before the leaf test, so at r_max 0 no leaf runs:
+    the leaf's emptiness proof relies on that.
     """
     x, free, falsified = state
     if not falsified:
@@ -320,13 +282,21 @@ def _descend(
     f = inst.formula
     if radius <= inst.r_max:
         held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
-        return quantum_kpbs(replace(inst, center=x, radius=radius, fixed=held), rt)
+        leaf = PbsInstance(f, x, radius, inst.r_max, inst.epsilon, inst.alphabet, held)
+        return quantum_kpbs(leaf, rt)
     if code is not None:
         group = max_disjoint_unsat(f, falsified, ~free)
         if len(group) <= code.word_length:
             code = None
     if code is None:
-        branches, rest = _literal_branches(f, state, radius), radius - 1
+        clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+        if disjoint > radius:
+            return None
+        read, branches, rest = f.read, [], radius - 1
+        for b in _narrowed_flips(f, clause, ~free):
+            child = _state(read, x ^ b, free ^ b)
+            if child is not None:
+                branches.append((child[2].bit_count(), child))
     else:
         branches, batch, rest = [], group[: code.word_length], radius - code.radius
         for word in code.codewords:

@@ -155,7 +155,8 @@ class TestQuantumLeaf:
             fixed = rng.randrange(1 << n) & rng.randrange(1 << n)
             center = rng.randrange(1 << n)
             inst = PbsInstance(f, center, rng.randrange(4), 3, 0.1, rng.choice((3, 4)), fixed)
-            runs.append((inst, rng.randrange(1 << 30), pbs._ball_empty(f, center, inst.radius, fixed)))
+            empty = kqcpbs(replace(inst, r_max=0), runtime(0)) is None
+            runs.append((inst, rng.randrange(1 << 30), empty))
         assert 10 < sum(empty for *_, empty in runs) < 50
 
         def leaves():
@@ -167,13 +168,33 @@ class TestQuantumLeaf:
             return out
 
         proved = leaves()
-        monkeypatch.setattr(pbs, "_ball_empty", lambda *args: False)
+        monkeypatch.setattr(pbs, "_search", lambda *args: 0)   # any int: a model, so the trie
         assert proved == leaves()
+
+    def test_the_proof_runs_no_nested_leaf_and_leaves_the_dispatch_log_alone(self, monkeypatch):
+        calls = []
+        original = pbs.quantum_kpbs
+
+        def counted(inst, rt):
+            calls.append(inst)
+            return original(inst, rt)
+
+        monkeypatch.setattr(pbs, "quantum_kpbs", counted)
+        two_blocks = parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")
+        for f, radius, has_model in ((two_blocks, 2, True), (UNSAT3, 1, False)):
+            rt = runtime(5, retries=3)
+            got = original(PbsInstance(f, 0, radius, radius, 0.1, 3), rt)
+            assert (got is not None) == has_model
+            assert calls == [] and rt.branches == 0
+            outcomes = [r.outcome for r in rt.records]
+            tries = len(outcomes) if has_model else 3
+            assert outcomes == ["false"] * (tries - 1) + ["sat" if has_model else "false"]
+            assert [r.attempt for r in rt.records] == list(range(tries))
 
     def test_a_walk_to_a_model_in_a_proved_empty_ball_disagrees(self, monkeypatch):
         f = Formula(1, ((1,),))
         assert marked_mask(f, 0, 1, 3).all()
-        monkeypatch.setattr(pbs, "_ball_empty", lambda *args: True)
+        monkeypatch.setattr(pbs, "_search", lambda *args: None)   # the ball "proved" empty
         with pytest.raises(RuntimeError, match="disagrees"):
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1))
 
@@ -195,7 +216,7 @@ class TestEmptyBallProof:
             inst = PbsInstance(f, pack(random_assignment(n, rng)), radius, 0, 0.1, alphabet, fixed)
             sub, center = held_root(inst)
             witness = None if sub is CONFLICT else ball_promise(sub, center, radius)
-            proved = pbs._ball_empty(f, inst.center, radius, fixed)
+            proved = kqcpbs(inst, runtime(0)) is None
             assert proved == (witness is None), (f, inst.center, radius, fixed)
             if proved:
                 assert not marked_mask(f, inst.center, radius, alphabet, fixed).any()
