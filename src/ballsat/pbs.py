@@ -17,10 +17,12 @@ node that branches on literals returns at once when more of its
 falsified clauses than its radius are pairwise variable-disjoint: each
 needs a flip of its own, so its ball is empty.  The leaf runs at the
 radius the descent leaves it.  It first runs the same descent over its
-own ball at r_max 0, so with no leaf below: when that finds no model,
-no flip word can reach one, and the leaf measures the uniform register
-without building the flip-word trie.  FALSE returns are one-sided:
-each quantum group errs with probability at most eps^(2R).
+own ball at r_max 0, so with no leaf below, from the state of the node
+that called it: when that finds no model, no flip word can reach one,
+and the leaf measures the uniform register without building the
+flip-word trie, drawing all its retries in one call.  FALSE returns
+are one-sided: each quantum group errs with probability at most
+eps^(2R).
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ class PbsInstance:
     epsilon: float
     alphabet: int        # branching alphabet K; narrowing may shorten clauses
     fixed: int = 0       # mask of the variables the center holds; never flipped
+
+
+State = tuple[int, int, int]   # (x, free, falsified), packed ints
+# words of a leaf's measured indices; a solve measures at a few (K, r) only
+_leaf_word = functools.lru_cache(maxsize=4096)(_kary_word)
 
 
 def descent_t(alphabet: int, radius: int) -> int:
@@ -94,7 +101,7 @@ class PbsRuntime:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
-def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
+def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, root: State | None = None) -> int | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
     The amplified register is two-level: M of N = K^r words are marked,
@@ -104,23 +111,34 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     r variables outside `inst.fixed`, so its endpoint lies in the ball:
     when the descent over it at r_max 0 (`_search`, on a scratch
     runtime, so no leaf runs and the dispatch counts no branch) finds no
-    model, M = 0 and the register is uniform, with no trie pass.
-    Otherwise the trie pass marks the words whose walk succeeds.  The
-    measured word is walked again: its endpoint satisfies f iff the word
-    is marked, and one that does in a ball proved empty raises.
+    model, M = 0 and the register is uniform, with no trie pass.  The
+    descent starts from `root`, the (x, free, falsified) state of the
+    node that calls the leaf, or else from the state it reads off the
+    center and `inst.fixed`.  Every retry of a ball proved empty misses,
+    so its draws are taken in one call, which yields the doubles and the
+    Generator state of one draw per retry.  Otherwise the trie pass
+    marks the words whose walk succeeds, and the retries draw one at a
+    time up to the first hit.  Each measured word is walked again: its
+    endpoint satisfies f iff the word is marked, and one that does in a
+    ball proved empty raises.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
     check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    proof = PbsInstance(f, center, radius, 0, inst.epsilon, k, inst.fixed)
-    if _search(proof, None, PbsRuntime(())) is None:
+    tries = max(1, rt.retries)
+    if inst.r_max == 0:
+        proof = inst
+    else:   # the same ball at r_max 0, so the descent runs no leaf
+        proof = PbsInstance(f, center, radius, 0, inst.epsilon, k, inst.fixed)
+    if _search(proof, None, PbsRuntime(()), root) is None:
         marked, cdf = None, _uniform_cdf(k**radius)
+        draws = cdf.searchsorted(rt.rng.random(tries), side="right").tolist()
     else:
         marked = marked_mask(f, center, radius, k, inst.fixed)
         cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
-    for attempt in range(max(1, rt.retries)):
-        index = measure(cdf, rt.rng)
-        candidate = walk(f, center, _kary_word(index, k, radius), inst.fixed)
+        draws = (measure(cdf, rt.rng) for _ in range(tries))   # drawn lazily: a hit stops them
+    for attempt, index in enumerate(draws):
+        candidate = walk(f, center, _leaf_word(index, k, radius), inst.fixed)
         hit = not f.read(candidate)
         if hit != (marked is not None and marked[index]):
             basis = "its trie mark" if marked is not None else "the empty-ball proof"
@@ -142,7 +160,6 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     return None
 
 
-State = tuple[int, int, int]   # (x, free, falsified), packed ints
 _by_score = itemgetter(0)
 
 
@@ -244,11 +261,19 @@ def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | 
     return _search(inst, code, rt)
 
 
-def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int | None:
-    """The descent from inst's center; None at once if the held variables empty a clause."""
-    f = inst.formula
-    root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
-    return None if root is None else _descend(inst, code, rt, root, inst.radius)
+def _search(
+    inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime, root: State | None = None
+) -> int | None:
+    """The descent from `root`, by default inst's center and held mask.
+
+    None at once if the held variables empty a clause.
+    """
+    if root is None:
+        f = inst.formula
+        root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
+        if root is None:
+            return None
+    return _descend(inst, code, rt, root, inst.radius)
 
 
 def _descend(
@@ -261,18 +286,23 @@ def _descend(
     clauses of G.  Any other node branches on the literals of its
     narrowest falsified clause (`_narrowest`): each is false at x, so
     binding it true flips its variable; a binding that empties a clause
-    is skipped.  When the greedy group of falsified clauses disjoint on
-    `free`, counted in the same scan, outnumbers the radius, the node
-    returns None unbranched: each group clause needs its own flip, so
-    the subtree holds no model and the other subtrees keep their order.
-    Jump nodes keep the jump.  A node with the code and a small G drops
-    the code, so its subtree is the classical descent.  Branches run
-    fewest-falsified-clauses first, ties in order.  The leaf runs on
-    inst.formula, centered on x, with the variables outside `free`
-    fixed, at the node's radius: its marks and draws are those of the
-    restricted formula, and its model keeps the binding.  A node at
-    radius 0 returns before the leaf test, so at r_max 0 no leaf runs:
-    the leaf's emptiness proof relies on that.
+    is skipped.  A child's binding empties a clause iff the clause is
+    falsified at the child and at x ^ free, the child with every free
+    variable flipped, which is the same assignment for every child: the
+    node reads it once.  When the greedy group of falsified clauses
+    disjoint on `free`, counted in the same scan, outnumbers the radius,
+    the node returns None unbranched: each group clause needs its own
+    flip, so the subtree holds no model and the other subtrees keep
+    their order.  Jump nodes keep the jump.  A node with the code and a
+    small G drops the code, so its subtree is the classical descent.
+    Branches run fewest-falsified-clauses first, ties in order.  The
+    leaf runs on inst.formula, centered on x, with the variables outside
+    `free` fixed, at the node's radius: its marks and draws are those of
+    the restricted formula, and its model keeps the binding.  The leaf
+    gets the node's state, from which its emptiness proof starts, and
+    an instance at r_max 0, on which that proof runs this descent: a
+    node at radius 0 returns before the leaf test, so at r_max 0 no leaf
+    runs.
     """
     x, free, falsified = state
     if not falsified:
@@ -282,8 +312,8 @@ def _descend(
     f = inst.formula
     if radius <= inst.r_max:
         held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
-        leaf = PbsInstance(f, x, radius, inst.r_max, inst.epsilon, inst.alphabet, held)
-        return quantum_kpbs(leaf, rt)
+        leaf = PbsInstance(f, x, radius, 0, inst.epsilon, inst.alphabet, held)
+        return quantum_kpbs(leaf, rt, state)
     if code is not None:
         group = max_disjoint_unsat(f, falsified, ~free)
         if len(group) <= code.word_length:
@@ -293,10 +323,10 @@ def _descend(
         if disjoint > radius:
             return None
         read, branches, rest = f.read, [], radius - 1
-        for b in _narrowed_flips(f, clause, ~free):
-            child = _state(read, x ^ b, free ^ b)
-            if child is not None:
-                branches.append((child[2].bit_count(), child))
+        conflict = read(x ^ free)
+        for b in f.flips[clause]:
+            if b & free and not (after := read(x ^ b)) & conflict:
+                branches.append((after.bit_count(), (x ^ b, free ^ b, after)))
     else:
         branches, batch, rest = [], group[: code.word_length], radius - code.radius
         for word in code.codewords:

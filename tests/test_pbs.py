@@ -1,12 +1,14 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
 from ballsat.codes import CoveringCode, build_kary_cover, prune_cover
 from ballsat.fliptree import marked_mask, walk
 from ballsat.formula import max_disjoint_unsat, pack, unpack
+from ballsat.orchestrator import MAX_RETRIES, SolveConfig, solve
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
     PbsInstance,
@@ -197,6 +199,87 @@ class TestQuantumLeaf:
         monkeypatch.setattr(pbs, "_search", lambda *args: None)   # the ball "proved" empty
         with pytest.raises(RuntimeError, match="disagrees"):
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1))
+
+    def test_a_walk_to_a_model_in_a_batch_of_draws_disagrees(self, monkeypatch):
+        # three retries of a proved-empty ball draw in one call; each word is still walked
+        f = Formula(1, ((1,),))
+        monkeypatch.setattr(pbs, "_search", lambda *args: None)   # the ball "proved" empty
+        rt = runtime(0, retries=3)
+        with pytest.raises(RuntimeError, match="disagrees with the empty-ball proof"):
+            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt)
+        assert rt.records == []
+
+
+class TestBatchedDraws:
+    """The numpy behaviour a proved-empty leaf's single draw call relies on."""
+
+    @pytest.mark.parametrize("seed", [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)])
+    @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
+    def test_one_call_draws_what_n_calls_draw(self, seed, n):
+        # built as PbsRuntime.rng builds it
+        batched, single = (np.random.default_rng(np.random.SeedSequence(seed)) for _ in range(2))
+        assert batched.random(n).tolist() == [single.random() for _ in range(n)]
+        assert batched.bit_generator.state == single.bit_generator.state
+
+
+class TestLeafFromTheNode:
+    """The leaf a descent node enters with its state is the leaf built from an instance."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_descend_and_quantum_kpbs_agree(self, seed):
+        rng = random.Random(800 + seed)
+        seen = {"conflicts": 0, "proved empty": 0, "trie": 0, "models": 0}
+        for i in range(200):
+            n = rng.randrange(3, 10)
+            if i % 2:
+                base = mixed_formula(n, rng.randrange(n, 2 * n), rng)
+            else:
+                base = random_ksat(n, rng.randrange(n, 5 * n), 3, rng)
+            f = narrowed(base, rng)
+            held = rng.randrange(1 << n) & rng.randrange(1 << n)
+            free = ((1 << n) - 1) ^ held
+            x = rng.randrange(1 << n)
+            if not f.read(x):
+                continue   # a satisfied node returns its assignment before the leaf test
+            radius, r_max = rng.randrange(1, 4), rng.randrange(3, 5)
+            eps, alphabet = rng.choice((0.1, 0.3)), rng.choice((3, 4))
+            dseed, retries = rng.randrange(2**32), rng.choice((1, 3, 5))
+            inst = PbsInstance(f, x, radius, r_max, eps, alphabet, held)
+            from_node, direct = runtime(dseed, retries=retries), runtime(dseed, retries=retries)
+            got = _descend(inst, None, from_node, (x, free, f.read(x)), radius)
+            want = quantum_kpbs(inst, direct)
+            assert got == want
+            for rt in (from_node, direct):
+                assert rt.branches == 0 and len(rt.records) in range(1, retries + 1)
+            assert from_node.records == direct.records
+            assert from_node.groups_failed == direct.groups_failed
+            assert from_node.rng.bit_generator.state == direct.rng.bit_generator.state
+            conflict = _state(f.read, x, free) is None
+            empty = kqcpbs(PbsInstance(f, x, radius, 0, eps, alphabet, held), runtime()) is None
+            seen["conflicts"] += conflict
+            seen["proved empty"] += empty and not conflict
+            seen["trie"] += not empty
+            seen["models"] += got is not None
+        # the sample holds emptied clauses, both leaf paths and leaf hits
+        assert min(seen.values()) > 10, seen
+
+    def test_every_retry_walks_its_word(self, monkeypatch):
+        # shaped like perfbench's unsat3-hybrid: UNSAT random 3-SAT n = 13, m = 59,
+        # k = 1, r_max = 3, so every dispatch descends to leaves its proof empties
+        rng = random.Random(26)
+        f = next(g for g in iter(lambda: random_ksat(13, 59, 3, rng), None)
+                 if all(map(g.read, range(1 << 13))))
+        walks, real = [], pbs.walk
+        monkeypatch.setattr(pbs, "walk", lambda *args: walks.append(args) or real(*args))
+
+        def forbidden(*args):
+            raise AssertionError("trie pass on an UNSAT formula")
+
+        monkeypatch.setattr(pbs, "marked_mask", forbidden)
+        res = solve(f, SolveConfig(k=1, r_max=3, seed=4, workers=1))
+        assert res.status == "FALSE" and res.stats.branches > 0
+        assert len(walks) == res.stats.quantum_calls > 100
+        assert {rec.outcome for rec in res.stats.records} == {"false"}
 
 
 class TestEmptyBallProof:
