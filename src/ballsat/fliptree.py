@@ -25,23 +25,20 @@ FlipSequence = tuple[int, ...]
 
 def _narrowed_flips(f: Formula, idx: int, fixed: int) -> list[int]:
     """Variable bits outside `fixed` of clause idx, in clause order."""
-    return [b for b in f.flips[idx] if not b & fixed]
+    flips = f.flips[idx]
+    return [b for b in flips if not b & fixed] if f.clause_vars[idx] & fixed else list(flips)
 
 
 def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> int:
     """Run the walk for one choice word from the packed center and return its packed endpoint."""
-    read, all_flips, clause_vars, x = f.read, f.flips, f.clause_vars, center
+    read, x = f.read, center
     for choice in seq:
         unsat = read(x)
         if not unsat:
             break
-        i = (unsat & -unsat).bit_length() - 1
-        # `_narrowed_flips` inline; a clause with no held variable keeps its flips
-        flips = all_flips[i]
-        if clause_vars[i] & fixed:
-            flips = [b for b in flips if not b & fixed]
-            if not flips:
-                break
+        flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
+        if not flips:
+            break
         x ^= flips[(choice - 1) % len(flips)]
     return x
 

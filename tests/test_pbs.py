@@ -211,7 +211,7 @@ class TestQuantumLeaf:
 
 
 class TestBatchedDraws:
-    """The numpy behaviour a proved-empty leaf's single draw call relies on."""
+    """The numpy behaviour a leaf's single draw call relies on."""
 
     @pytest.mark.parametrize("seed", [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)])
     @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
