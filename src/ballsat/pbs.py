@@ -34,6 +34,7 @@ from operator import itemgetter
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .codes import CoveringCode, _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
@@ -78,6 +79,37 @@ class QuantumCallRecord:
     attempt: int   # 0-based retry index
 
 
+# records are frozen, so equal ones can be one value: records repeat within a
+# solve (150 of the first unsat3-hybrid solve's 246 builds hit) and across solves
+_record = functools.lru_cache(maxsize=4096)(QuantumCallRecord)
+
+
+@functools.lru_cache(maxsize=1024)
+def _seed_words(seed: tuple[int, ...]) -> np.ndarray:
+    """The four uint64 words PCG64 draws from SeedSequence(seed), read-only."""
+    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _CachedSeedSequence(ISeedSequence):
+    """SeedSequence(seed) as PCG64 reads it, with its state words from `_seed_words`.
+
+    PCG64 asks its seed sequence for `generate_state(4, np.uint64)` once,
+    at construction; any other request is answered by SeedSequence(seed).
+    """
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: tuple[int, ...]):
+        self.seed = seed
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return _seed_words(self.seed)
+        return np.random.SeedSequence(self.seed).generate_state(n_words, dtype)
+
+
 @dataclass
 class PbsRuntime:
     """Per-dispatch context and log, plain data only.
@@ -85,8 +117,11 @@ class PbsRuntime:
     The context is the seed of the leaf's randomness, the retry budget
     and the (prefix, codeword) the dispatch serves; the log is its leaf
     records, branch count and failed quantum groups.  The Generator is
-    built from the seed on the first draw, so a dispatch whose descent
-    never reaches the leaf builds none.
+    built on the first draw, so a dispatch whose descent never reaches
+    the leaf builds none.  It is PCG64 on the cached seed words of
+    SeedSequence(seed), so it draws what
+    `np.random.default_rng(np.random.SeedSequence(seed))` draws, and a
+    repeated seed costs a lookup, not a SeedSequence.
     """
 
     seed: tuple[int, ...]
@@ -99,7 +134,7 @@ class PbsRuntime:
 
     @functools.cached_property
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed))
+        return np.random.default_rng(np.random.PCG64(_CachedSeedSequence(self.seed)))
 
 
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, root: State | None = None) -> int | None:
@@ -121,7 +156,9 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, root: State | None = None) -
     draws past a hit go unused, and the dispatch ends there.  Each
     measured word up to the first hit is walked again: its endpoint
     satisfies f iff the word is marked, and one that does in a ball
-    proved empty raises.
+    proved empty raises.  The draws come from `rt.rng`, whose seed words
+    are cached per seed, and each retry logs a record through a bounded
+    cache, so equal records are one shared frozen value.
     """
     f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
     check_space(k, radius)
@@ -140,7 +177,7 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, root: State | None = None) -
             basis = "its trie mark" if marked is not None else "the empty-ball proof"
             raise RuntimeError(f"walk of word {index} disagrees with {basis}")
         rt.records.append(
-            QuantumCallRecord(
+            _record(
                 rt.prefix,
                 rt.codeword,
                 radius,
@@ -171,15 +208,16 @@ def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
 
 
 def _narrowest(
-    clause_vars: tuple[int, ...], falsified: int, free: int, radius: int
+    clause_vars: tuple[int, ...], falsified: int, free: int, cap: int
 ) -> tuple[int, int]:
     """(narrowest falsified clause, size of the greedy disjoint group), one scan.
 
     The narrowest clause has the fewest variables in `free`, ties to the
     lowest index.  The group is `max_disjoint_unsat(f, falsified, ~free)`:
     the lowest-index greedy set of falsified clauses pairwise disjoint on
-    `free`.  The scan stops once the group exceeds `radius`, and then the
-    index is -1.
+    `free`.  The scan stops once the group exceeds `cap`, and then the
+    index is -1: the descent caps it at the node's radius, or at the
+    repair code's length t where a larger group makes the node jump.
     """
     best, best_width = -1, free.bit_count() + 1
     used = size = 0
@@ -191,7 +229,7 @@ def _narrowest(
         if not cvars & used:
             used |= cvars
             size += 1
-            if size > radius:
+            if size > cap:
                 return -1, size
         width = cvars.bit_count()
         if width < best_width:
@@ -289,8 +327,10 @@ def _descend(
     disjoint on `free`, counted in the same scan, outnumbers the radius,
     the node returns None unbranched: each group clause needs its own
     flip, so the subtree holds no model and the other subtrees keep
-    their order.  Jump nodes keep the jump.  A node with the code and a
-    small G drops the code, so its subtree is the classical descent.
+    their order.  Jump nodes keep the jump.  A node with the code runs
+    the same scan capped at t, and builds G's list only when it jumps; a
+    node with the code and a small G drops the code, so its subtree is
+    the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
     leaf runs on inst.formula, centered on x, with the variables outside
     `free` fixed, at the node's radius: its marks and draws are those of
@@ -310,11 +350,12 @@ def _descend(
         leaf = PbsInstance(f, x, radius, inst.r_max, inst.epsilon, inst.alphabet, held)
         return quantum_kpbs(leaf, rt, state)
     if code is not None:
-        group = max_disjoint_unsat(f, falsified, ~free)
-        if len(group) <= code.word_length:
+        clause, disjoint = _narrowest(f.clause_vars, falsified, free, code.word_length)
+        if clause >= 0:   # the scan ended with at most t disjoint clauses
             code = None
-    if code is None:
+    else:
         clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+    if code is None:
         if disjoint > radius:
             return None
         read, branches, rest = f.read, [], radius - 1
@@ -323,7 +364,8 @@ def _descend(
             if b & free and not (after := read(x ^ b)) & conflict:
                 branches.append((after.bit_count(), (x ^ b, free ^ b, after)))
     else:
-        branches, batch, rest = [], group[: code.word_length], radius - code.radius
+        batch = max_disjoint_unsat(f, falsified, ~free)[: code.word_length]
+        branches, rest = [], radius - code.radius
         for word in code.codewords:
             moved = modify_assignment(f, x, batch, word, ~free)
             after = f.read(moved)

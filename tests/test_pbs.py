@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 
@@ -55,6 +56,13 @@ def hamming(a, b):
 
 def satisfies(f, x):
     return evaluate(f, unpack(x, f.num_vars)) == 1
+
+
+def unsat3_hybrid_formula():
+    """UNSAT random 3-SAT at n = 13, m = 59, shaped like perfbench's unsat3-hybrid."""
+    rng = random.Random(26)
+    return next(g for g in iter(lambda: random_ksat(13, 59, 3, rng), None)
+                if all(map(g.read, range(1 << 13))))
 
 
 def narrowed(f, rng):
@@ -210,16 +218,131 @@ class TestQuantumLeaf:
         assert rt.records == []
 
 
+# (2**63, 12, 5) spans two 32-bit entropy words
+DISPATCH_SEEDS = [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)]
+
+
+def clear_caches():
+    pbs._seed_words.cache_clear()
+    pbs._record.cache_clear()
+
+
 class TestBatchedDraws:
     """The numpy behaviour a leaf's single draw call relies on."""
 
-    @pytest.mark.parametrize("seed", [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)])
+    @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
     @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
     def test_one_call_draws_what_n_calls_draw(self, seed, n):
-        # built as PbsRuntime.rng builds it
+        # the stream PbsRuntime.rng draws (TestSeedWords)
         batched, single = (np.random.default_rng(np.random.SeedSequence(seed)) for _ in range(2))
         assert batched.random(n).tolist() == [single.random() for _ in range(n)]
         assert batched.bit_generator.state == single.bit_generator.state
+
+
+class TestSeedWords:
+    """A runtime's Generator, built on cached seed words, is SeedSequence(seed)'s stream."""
+
+    @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
+    @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_runtime_draws_the_seed_sequence_stream(self, seed, n, warm):
+        clear_caches()
+        if warm:
+            PbsRuntime(seed).rng
+        before = pbs._seed_words.cache_info()
+        got = PbsRuntime(seed).rng
+        after = pbs._seed_words.cache_info()
+        # PCG64 took its words from the cache: a hit when warm, else a miss
+        assert (after.hits - before.hits, after.misses - before.misses) == (warm, not warm)
+        want = np.random.default_rng(np.random.SeedSequence(seed))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(n).tolist() == want.random(n).tolist()
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
+    def test_cached_words_are_read_only(self, seed):
+        words = pbs._seed_words(seed)
+        assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0] = 0
+        assert pbs._seed_words(seed) is words
+
+    def test_any_other_request_is_the_seed_sequence_state(self):
+        seq = pbs._CachedSeedSequence((7, 1, 0))
+        want = np.random.SeedSequence((7, 1, 0))
+        assert seq.generate_state(8).tolist() == want.generate_state(8).tolist()
+        assert seq.generate_state(2, np.uint64).tolist() == want.generate_state(2, np.uint64).tolist()
+
+
+class TestCacheState:
+    """The seed-word and record caches never reach a result."""
+
+    @staticmethod
+    def planted():
+        # planted formulas at a loose epsilon: trie leaves miss and hit at later
+        # attempts, so their records follow the draws
+        cfg = SolveConfig(k=2, r_max=3, epsilon=0.7, seed=1, workers=1)
+        return [(planted_ksat(13, 70, 3, random.Random(s))[0], cfg) for s in (6, 9, 10)]
+
+    @staticmethod
+    def unsat():
+        # every leaf's ball is proved empty
+        return [(unsat3_hybrid_formula(), SolveConfig(k=1, r_max=3, seed=4, workers=1))]
+
+    @staticmethod
+    def outcomes(problems):
+        return [(res.status, res.model, res.stats) for res in (solve(*p) for p in problems)]
+
+    @staticmethod
+    def fill_with_other_seeds():
+        for f, cfg in TestCacheState.planted() + TestCacheState.unsat():
+            for seed in (11, 12):
+                solve(f, replace(cfg, seed=seed))
+        # up to each cache's bound, so the solve that follows evicts
+        for i in range(pbs._seed_words.cache_info().maxsize):
+            pbs._seed_words((99, i, 0))
+        for i in range(pbs._record.cache_info().maxsize):
+            pbs._record("9", i, 1, 1, 1, "false", 0)
+
+    @pytest.mark.parametrize("case", ["planted", "unsat"])
+    def test_cleared_warm_and_filled_caches_give_one_result(self, case):
+        problems = getattr(self, case)()
+        clear_caches()
+        cold = self.outcomes(problems)
+        warm = self.outcomes(problems)
+        self.fill_with_other_seeds()
+        filled = self.outcomes(problems)
+        clear_caches()
+        assert cold == warm == filled
+        records = [rec for _, _, stats in cold for rec in stats.records]
+        if case == "planted":
+            assert {status for status, _, _ in cold} == {"SAT"}
+            assert any(rec.outcome == "sat" and rec.attempt > 0 for rec in records)
+        else:
+            assert cold[0][0] == "FALSE" and {rec.outcome for rec in records} == {"false"}
+        assert len(records) > 100 and all(stats.groups_failed for _, _, stats in cold)
+
+    def test_equal_records_are_one_value(self):
+        clear_caches()
+        [(_, _, stats)] = self.outcomes(self.unsat())
+        values = {id(rec) for rec in stats.records}
+        assert len(values) == len(set(stats.records)) < len(stats.records)
+
+    @pytest.mark.parametrize("cleared", [False, True])
+    def test_a_runtime_that_has_drawn_pickles_with_its_stream(self, cleared):
+        f, _ = planted_ksat(6, 20, 3, random.Random(5))
+        rt = PbsRuntime((7, 1, 0), retries=2, prefix="01", codeword=3)
+        quantum_kpbs(PbsInstance(f, 0, 2, 2, 0.1, 3), rt)
+        assert rt.records
+        data = pickle.dumps(rt)
+        if cleared:
+            clear_caches()   # as a process that never saw the seed
+        copy = pickle.loads(data)
+        assert copy == rt
+        assert copy.rng.bit_generator.state == rt.rng.bit_generator.state
+        assert copy.rng.random(MAX_RETRIES).tolist() == rt.rng.random(MAX_RETRIES).tolist()
+        assert copy.rng.bit_generator.state == rt.rng.bit_generator.state
 
 
 class TestLeafFromTheNode:
@@ -264,11 +387,8 @@ class TestLeafFromTheNode:
         assert min(seen.values()) > 10, seen
 
     def test_every_retry_walks_its_word(self, monkeypatch):
-        # shaped like perfbench's unsat3-hybrid: UNSAT random 3-SAT n = 13, m = 59,
         # k = 1, r_max = 3, so every dispatch descends to leaves its proof empties
-        rng = random.Random(26)
-        f = next(g for g in iter(lambda: random_ksat(13, 59, 3, rng), None)
-                 if all(map(g.read, range(1 << 13))))
+        f = unsat3_hybrid_formula()
         walks, real = [], pbs.walk
         monkeypatch.setattr(pbs, "walk", lambda *args: walks.append(args) or real(*args))
 
