@@ -219,6 +219,9 @@ def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarra
     return cdf
 
 
-def measure(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of one measured word: one uniform draw located in the CDF."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def measure(cdf: np.ndarray, rng: np.random.Generator, count: int) -> list[int]:
+    """Indices of `count` measured words: one batch of uniform draws located in the CDF.
+
+    The batch draws the doubles, and leaves the Generator state, of `count` single draws.
+    """
+    return cdf.searchsorted(rng.random(count), side="right").tolist()

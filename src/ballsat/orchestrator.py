@@ -8,9 +8,11 @@ dispatch is an independent subproblem whose messages carry only the
 parsed formula, packed assignments and counts: a `PbsInstance` whose
 center holds the prefix bits under its `fixed` mask goes in, and a
 `PbsRuntime` holding a seed and a log comes back; no prefix formula is
-built.  Dispatches run one at a time in a seeded order, and the first
-verified model ends the solve.  A FALSE answer is one-sided with an
-explicit failure-probability bound.
+built.  Every dispatch enters the descent: `kqcpbs` in classical mode,
+`kpbs_hybrid` with the repair code in hybrid mode, and only the
+descent hands a node to the quantum leaf.  Dispatches run one at a
+time in a seeded order, and the first verified model ends the solve.
+A FALSE answer is one-sided with an explicit failure-probability bound.
 """
 
 from __future__ import annotations
@@ -24,15 +26,7 @@ import numpy as np
 from .codes import check_space, cover
 from .formula import Assignment, Formula, evaluate, top_k_vars, unpack
 from .fpsearch import make_schedule
-from .pbs import (
-    PbsInstance,
-    PbsRuntime,
-    QuantumCallRecord,
-    descent_t,
-    kpbs_hybrid,
-    kqcpbs,
-    quantum_kpbs,
-)
+from .pbs import PbsInstance, PbsRuntime, QuantumCallRecord, descent_t, kpbs_hybrid, kqcpbs
 
 
 # retries per quantum group; each retry walks one word and writes one record
@@ -238,14 +232,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         for _, ci, center in scored:
             inst = PbsInstance(f, center, radius, r_cap, cfg.epsilon, alphabet, fixed)
             rt = PbsRuntime((seed, 1 + prefix_pos, ci), cfg.retries, prefix_str, ci)
-            if cfg.mode == "classical":
-                got = kqcpbs(inst, rt)
-            elif radius > r_cap:
-                got = kpbs_hybrid(inst, repair, rt)
-            else:
-                # straight to the leaf, also at radius 0, where kpbs_hybrid
-                # would return before it and log no call
-                got = quantum_kpbs(inst, rt)
+            got = kqcpbs(inst, rt) if repair is None else kpbs_hybrid(inst, repair, rt)
             stats.add(rt)
             if got is not None and evaluate(f, model := unpack(got, n)):
                 return finish("SAT", model)

@@ -15,11 +15,11 @@ choices.  A hybrid node with at most t such clauses drops the code and
 branches on literals; the paper enumerates vbl(G) there instead.  A
 node that branches on literals returns at once when more of its
 falsified clauses than its radius are pairwise variable-disjoint: each
-needs a flip of its own, so its ball is empty.  The leaf runs at the
-radius the descent leaves it.  It first runs the same descent over its
-own ball at r_max 0, so with no leaf below, from the state of the node
-that called it: when that finds no model, no flip word can reach one,
-and the leaf measures the uniform register without building the
+needs a flip of its own, so its ball is empty.  The descent alone
+hands nodes to the leaf: each whose radius, 0 included, fits a
+positive r_max.  The leaf first runs the descent at r_max 0 over its
+ball, from the node's state: when that finds no model, no flip word
+can reach one, and the leaf measures the uniform register without the
 flip-word trie.  A leaf draws all its retries in one call.  FALSE
 returns are one-sided: each quantum group errs with probability at
 most eps^(2R).
@@ -40,7 +40,7 @@ from .codes import CoveringCode, _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
 from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
-from .fpsearch import _uniform_cdf, make_schedule, word_cdf
+from .fpsearch import _uniform_cdf, make_schedule, measure, word_cdf
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class PbsInstance:
     formula: Formula
     center: int          # packed assignment, x_v at bit v - 1
     radius: int
-    r_max: int           # largest radius the quantum leaf may take
+    r_max: int           # largest radius the quantum leaf may take; 0: no leaf
     epsilon: float
     alphabet: int        # branching alphabet K; narrowing may shorten clauses
     fixed: int = 0       # mask of the variables the center holds; never flipped
@@ -137,41 +137,47 @@ class PbsRuntime:
         return np.random.default_rng(np.random.PCG64(_CachedSeedSequence(self.seed)))
 
 
-def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, root: State | None = None) -> int | None:
+def quantum_kpbs(
+    inst: PbsInstance, rt: PbsRuntime, state: State | None = None, radius: int = 0
+) -> int | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
-    The amplified register is two-level: M of N = K^r words are marked,
-    the closed form gives the marked probability p, and each retry
-    measures a word from p/M per marked and (1-p)/(N-M) per unmarked
-    word.  Retries multiply only the query count.  A walk flips at most
-    r variables outside `inst.fixed`, so its endpoint lies in the ball:
-    when the descent over it at r_max 0 (`_search`, on a scratch
-    runtime, so no leaf runs and the dispatch counts no branch) finds no
-    model, M = 0 and the register is uniform, with no trie pass;
-    otherwise the trie pass marks the words whose walk succeeds.  The
-    descent starts from `root`, the (x, free, falsified) state of the
-    node that calls the leaf, or else from the state it reads off the
-    center and `inst.fixed`.  All retries draw in one call, which yields
-    the doubles and the Generator state of one draw per retry; the
-    draws past a hit go unused, and the dispatch ends there.  Each
-    measured word up to the first hit is walked again: its endpoint
-    satisfies f iff the word is marked, and one that does in a ball
-    proved empty raises.  The draws come from `rt.rng`, whose seed words
-    are cached per seed, and each retry logs a record through a bounded
-    cache, so equal records are one shared frozen value.
+    The ball is a descent node's: centered on x of its state (x, free,
+    falsified), at its radius, with the variables outside `free` held.
+    Called with an instance alone, the leaf reads the ball off the
+    center, `inst.fixed` and `inst.radius`.  The amplified register is
+    two-level: M of N = K^r words are marked, the closed form gives the
+    marked probability p, and each retry measures a word from p/M per
+    marked and (1-p)/(N-M) per unmarked word.  Retries multiply only the
+    query count.  A walk flips at most r unheld variables, so its
+    endpoint lies in the ball: when the held variables empty a clause,
+    or the descent from the state at r_max 0 (on a scratch runtime, so
+    no leaf runs and the dispatch counts no branch) finds no model,
+    M = 0 and the register is uniform, with no trie pass; otherwise the
+    trie pass marks the words whose walk succeeds.
+    `measure` draws all retries at once; the draws past a hit go unused,
+    and the dispatch ends there.  Each measured word up to the first hit
+    is walked again: its endpoint satisfies f iff the word is marked,
+    and one that does in a ball proved empty raises.  The draws come
+    from `rt.rng`, whose seed words are cached per seed, and each retry
+    logs a record through a bounded cache, so equal records are one
+    shared frozen value.
     """
-    f, center, radius, k = inst.formula, inst.center, inst.radius, inst.alphabet
+    f, k = inst.formula, inst.alphabet
+    if state is None:
+        x, held, radius = inst.center, inst.fixed, inst.radius
+        state = _state(f.read, x, ((1 << f.num_vars) - 1) ^ held)
+    else:
+        x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
     check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    proof = PbsInstance(f, center, radius, 0, inst.epsilon, k, inst.fixed)
-    if _search(proof, None, PbsRuntime(()), root) is None:
+    if state is None or _descend(inst, None, PbsRuntime(()), state, radius, 0) is None:
         marked, cdf = None, _uniform_cdf(k**radius)
     else:
-        marked = marked_mask(f, center, radius, k, inst.fixed)
+        marked = marked_mask(f, x, radius, k, held)
         cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
-    draws = cdf.searchsorted(rt.rng.random(max(1, rt.retries)), side="right").tolist()
-    for attempt, index in enumerate(draws):
-        candidate = walk(f, center, _leaf_word(index, k, radius), inst.fixed)
+    for attempt, index in enumerate(measure(cdf, rt.rng, max(1, rt.retries))):
+        candidate = walk(f, x, _leaf_word(index, k, radius), held)
         hit = not f.read(candidate)
         if hit != (marked is not None and marked[index]):
             basis = "its trie mark" if marked is not None else "the empty-ball proof"
@@ -248,7 +254,7 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     ball and takes no branch.  Each branch binds one literal true and
     recurses at radius - 1 (the bound variable leaves the formula, and a
     ball witness loses one disagreement with the center).  At radius
-    <= r_max the quantum leaf takes over at that radius.  Every
+    <= r_max > 0 the quantum leaf takes over at that radius.  Every
     assignment the descent returns is a packed model of inst.formula.
     """
     return _search(inst, None, rt)
@@ -295,23 +301,20 @@ def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | 
     return _search(inst, code, rt)
 
 
-def _search(
-    inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime, root: State | None = None
-) -> int | None:
-    """The descent from `root`, by default inst's center and held mask.
-
-    None at once if the held variables empty a clause.
-    """
-    if root is None:
-        f = inst.formula
-        root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
-        if root is None:
-            return None
-    return _descend(inst, code, rt, root, inst.radius)
+def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int | None:
+    """The descent from inst's center and held mask; None at once if they empty a clause."""
+    f = inst.formula
+    root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
+    return None if root is None else _descend(inst, code, rt, root, inst.radius, inst.r_max)
 
 
 def _descend(
-    inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime, state: State, radius: int
+    inst: PbsInstance,
+    code: CoveringCode | None,
+    rt: PbsRuntime,
+    state: State,
+    radius: int,
+    r_max: int,
 ) -> int | None:
     """The ball search on restrict(inst.formula, the binding x holds off `free`).
 
@@ -332,23 +335,23 @@ def _descend(
     node with the code and a small G drops the code, so its subtree is
     the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
-    leaf runs on inst.formula, centered on x, with the variables outside
-    `free` fixed, at the node's radius: its marks and draws are those of
-    the restricted formula, and its model keeps the binding.  The leaf
-    gets the node's state, from which its emptiness proof runs this
-    descent at r_max 0: a node at radius 0 returns before the leaf
-    test, so at r_max 0 no leaf runs.
+    leaf cap `r_max` is inst.r_max in a dispatch and 0 in the leaf's
+    emptiness proof.  A falsified node whose radius, 0 included, fits a
+    positive r_max goes to the leaf before any other test; at r_max 0,
+    as in classical mode and in the proof, no node does.  The leaf runs
+    on inst.formula, centered on x, with the variables outside `free`
+    held, at the node's radius: its marks and draws are those of the
+    restricted formula, and its model keeps the binding.
     """
     x, free, falsified = state
     if not falsified:
         return x
+    # r_max 0 means no leaf; a jump past radius 0 leaves an empty ball
+    if 0 <= radius <= r_max and r_max:
+        return quantum_kpbs(inst, rt, state, radius)
     if radius <= 0:
         return None
     f = inst.formula
-    if radius <= inst.r_max:
-        held = ((1 << f.num_vars) - 1) ^ free   # fixed and bound variables
-        leaf = PbsInstance(f, x, radius, inst.r_max, inst.epsilon, inst.alphabet, held)
-        return quantum_kpbs(leaf, rt, state)
     if code is not None:
         clause, disjoint = _narrowest(f.clause_vars, falsified, free, code.word_length)
         if clause >= 0:   # the scan ended with at most t disjoint clauses
@@ -373,7 +376,7 @@ def _descend(
     branches.sort(key=_by_score)
     for _, child in branches:
         rt.branches += 1
-        model = _descend(inst, code, rt, child, rest)
+        model = _descend(inst, code, rt, child, rest, r_max)
         if model is not None:
             return model
     return None

@@ -68,6 +68,13 @@ class TestExitCodes:
         assert "s UNSATISFIABLE" in out
         assert "c one-sided: failure-prob <=" in out
 
+    def test_default_radius_cap_at_k_one_bounds_nothing(self, unsat_file, tmp_path, capsys):
+        # the default --c 0.3 gives r_max 0 over two free variables: no leaf runs
+        stats = tmp_path / "calls.jsonl"
+        assert run(["--input", unsat_file, "--k", "1", "--stats", str(stats)]) == 20
+        assert "c one-sided: failure-prob <= 0\n" in capsys.readouterr().out
+        assert stats.read_text() == ""
+
     def test_failure_bound_capped_at_one(self, unsat_file, capsys):
         argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--seed", "7"]
         assert run(argv + ["--epsilon", "0.9", "--retries", "1"]) == 20

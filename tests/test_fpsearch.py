@@ -263,10 +263,11 @@ class TestTwoLevelLeaf:
         f, center, radius, alphabet, eps = case
         state, _ = search_state(f, center, radius, alphabet, eps)
         _, cdf = two_level_cdf(f, center, radius, alphabet, eps)
+        # one batch, as the production leaf draws its retries
         a, b = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(1000):
-            word = _kary_word(measure(cdf, a), alphabet, radius)
-            assert word == sample_sequence(state, b)
+        for index in measure(cdf, a, 1000):
+            assert _kary_word(index, alphabet, radius) == sample_sequence(state, b)
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_no_marked_word_is_uniform(self):
         unsat = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")

@@ -6,8 +6,9 @@ deterministic `SolveStats` counters are pinned, and so is a digest of
 each workload's leaf records, so a change that moves any of them fails
 here and has to update the table on purpose.  The
 hybrid family keeps n = 13: at k = 1 that is the smallest size whose
-sweep radius exceeds r_max = 3, so the solve reaches `kpbs_hybrid`
-instead of going straight to the quantum leaf.
+sweep radius exceeds r_max = 3, so the descent branches and jumps
+before it hands nodes to the quantum leaf, instead of handing it the
+dispatch root.
 """
 
 import hashlib

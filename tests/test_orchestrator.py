@@ -115,6 +115,24 @@ class TestSolve:
         expect = res.stats.groups_failed * cfg.epsilon ** (2 * cfg.retries)
         assert res.stats.failure_bound == pytest.approx(expect)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_radius_zero_sweep_at_r_max_zero_makes_no_leaf_call(self, k):
+        # the sweep radius floor((3 - k) / 3) is 0: each dispatch center is its whole
+        # ball, so the exhaustive sweep makes FALSE certain, as at k = 0 and classically
+        for cfg in (
+            SolveConfig(k=k, r_max=0, seed=7),
+            SolveConfig(k=0, r_max=0, seed=7),
+            SolveConfig(k=k, seed=7, mode="classical"),
+        ):
+            res = solve(UNSAT3, cfg)
+            assert res.status == "FALSE", cfg
+            assert (res.stats.records, res.stats.failure_bound) == ([], 0.0), cfg
+        # at r_max 1 the same dispatches reach the leaf at radius 0, one word per retry
+        res = solve(UNSAT3, SolveConfig(k=k, r_max=1, seed=7))
+        assert res.status == "FALSE" and res.stats.failure_bound > 0
+        assert len(res.stats.records) == 3 * res.stats.dispatches == 3 * res.stats.groups_failed
+        assert {(rec.radius, rec.outcome) for rec in res.stats.records} == {(0, "false")}
+
     def test_failure_bound_clamped_to_one(self):
         cfg = SolveConfig(k=1, r_max=1, epsilon=0.9, retries=1, seed=7, workers=1)
         res = solve(UNSAT3, cfg)

@@ -178,8 +178,16 @@ class TestQuantumLeaf:
             return out
 
         proved = leaves()
-        monkeypatch.setattr(pbs, "_search", lambda *args: 0)   # any int: a model, so the trie
+        tries, real = [], pbs.marked_mask
+        monkeypatch.setattr(pbs, "marked_mask", lambda *args: tries.append(args) or real(*args))
+        monkeypatch.setattr(pbs, "_descend", lambda *args: 0)   # any int: a model, so the trie
         assert proved == leaves()
+        # every run whose held variables empty no clause built the trie
+        held_roots = [
+            _state(inst.formula.read, inst.center, ((1 << inst.formula.num_vars) - 1) ^ inst.fixed)
+            for inst, *_ in runs
+        ]
+        assert len(tries) == sum(root is not None for root in held_roots) > 40
 
     def test_the_proof_runs_no_nested_leaf_and_leaves_the_dispatch_log_alone(self, monkeypatch):
         calls = []
@@ -204,14 +212,14 @@ class TestQuantumLeaf:
     def test_a_walk_to_a_model_in_a_proved_empty_ball_disagrees(self, monkeypatch):
         f = Formula(1, ((1,),))
         assert marked_mask(f, 0, 1, 3).all()
-        monkeypatch.setattr(pbs, "_search", lambda *args: None)   # the ball "proved" empty
+        monkeypatch.setattr(pbs, "_descend", lambda *args: None)   # the ball "proved" empty
         with pytest.raises(RuntimeError, match="disagrees"):
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1))
 
     def test_a_walk_to_a_model_in_a_batch_of_draws_disagrees(self, monkeypatch):
         # three retries of a proved-empty ball draw in one call; each word is still walked
         f = Formula(1, ((1,),))
-        monkeypatch.setattr(pbs, "_search", lambda *args: None)   # the ball "proved" empty
+        monkeypatch.setattr(pbs, "_descend", lambda *args: None)   # the ball "proved" empty
         rt = runtime(0, retries=3)
         with pytest.raises(RuntimeError, match="disagrees with the empty-ball proof"):
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt)
@@ -369,7 +377,7 @@ class TestLeafFromTheNode:
             dseed, retries = rng.randrange(2**32), rng.choice((1, 3, 5))
             inst = PbsInstance(f, x, radius, r_max, eps, alphabet, held)
             from_node, direct = runtime(dseed, retries=retries), runtime(dseed, retries=retries)
-            got = _descend(inst, None, from_node, (x, free, f.read(x)), radius)
+            got = _descend(inst, None, from_node, (x, free, f.read(x)), radius, r_max)
             want = quantum_kpbs(inst, direct)
             assert got == want
             for rt in (from_node, direct):
@@ -527,7 +535,7 @@ class TestNarrowestClause:
         assert state[2] == 0b110
         assert _narrowest(f.clause_vars, state[2], state[1], 1) == (2, 1)
         rt = runtime(0)
-        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1) is None
+        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1, 0) is None
         assert rt.branches == 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -572,7 +580,7 @@ class TestDisjointBound:
         assert rt.branches == 0
         rt = runtime(0)
         state = _state(f.read, 0, 0b110)   # x1 bound to 0
-        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), None, rt, state, 1) is None
+        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), None, rt, state, 1, 0) is None
         assert rt.branches == 0
         # free, x1 joins the clauses: one group clause, and binding x1 repairs both
         rt = runtime(0)
