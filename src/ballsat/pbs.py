@@ -7,22 +7,21 @@ the search never flips them and reads each clause narrowed to its
 other variables: the search on restrict(f, binding of fixed).  The
 quantum leaf amplifies over flip words, each symbol repairing the
 first falsified clause.  One descent serves the classical and the
-hybrid search: a node branches on literals of its narrowest falsified
-clause (fewest unbound variables, ties to the lowest index) or, given
-the K-ary repair code and more than t variable-disjoint falsified
-clauses, steers a long jump through the code over clause-repair
+hybrid search.  Every node returns at once when more of its falsified
+clauses than its radius are pairwise variable-disjoint: each needs a
+flip of its own, so its ball is empty.  Any other node branches on
+literals of its narrowest falsified clause (fewest unbound variables,
+ties to the lowest index) or, given the K-ary repair code and more than
+t such clauses, steers a long jump through the code over clause-repair
 choices.  A hybrid node with at most t such clauses drops the code and
-branches on literals; the paper enumerates vbl(G) there instead.  A
-node that branches on literals returns at once when more of its
-falsified clauses than its radius are pairwise variable-disjoint: each
-needs a flip of its own, so its ball is empty.  The descent alone
-hands nodes to the leaf: each whose radius, 0 included, fits a
-positive r_max.  The leaf first runs the descent at r_max 0 over its
-ball, from the node's state: when that finds no model, no flip word
-can reach one, and the leaf measures the uniform register without the
-flip-word trie.  A leaf draws all its retries in one call.  FALSE
-returns are one-sided: each quantum group errs with probability at
-most eps^(2R).
+branches on literals; the paper enumerates vbl(G) there instead.  The
+descent alone hands nodes to the leaf: each whose radius, 0 included,
+fits a positive r_max.  The leaf first runs the descent at r_max 0
+over its ball, from the node's state: when that finds no model, no
+flip word can reach one, and the leaf measures the uniform register
+without the flip-word trie.  A leaf draws all its retries in one call.
+FALSE returns are one-sided: each quantum group errs with probability
+at most eps^(2R).
 """
 
 from __future__ import annotations
@@ -222,8 +221,8 @@ def _narrowest(
     lowest index.  The group is `max_disjoint_unsat(f, falsified, ~free)`:
     the lowest-index greedy set of falsified clauses pairwise disjoint on
     `free`.  The scan stops once the group exceeds `cap`, and then the
-    index is -1: the descent caps it at the node's radius, or at the
-    repair code's length t where a larger group makes the node jump.
+    index is -1: the descent caps it at the node's radius, past which
+    the node's ball is empty.
     """
     best, best_width = -1, free.bit_count() + 1
     used = size = 0
@@ -288,14 +287,16 @@ def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | 
     """Hybrid descent over a greedy maximal disjoint set G of falsified clauses.
 
     The repair code over {1..K}^t at radius t/K is the only parameter.
-    Large G (more than t clauses): jump the center through the code's
-    words on the first t clauses, shrinking the radius by t/K, so the
-    first radius at or below r_max lies within t/K of it.  Small G: the
-    node drops the code and goes on as `kqcpbs` from there.  This
+    G larger than the radius: the ball is empty and the node returns
+    None, as a literal node does.  Large G (t < |G| <= radius): jump the
+    center through the code's words on the first t clauses, shrinking
+    the radius by t/K, so the first radius at or below r_max lies within
+    t/K of it; a jump thus needs radius > t.  Small G: the node drops
+    the code and goes on as `kqcpbs` from there.  This
     departs from the paper, which enumerates the assignments of vbl(G)
     within the radius and runs the classical descent from each: the
     literal descent is complete by itself, and on the first 40 seed-4
-    instances of perfbench's unsat3-hybrid it takes 76.5 branches per
+    instances of perfbench's unsat3-hybrid it takes 75.9 branches per
     solve where the enumeration took 287.5 (README has the tables).
     """
     return _search(inst, code, rt)
@@ -318,22 +319,21 @@ def _descend(
 ) -> int | None:
     """The ball search on restrict(inst.formula, the binding x holds off `free`).
 
-    A node with the repair code and a disjoint group G of more than t
-    falsified clauses jumps through the code's words on the first t
-    clauses of G.  Any other node branches on the literals of its
-    narrowest falsified clause (`_narrowest`): each is false at x, so
+    One scan (`_narrowest`, capped at the radius) finds the node's
+    narrowest falsified clause and counts its greedy group G of
+    falsified clauses disjoint on `free`.  When G outnumbers the radius,
+    the node returns None unbranched, with or without the repair code:
+    each group clause needs its own flip, so the subtree holds no model
+    and the other subtrees keep their order.  A node with the code and
+    t < |G| jumps through the code's words on the first t clauses of G,
+    and builds G's list only then.  Any other node branches on the
+    literals of its narrowest falsified clause: each is false at x, so
     binding it true flips its variable; a binding that empties a clause
     is skipped.  A child's binding empties a clause iff the clause is
     falsified at the child and at x ^ free, the child with every free
     variable flipped, which is the same assignment for every child: the
-    node reads it once.  When the greedy group of falsified clauses
-    disjoint on `free`, counted in the same scan, outnumbers the radius,
-    the node returns None unbranched: each group clause needs its own
-    flip, so the subtree holds no model and the other subtrees keep
-    their order.  Jump nodes keep the jump.  A node with the code runs
-    the same scan capped at t, and builds G's list only when it jumps; a
-    node with the code and a small G drops the code, so its subtree is
-    the classical descent.
+    node reads it once.  A node with the code and a small G drops the
+    code, so its subtree is the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
     leaf cap `r_max` is inst.r_max in a dispatch and 0 in the leaf's
     emptiness proof.  A falsified node whose radius, 0 included, fits a
@@ -352,15 +352,12 @@ def _descend(
     if radius <= 0:
         return None
     f = inst.formula
-    if code is not None:
-        clause, disjoint = _narrowest(f.clause_vars, falsified, free, code.word_length)
-        if clause >= 0:   # the scan ended with at most t disjoint clauses
-            code = None
-    else:
-        clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+    clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+    if clause < 0:   # more disjoint falsified clauses than flips left
+        return None
+    if code is not None and disjoint <= code.word_length:
+        code = None
     if code is None:
-        if disjoint > radius:
-            return None
         read, branches, rest = f.read, [], radius - 1
         conflict = read(x ^ free)
         for b in f.flips[clause]:

@@ -129,6 +129,9 @@ def _ref_hybrid(f, center, radius, inst, code, rt):
     # a small group (also the empty one of a model) goes on without the code
     if radius <= inst.r_max or len(group) <= code.word_length:
         return _ref_kq(f, center, radius, inst, rt)
+    # more disjoint falsified clauses than flips left: the ball holds no model
+    if len(group) > radius:
+        return None
     batch = group[: code.word_length]
     moves = []
     for ci, word in enumerate(code.codewords):

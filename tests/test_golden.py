@@ -1,11 +1,14 @@
-"""Pinned counters on small seeded solves under the benchmark's three configs.
+"""Pinned counters on small seeded solves under five configs.
 
-The (k, mode, r_max) triples are those of the `perfbench` workloads;
-the formulas come from the shared generators.  Status, model and the
-deterministic `SolveStats` counters are pinned, and so is a digest of
-each workload's leaf records, so a change that moves any of them fails
-here and has to update the table on purpose.  The
-hybrid family keeps n = 13: at k = 1 that is the smallest size whose
+Three (k, mode, r_max) triples are those of the `perfbench` workloads,
+on formulas from the shared random generators.  The two structured
+configs solve PHP(5->4) and Tseitin parity on 10 vertices classically
+and in hybrid mode at r_max = 1: random formulas, where ball search
+behaves best, hid a blow-up of the hybrid descent there.  Status,
+model and the deterministic `SolveStats` counters are pinned, and so
+is a digest of each workload's leaf records, so a change that moves
+any of them fails here and has to update the table on purpose.  The
+unsat3-hybrid family keeps n = 13: at k = 1 that is the smallest size whose
 sweep radius exceeds r_max = 3, so the descent branches and jumps
 before it hands nodes to the quantum leaf, instead of handing it the
 dispatch root.
@@ -19,12 +22,14 @@ import pytest
 
 from ballsat import SolveConfig, solve
 
-from helpers import planted_ksat, random_ksat
+from helpers import pigeonhole, planted_ksat, random_ksat, tseitin_parity
 
 CONFIGS = {
     "unsat3-hybrid": dict(k=1, mode="hybrid", r_max=3),
     "unsat3-classical": dict(k=4, mode="classical", r_max=None),
     "planted-pool": dict(k=2, mode="hybrid", r_max=3),
+    "structured-classical": dict(k=6, mode="classical", r_max=None),
+    "structured-hybrid": dict(k=6, mode="hybrid", r_max=1),
 }
 
 # (planted, n, m, width) per instance, drawn in order from Random(workload name)
@@ -54,6 +59,10 @@ GOLDEN = {
     ("planted-pool", 3): ("SAT", "101001001010", 0, 7, 154, 3, 2),
     ("planted-pool", 4): ("SAT", "1001100001", 0, 97, 1746, 33, 32),
     ("planted-pool", 5): ("SAT", "1111011001", 0, 16, 288, 6, 5),
+    ("structured-classical", 0): ("FALSE", None, 841, 0, 0, 3200, 0),
+    ("structured-classical", 1): ("FALSE", None, 656, 0, 0, 512, 0),
+    ("structured-hybrid", 0): ("FALSE", None, 638, 933, 7464, 3200, 311),
+    ("structured-hybrid", 1): ("FALSE", None, 454, 645, 5160, 512, 215),
 }
 
 
@@ -65,10 +74,16 @@ RECORDS_SHA256 = {
     # no quantum call: the digest of nothing
     "unsat3-classical": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "planted-pool": "c906b6446ab1fdd7d9da26cd902ec1a3ec5a52ba977193eb29629b6257bc1519",
+    "structured-classical": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "structured-hybrid": "d47494b3e283b4d7fd110af5e0bd67d14acd8766356b382e96273f499034b55a",
 }
 
 
 def corpus(name):
+    if name.startswith("structured"):
+        yield pigeonhole(5, 4)
+        yield tseitin_parity(10, random.Random(1))
+        return
     rng = random.Random(name)
     for planted, n, m, width in FAMILIES[name]:
         yield planted_ksat(n, m, width, rng)[0] if planted else random_ksat(n, m, width, rng)

@@ -427,7 +427,8 @@ class TestCoverCache:
 
     def test_unpruned_cache_file_gives_the_uncached_result(self, tmp_path):
         # four disjoint copies of UNSAT3: every center falsifies 4 > t = 3
-        # disjoint clauses, so each dispatch jumps through the repair code
+        # disjoint clauses; at k = 0 the radius is 4, so each dispatch jumps
+        # through the repair code (at k = 1, radius 3 < 4 cuts every root)
         blocks = Formula(12, tuple(
             tuple(lit + b if lit > 0 else lit - b for lit in clause)
             for b in (0, 3, 6, 9)
@@ -436,7 +437,7 @@ class TestCoverCache:
         # the 15-word (3, 3, 1) draw, as a cache written before pruning holds it
         draw = build_kary_cover(3, 3, 1, 3 * 10007 + 3 * 101 + 1)
         (tmp_path / "kary-3-t3-s1.cover").write_text(write_cover(draw))
-        cfg = SolveConfig(k=1, r_max=1, seed=1)
+        cfg = SolveConfig(k=0, r_max=3, seed=1)
         uncached = solve(blocks, cfg)
         cached = solve(blocks, dataclasses.replace(cfg, cover_cache=tmp_path))
         assert len(draw.codewords) == 15 and uncached.stats.branches

@@ -40,6 +40,13 @@ UNSAT3 = parse_dimacs(
     + "\n"
 )
 
+# four disjoint copies of UNSAT3: every center falsifies one clause of each block
+FOUR_BLOCKS = Formula(12, tuple(
+    tuple(lit + b if lit > 0 else lit - b for lit in clause)
+    for b in (0, 3, 6, 9)
+    for clause in UNSAT3.clauses
+))
+
 
 def repair_code(alphabet, radius, seed=0):
     t = descent_t(alphabet, radius)
@@ -560,7 +567,7 @@ class TestNarrowestClause:
 
 
 class TestDisjointBound:
-    """A literal node whose disjoint falsified clauses outnumber its radius has an empty ball."""
+    """A node whose disjoint falsified clauses outnumber its radius has an empty ball."""
 
     def test_one_clause_more_than_the_radius_cuts_the_node(self):
         rt = runtime(0)
@@ -586,6 +593,27 @@ class TestDisjointBound:
         rt = runtime(0)
         assert kqcpbs(PbsInstance(f, 0, 1, 0, 0.1, 3), rt) == 0b1
         assert rt.branches == 1
+
+    def test_a_jump_node_with_more_clauses_than_the_radius_is_cut(self):
+        # |G| = 4 > t = 3 would jump, but 4 > radius 3 too: no jump, no leaf
+        rt = runtime(0)
+        inst = PbsInstance(FOUR_BLOCKS, 0, 3, 1, 0.1, 3)
+        assert kpbs_hybrid(inst, repair_code(3, 3), rt) is None
+        assert rt.branches == 0 and not rt.records
+
+    def test_a_jump_node_within_the_radius_jumps(self, monkeypatch):
+        # t = 3 < |G| = 4 <= radius 4: the root jumps through every codeword,
+        # and each child, at radius 3 with its 4 blocks still falsified, is cut
+        centers = []
+        real = pbs.modify_assignment
+        monkeypatch.setattr(
+            pbs, "modify_assignment", lambda *args: centers.append(args[1]) or real(*args)
+        )
+        code = repair_code(3, 4)
+        rt = runtime(0)
+        assert kpbs_hybrid(PbsInstance(FOUR_BLOCKS, 0, 4, 1, 0.1, 3), code, rt) is None
+        assert centers == [0] * len(code.codewords)
+        assert rt.branches == len(code.codewords) and not rt.records
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_counts_the_greedy_group(self, seed):
@@ -740,19 +768,14 @@ class TestHybridDescent:
 
     def test_every_leaf_runs_at_r_max(self, monkeypatch):
         # a literal branch and a jump of the (3, 3, 1) code each cut the radius by 1;
-        # four disjoint copies of UNSAT3 give every center a group of 4 > t = 3
-        blocks = Formula(12, tuple(
-            tuple(lit + b if lit > 0 else lit - b for lit in clause)
-            for b in (0, 3, 6, 9)
-            for clause in UNSAT3.clauses
-        ))
+        # FOUR_BLOCKS gives every center a group of 4 > t = 3
         jumps = []
         real = pbs.modify_assignment
         monkeypatch.setattr(pbs, "modify_assignment", lambda *args: jumps.append(1) or real(*args))
         rng = random.Random(5)
         radii = set()
         for i in range(40):
-            f = blocks if i % 2 else random_ksat(12, 60, 3, rng)
+            f = FOUR_BLOCKS if i % 2 else random_ksat(12, 60, 3, rng)
             r_max = rng.randrange(1, 4)
             radius = rng.randrange(r_max + 1, 6)
             inst = PbsInstance(f, pack(random_assignment(12, rng)), radius, r_max, 0.2, 3)
