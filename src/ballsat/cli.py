@@ -2,10 +2,11 @@
 
 Prints "s SATISFIABLE" with a "v" model line (exit 10), "s
 UNSATISFIABLE" with a one-sided failure-probability comment (exit 20),
-or "s UNKNOWN" when the configuration is unusable (exit 0).  Input or
-flag errors, input that is not UTF-8 among them, and failed output
-writes exit 1.  The failure probability is a union bound over the
-quantum groups whose every retry missed, capped at 1.
+or "s UNKNOWN" when the configuration is unusable or an interrupt
+(SIGINT) arrives before the answer (exit 0).  Input or flag errors,
+input that is not UTF-8 among them, and failed output writes exit 1.
+The failure probability is a union bound over the quantum groups
+whose every retry missed, capped at 1.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_model(model: Assignment) -> None:
+def _model_line(model: Assignment) -> str:
     lits = [i + 1 if bit else -(i + 1) for i, bit in enumerate(model)]
-    print(" ".join(["v", *map(str, lits), "0"]))
+    return " ".join(["v", *map(str, lits), "0"])
 
 
 def _read_input(path: str) -> str:
@@ -87,17 +88,30 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_UNKNOWN if exc.code in (0, None) else EXIT_ERROR
     try:
+        lines, code = _answer(args)
+    except KeyboardInterrupt:
+        # no "s" line is out yet, and an interrupted solve has written no record
+        print("c interrupted", file=sys.stderr)
+        lines, code = ["s UNKNOWN"], EXIT_UNKNOWN
+    for line in lines:
+        print(line)
+    return code
+
+
+def _answer(args: argparse.Namespace) -> tuple[list[str], int]:
+    """The stdout lines and exit code of a run; diagnostics go to stderr as they arise."""
+    try:
         text = _read_input(args.input)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return [], EXIT_ERROR
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             formula = parse_dimacs(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return [], EXIT_ERROR
     for warning in caught:
         print(f"c warning: {warning.message}", file=sys.stderr)
 
@@ -106,21 +120,17 @@ def run(argv: list[str] | None = None) -> int:
         stats_file = open(args.stats, "w") if args.stats else contextlib.nullcontext()
     except OSError as exc:
         print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return [], EXIT_ERROR
     with stats_file as fh:
         if args.mode == "brute":   # no quantum call: --stats stays empty
             try:
                 model = brute_sat(formula)
             except ValueError as exc:
                 print(f"c {exc}", file=sys.stderr)
-                print("s UNKNOWN")
-                return EXIT_UNKNOWN
+                return ["s UNKNOWN"], EXIT_UNKNOWN
             if model is not None:
-                print("s SATISFIABLE")
-                _print_model(model)
-                return EXIT_SAT
-            print("s UNSATISFIABLE")
-            return EXIT_UNSAT
+                return ["s SATISFIABLE", _model_line(model)], EXIT_SAT
+            return ["s UNSATISFIABLE"], EXIT_UNSAT
         cfg = SolveConfig(
             k=args.k,
             epsilon=args.epsilon,
@@ -139,22 +149,19 @@ def run(argv: list[str] | None = None) -> int:
             result = solve(formula, cfg, rm)
         except ConfigError as exc:
             print(f"c {exc}", file=sys.stderr)
-            print("s UNKNOWN")
-            return EXIT_UNKNOWN
+            return ["s UNKNOWN"], EXIT_UNKNOWN
         if fh is not None and not _write_stats(fh, args.stats, result.stats.records):
-            return EXIT_ERROR
+            return [], EXIT_ERROR
 
     if result.status == "SAT":
         if not evaluate(formula, result.model):
             print("c model failed final verification", file=sys.stderr)
-            print("s UNKNOWN")
-            return EXIT_UNKNOWN
-        print("s SATISFIABLE")
-        _print_model(result.model)
-        return EXIT_SAT
-    print(f"c one-sided: failure-prob <= {result.stats.failure_bound:.6g}")
-    print("s UNSATISFIABLE")
-    return EXIT_UNSAT
+            return ["s UNKNOWN"], EXIT_UNKNOWN
+        return ["s SATISFIABLE", _model_line(result.model)], EXIT_SAT
+    return [
+        f"c one-sided: failure-prob <= {result.stats.failure_bound:.6g}",
+        "s UNSATISFIABLE",
+    ], EXIT_UNSAT
 
 
 def main() -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from .codes import check_space, cover
 from .formula import Assignment, Formula, evaluate, top_k_vars, unpack
 from .fpsearch import make_schedule
-from .pbs import PbsInstance, PbsRuntime, QuantumCallRecord, descent_t, kpbs_hybrid, kqcpbs
+from .pbs import PbsInstance, PbsRuntime, QuantumCallRecord, kpbs_hybrid, kqcpbs
 
 
 # retries per quantum group; each retry walks one word and writes one record
@@ -175,19 +175,18 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError("need a resource model or an explicit r_max")
     if r_cap < 0:
         raise ConfigError(f"r_max={r_cap} negative")
-    t = descent_t(alphabet, radius)
     # the word spaces the sweep cover, repair code and quantum leaf enumerate, then the covers
     repair = None
     try:
         check_space(2, word_length)
         check_space(2, cfg.k)  # the prefix order permutes all 2^k prefixes
         if cfg.mode == "hybrid":
-            check_space(alphabet, t)
+            check_space(alphabet, alphabet)
             check_space(alphabet, min(radius, r_cap))
             make_schedule(cfg.epsilon, 1.0)  # log2(2/epsilon) must be finite
         sweep = cover(2, word_length, radius, cfg.cover_cache)
         if cfg.mode == "hybrid":
-            repair = cover(alphabet, t, t // alphabet, cfg.cover_cache)
+            repair = cover(alphabet, alphabet, 1, cfg.cover_cache)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

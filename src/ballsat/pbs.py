@@ -11,10 +11,11 @@ hybrid search.  Every node returns at once when more of its falsified
 clauses than its radius are pairwise variable-disjoint: each needs a
 flip of its own, so its ball is empty.  Any other node branches on
 literals of its narrowest falsified clause (fewest unbound variables,
-ties to the lowest index) or, given the K-ary repair code and more than
-t such clauses, steers a long jump through the code over clause-repair
-choices.  A hybrid node with at most t such clauses drops the code and
-branches on literals; the paper enumerates vbl(G) there instead.  The
+ties to the lowest index) or, given the K-ary repair code of length t
+and more than t such clauses, steers a long jump through the code over
+clause-repair choices; the solver's code is (K, K, 1), so t = K.  A
+hybrid node with at most t such clauses drops the code and branches on
+literals; the paper enumerates vbl(G) there instead.  The
 descent alone hands nodes to the leaf: each whose radius, 0 included,
 fits a positive r_max.  The leaf first runs the descent at r_max 0
 over its ball, from the node's state: when that finds no model, no
@@ -27,7 +28,6 @@ at most eps^(2R).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
@@ -57,12 +57,6 @@ State = tuple[int, int, int]   # (x, free, falsified), packed ints
 # words of a leaf's measured indices: a workload meets a few dozen (index, K, r),
 # so over 99% of decodes hit on perfbench's hybrid workloads
 _leaf_word = functools.lru_cache(maxsize=4096)(_kary_word)
-
-
-def descent_t(alphabet: int, radius: int) -> int:
-    """t = max(K, smallest multiple of K >= floor(log2 log2 max(r, 4)))."""
-    ll = math.floor(math.log2(math.log2(max(radius, 4))))
-    return max(alphabet, alphabet * math.ceil(ll / alphabet))
 
 
 @dataclass(frozen=True)
@@ -136,24 +130,20 @@ class PbsRuntime:
         return np.random.default_rng(np.random.PCG64(_CachedSeedSequence(self.seed)))
 
 
-def quantum_kpbs(
-    inst: PbsInstance, rt: PbsRuntime, state: State | None = None, radius: int = 0
-) -> int | None:
+def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -> int | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
     The ball is a descent node's: centered on x of its state (x, free,
     falsified), at its radius, with the variables outside `free` held.
-    Called with an instance alone, the leaf reads the ball off the
-    center, `inst.fixed` and `inst.radius`.  The amplified register is
-    two-level: M of N = K^r words are marked, the closed form gives the
-    marked probability p, and each retry measures a word from p/M per
-    marked and (1-p)/(N-M) per unmarked word.  Retries multiply only the
-    query count.  A walk flips at most r unheld variables, so its
-    endpoint lies in the ball: when the held variables empty a clause,
-    or the descent from the state at r_max 0 (on a scratch runtime, so
-    no leaf runs and the dispatch counts no branch) finds no model,
-    M = 0 and the register is uniform, with no trie pass; otherwise the
-    trie pass marks the words whose walk succeeds.
+    The amplified register is two-level: M of N = K^r words are marked,
+    the closed form gives the marked probability p, and each retry
+    measures a word from p/M per marked and (1-p)/(N-M) per unmarked
+    word.  Retries multiply only the query count.  A walk flips at most
+    r unheld variables, so its endpoint lies in the ball: when the
+    descent from the state at r_max 0 (on a scratch runtime, so no leaf
+    runs and the dispatch counts no branch) finds no model, M = 0 and
+    the register is uniform, with no trie pass; otherwise the trie pass
+    marks the words whose walk succeeds.
     `measure` draws all retries at once; the draws past a hit go unused,
     and the dispatch ends there.  Each measured word up to the first hit
     is walked again: its endpoint satisfies f iff the word is marked,
@@ -163,14 +153,10 @@ def quantum_kpbs(
     shared frozen value.
     """
     f, k = inst.formula, inst.alphabet
-    if state is None:
-        x, held, radius = inst.center, inst.fixed, inst.radius
-        state = _state(f.read, x, ((1 << f.num_vars) - 1) ^ held)
-    else:
-        x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
+    x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
     check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    if state is None or _descend(inst, None, PbsRuntime(()), state, radius, 0) is None:
+    if _descend(inst, None, PbsRuntime(()), state, radius, 0) is None:
         marked, cdf = None, _uniform_cdf(k**radius)
     else:
         marked = marked_mask(f, x, radius, k, held)
@@ -286,7 +272,8 @@ def modify_assignment(
 def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | None:
     """Hybrid descent over a greedy maximal disjoint set G of falsified clauses.
 
-    The repair code over {1..K}^t at radius t/K is the only parameter.
+    The repair code over {1..K}^t at radius t/K is the only parameter;
+    the solver passes the (K, K, 1) code, so t = K.
     G larger than the radius: the ball is empty and the node returns
     None, as a literal node does.  Large G (t < |G| <= radius): jump the
     center through the code's words on the first t clauses, shrinking
@@ -346,7 +333,7 @@ def _descend(
     x, free, falsified = state
     if not falsified:
         return x
-    # r_max 0 means no leaf; a jump past radius 0 leaves an empty ball
+    # r_max 0 means no leaf; a jump needs radius > t, so only roots and literal children reach 0
     if 0 <= radius <= r_max and r_max:
         return quantum_kpbs(inst, rt, state, radius)
     if radius <= 0:

@@ -6,7 +6,9 @@ candidate branch allocates `restrict(f, binding)` and scores it with
 `unsat_count`, and each level lifts and verifies its child's model.
 The repair flip and the greedy disjoint set are its own, clause by
 clause on tuples; the only production code it shares is the quantum
-leaf, which it calls on its restricted formulas with nothing held.
+leaf, which it enters as a descent node does: with its node's packed
+center, every variable free and the falsified clauses of its
+restricted formula, at the node's radius.
 The production `kqcpbs` and `kpbs_hybrid` must make the same choices in
 the same order, so models, branch counts and quantum attempts agree.
 """
@@ -71,9 +73,10 @@ def lift_and_verify(f, model, binding):
 
 
 def _leaf(f, center, radius, inst, rt):
-    leaf = replace(inst, formula=f, center=pack(center), radius=radius, fixed=0)
-    got = quantum_kpbs(leaf, rt)
-    return None if got is None else unpack(got, f.num_vars)
+    """The production leaf entered with this node on the restricted formula, nothing held."""
+    x, n = pack(center), f.num_vars
+    got = quantum_kpbs(replace(inst, formula=f), rt, (x, (1 << n) - 1, f.read(x)), radius)
+    return None if got is None else unpack(got, n)
 
 
 def _packed(model):

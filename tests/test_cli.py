@@ -236,6 +236,31 @@ class TestExitCodes:
         assert proc.stderr == "c warning: header declares 3 clauses, found 2\n"
 
 
+class TestInterrupt:
+    """An interrupt before the answer is printed gives a solver answer, not a traceback."""
+
+    @staticmethod
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    @pytest.mark.parametrize("where", ["parse_dimacs", "solve"])
+    def test_interrupt_answers_unknown(self, where, unsat_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(f"ballsat.cli.{where}", self.interrupt)
+        stats = tmp_path / "calls.jsonl"
+        argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--stats", str(stats)]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "s UNKNOWN\n"
+        assert err == "c interrupted\n"
+        # the stats file opens after parsing, before the solve, which leaves it empty
+        assert (stats.read_text() == "") if where == "solve" else not stats.exists()
+
+    def test_interrupt_in_brute_mode(self, unsat_file, monkeypatch, capsys):
+        monkeypatch.setattr("ballsat.cli.brute_sat", self.interrupt)
+        assert run(["--input", unsat_file, "--mode", "brute"]) == 0
+        assert capsys.readouterr() == ("s UNKNOWN\n", "c interrupted\n")
+
+
 class TestCoverCache:
     # SAT6 at k=3: a length-3, radius-1 sweep cover and a 3-ary repair code
     ARGV = ["--k", "3", "--r-max", "1", "--seed", "7"]

@@ -22,7 +22,7 @@ from ballsat.fpsearch import (
     success_probability_exact,
     word_cdf,
 )
-from ballsat.pbs import PbsInstance, PbsRuntime, quantum_kpbs
+from ballsat.pbs import PbsInstance, PbsRuntime, kqcpbs
 
 from helpers import planted_ksat, random_assignment, random_ksat
 
@@ -165,8 +165,9 @@ class TestSampling:
         assert hits >= 280
 
     def test_quantum_kpbs_contract(self):
+        # radius 3 = r_max: the descent hands its root to the leaf
         rt = PbsRuntime(seed=(7,), retries=1)
-        candidate = quantum_kpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt)
+        candidate = kqcpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt)
         schedule = make_schedule(0.1, 1 / 27)
         [attempt] = rt.records
         assert attempt.queries == schedule.L - 1
@@ -302,7 +303,7 @@ class TestTwoLevelLeaf:
             for module in (fps, pbs):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         rt = PbsRuntime(seed=(7,), retries=3)
-        assert quantum_kpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt) is not None
+        assert kqcpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt) is not None
 
     def test_walk_must_agree_with_mark(self, monkeypatch):
         import ballsat.pbs as pbs
@@ -311,4 +312,4 @@ class TestTwoLevelLeaf:
         monkeypatch.setattr(pbs, "marked_mask", lambda *a: ~real(*a))
         rt = PbsRuntime(seed=(7,), retries=1)
         with pytest.raises(RuntimeError, match="disagrees"):
-            quantum_kpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt)
+            kqcpbs(PbsInstance(NARROW, 0, 3, 3, 0.1, 3), rt)

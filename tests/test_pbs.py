@@ -17,7 +17,6 @@ from ballsat.pbs import (
     _descend,
     _narrowest,
     _state,
-    descent_t,
     kpbs_hybrid,
     kqcpbs,
     modify_assignment,
@@ -48,9 +47,9 @@ FOUR_BLOCKS = Formula(12, tuple(
 ))
 
 
-def repair_code(alphabet, radius, seed=0):
-    t = descent_t(alphabet, radius)
-    return build_kary_cover(alphabet, t, t // alphabet, seed)
+def repair_code(alphabet, seed=0):
+    """The solver's (K, K, 1) repair code, unpruned."""
+    return build_kary_cover(alphabet, alphabet, 1, seed)
 
 
 def runtime(seed=0, **kw):
@@ -79,22 +78,6 @@ def narrowed(f, rng):
         for c in f.clauses
     ]
     return Formula(f.num_vars, tuple(clauses))
-
-
-class TestDescentT:
-    def test_floor_at_alphabet(self):
-        assert descent_t(3, 1) == 3
-        assert descent_t(3, 4) == 3
-        assert descent_t(4, 10) == 4
-
-    def test_grows_with_log_log_radius(self):
-        assert descent_t(3, 2**32) == 6
-        assert descent_t(3, 2**9) == 3
-
-    def test_multiple_of_alphabet(self):
-        for k in (3, 4, 5):
-            for r in (1, 10, 10**6):
-                assert descent_t(k, r) % k == 0
 
 
 class TestModifyAssignment:
@@ -130,7 +113,7 @@ class TestQuantumLeaf:
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
         inst = PbsInstance(f, 0, 1, 2, 0.1, 3)
         rt = runtime(42)
-        got = quantum_kpbs(inst, rt)
+        got = kqcpbs(inst, rt)
         assert got is not None and satisfies(f, got)
         assert rt.records[0].outcome == "sat"
         assert rt.groups_failed == 0
@@ -138,7 +121,7 @@ class TestQuantumLeaf:
     def test_hopeless_instance_burns_retries(self):
         inst = PbsInstance(UNSAT3, 0, 1, 1, 0.1, 3)
         rt = runtime(3, retries=3)
-        assert quantum_kpbs(inst, rt) is None
+        assert kqcpbs(inst, rt) is None
         assert len(rt.records) == 3
         assert all(a.outcome == "false" for a in rt.records)
         assert rt.groups_failed == 1
@@ -147,7 +130,7 @@ class TestQuantumLeaf:
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
         inst = PbsInstance(f, 0, 2, 2, 0.3, 3)
         rt = runtime(1)
-        quantum_kpbs(inst, rt)
+        kqcpbs(inst, rt)
         att = rt.records[0]
         assert att.radius == 2
         assert att.queries == att.L - 1
@@ -158,29 +141,33 @@ class TestQuantumLeaf:
 
         monkeypatch.setattr(pbs, "marked_mask", forbidden)
         rt = runtime(3, retries=3)
-        assert quantum_kpbs(PbsInstance(UNSAT3, 0, 2, 2, 0.1, 3), rt) is None
+        assert kqcpbs(PbsInstance(UNSAT3, 0, 2, 2, 0.1, 3), rt) is None
         assert [r.outcome for r in rt.records] == ["false"] * 3
         assert rt.groups_failed == 1
 
     @pytest.mark.parametrize("seed", range(2))
     def test_the_proof_leaves_records_and_draws_as_the_trie(self, seed, monkeypatch):
+        # falsified nodes whose held variables empty no clause, as the descent hands them off
         rng = random.Random(600 + seed)
         runs = []
-        for _ in range(60):
+        while len(runs) < 60:
             n = rng.randrange(3, 9)
             f = narrowed(random_ksat(n, rng.randrange(n, 5 * n), 3, rng), rng)
-            fixed = rng.randrange(1 << n) & rng.randrange(1 << n)
-            center = rng.randrange(1 << n)
-            inst = PbsInstance(f, center, rng.randrange(4), 3, 0.1, rng.choice((3, 4)), fixed)
-            empty = kqcpbs(replace(inst, r_max=0), runtime(0)) is None
-            runs.append((inst, rng.randrange(1 << 30), empty))
+            free = rng.randrange(1 << n) | rng.randrange(1 << n)
+            state = _state(f.read, rng.randrange(1 << n), free)
+            if state is None or not state[2]:
+                continue
+            inst = PbsInstance(f, state[0], 0, 3, 0.1, rng.choice((3, 4)))
+            radius = rng.randrange(4)
+            empty = _descend(inst, None, runtime(0), state, radius, 0) is None
+            runs.append((inst, state, radius, rng.randrange(1 << 30), empty))
         assert 10 < sum(empty for *_, empty in runs) < 50
 
         def leaves():
             out = []
-            for inst, dseed, _ in runs:
+            for inst, state, radius, dseed, _ in runs:
                 rt = runtime(dseed)
-                got = quantum_kpbs(inst, rt)
+                got = quantum_kpbs(inst, rt, state, radius)
                 out.append((got, rt.records, rt.groups_failed, rt.rng.bit_generator.state))
             return out
 
@@ -189,26 +176,22 @@ class TestQuantumLeaf:
         monkeypatch.setattr(pbs, "marked_mask", lambda *args: tries.append(args) or real(*args))
         monkeypatch.setattr(pbs, "_descend", lambda *args: 0)   # any int: a model, so the trie
         assert proved == leaves()
-        # every run whose held variables empty no clause built the trie
-        held_roots = [
-            _state(inst.formula.read, inst.center, ((1 << inst.formula.num_vars) - 1) ^ inst.fixed)
-            for inst, *_ in runs
-        ]
-        assert len(tries) == sum(root is not None for root in held_roots) > 40
+        assert len(tries) == len(runs)
 
     def test_the_proof_runs_no_nested_leaf_and_leaves_the_dispatch_log_alone(self, monkeypatch):
         calls = []
         original = pbs.quantum_kpbs
 
-        def counted(inst, rt):
+        def counted(inst, rt, state, radius):
             calls.append(inst)
-            return original(inst, rt)
+            return original(inst, rt, state, radius)
 
         monkeypatch.setattr(pbs, "quantum_kpbs", counted)
         two_blocks = parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")
         for f, radius, has_model in ((two_blocks, 2, True), (UNSAT3, 1, False)):
             rt = runtime(5, retries=3)
-            got = original(PbsInstance(f, 0, radius, radius, 0.1, 3), rt)
+            root = (0, (1 << f.num_vars) - 1, f.read(0))
+            got = original(PbsInstance(f, 0, radius, radius, 0.1, 3), rt, root, radius)
             assert (got is not None) == has_model
             assert calls == [] and rt.branches == 0
             outcomes = [r.outcome for r in rt.records]
@@ -221,7 +204,7 @@ class TestQuantumLeaf:
         assert marked_mask(f, 0, 1, 3).all()
         monkeypatch.setattr(pbs, "_descend", lambda *args: None)   # the ball "proved" empty
         with pytest.raises(RuntimeError, match="disagrees"):
-            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1))
+            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1), (0, 1, 1), 1)
 
     def test_a_walk_to_a_model_in_a_batch_of_draws_disagrees(self, monkeypatch):
         # three retries of a proved-empty ball draw in one call; each word is still walked
@@ -229,7 +212,7 @@ class TestQuantumLeaf:
         monkeypatch.setattr(pbs, "_descend", lambda *args: None)   # the ball "proved" empty
         rt = runtime(0, retries=3)
         with pytest.raises(RuntimeError, match="disagrees with the empty-ball proof"):
-            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt)
+            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt, (0, 1, 1), 1)
         assert rt.records == []
 
 
@@ -348,7 +331,7 @@ class TestCacheState:
     def test_a_runtime_that_has_drawn_pickles_with_its_stream(self, cleared):
         f, _ = planted_ksat(6, 20, 3, random.Random(5))
         rt = PbsRuntime((7, 1, 0), retries=2, prefix="01", codeword=3)
-        quantum_kpbs(PbsInstance(f, 0, 2, 2, 0.1, 3), rt)
+        kqcpbs(PbsInstance(f, 0, 2, 2, 0.1, 3), rt)
         assert rt.records
         data = pickle.dumps(rt)
         if cleared:
@@ -361,45 +344,7 @@ class TestCacheState:
 
 
 class TestLeafFromTheNode:
-    """The leaf a descent node enters with its state is the leaf built from an instance."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_descend_and_quantum_kpbs_agree(self, seed):
-        rng = random.Random(800 + seed)
-        seen = {"conflicts": 0, "proved empty": 0, "trie": 0, "models": 0}
-        for i in range(200):
-            n = rng.randrange(3, 10)
-            if i % 2:
-                base = mixed_formula(n, rng.randrange(n, 2 * n), rng)
-            else:
-                base = random_ksat(n, rng.randrange(n, 5 * n), 3, rng)
-            f = narrowed(base, rng)
-            held = rng.randrange(1 << n) & rng.randrange(1 << n)
-            free = ((1 << n) - 1) ^ held
-            x = rng.randrange(1 << n)
-            if not f.read(x):
-                continue   # a satisfied node returns its assignment before the leaf test
-            radius, r_max = rng.randrange(1, 4), rng.randrange(3, 5)
-            eps, alphabet = rng.choice((0.1, 0.3)), rng.choice((3, 4))
-            dseed, retries = rng.randrange(2**32), rng.choice((1, 3, 5))
-            inst = PbsInstance(f, x, radius, r_max, eps, alphabet, held)
-            from_node, direct = runtime(dseed, retries=retries), runtime(dseed, retries=retries)
-            got = _descend(inst, None, from_node, (x, free, f.read(x)), radius, r_max)
-            want = quantum_kpbs(inst, direct)
-            assert got == want
-            for rt in (from_node, direct):
-                assert rt.branches == 0 and len(rt.records) in range(1, retries + 1)
-            assert from_node.records == direct.records
-            assert from_node.groups_failed == direct.groups_failed
-            assert from_node.rng.bit_generator.state == direct.rng.bit_generator.state
-            conflict = _state(f.read, x, free) is None
-            empty = kqcpbs(PbsInstance(f, x, radius, 0, eps, alphabet, held), runtime()) is None
-            seen["conflicts"] += conflict
-            seen["proved empty"] += empty and not conflict
-            seen["trie"] += not empty
-            seen["models"] += got is not None
-        # the sample holds emptied clauses, both leaf paths and leaf hits
-        assert min(seen.values()) > 10, seen
+    """The leaf a descent node enters with its state walks every word it measures."""
 
     def test_every_retry_walks_its_word(self, monkeypatch):
         # k = 1, r_max = 3, so every dispatch descends to leaves its proof empties
@@ -598,7 +543,7 @@ class TestDisjointBound:
         # |G| = 4 > t = 3 would jump, but 4 > radius 3 too: no jump, no leaf
         rt = runtime(0)
         inst = PbsInstance(FOUR_BLOCKS, 0, 3, 1, 0.1, 3)
-        assert kpbs_hybrid(inst, repair_code(3, 3), rt) is None
+        assert kpbs_hybrid(inst, repair_code(3), rt) is None
         assert rt.branches == 0 and not rt.records
 
     def test_a_jump_node_within_the_radius_jumps(self, monkeypatch):
@@ -609,7 +554,7 @@ class TestDisjointBound:
         monkeypatch.setattr(
             pbs, "modify_assignment", lambda *args: centers.append(args[1]) or real(*args)
         )
-        code = repair_code(3, 4)
+        code = repair_code(3)
         rt = runtime(0)
         assert kpbs_hybrid(PbsInstance(FOUR_BLOCKS, 0, 4, 1, 0.1, 3), code, rt) is None
         assert centers == [0] * len(code.codewords)
@@ -688,7 +633,7 @@ class TestRepeatedLiterals:
     def test_mixed_formulas_search_as_parsed(self, seed):
         # mixed_formula's (v, w, v) repeats v; parse_dimacs keeps each literal once
         rng = random.Random(seed)
-        code = repair_code(3, 3)
+        code = repair_code(3)
 
         def run(search, inst):
             rt = runtime(seed)
@@ -710,20 +655,20 @@ class TestHybridDescent:
         f = parse_dimacs("p cnf 4 2\n1 2 3 0\n-4 0\n")
         inst = PbsInstance(f, pack((0, 0, 0, 1)), 3, 1, 0.1, 3)
         rt = runtime(11)
-        got = kpbs_hybrid(inst, repair_code(3, 3, seed=0), rt)
+        got = kpbs_hybrid(inst, repair_code(3, seed=0), rt)
         assert got is not None and satisfies(f, got)
 
     def test_large_group_path_descends(self):
         # four disjoint falsified clauses force the codeword jump
         f = parse_dimacs("p cnf 12 4\n1 2 3 0\n4 5 6 0\n7 8 9 0\n10 11 12 0\n")
-        code = repair_code(3, 4, seed=0)
+        code = repair_code(3, seed=0)
         inst = PbsInstance(f, 0, 4, 1, 0.1, 3)
         rt = runtime(2)
         got = kpbs_hybrid(inst, code, rt)
         assert got is not None and satisfies(f, got)
 
     def test_unsat_returns_none(self):
-        code = repair_code(3, 3, seed=0)
+        code = repair_code(3, seed=0)
         inst = PbsInstance(UNSAT3, 0, 3, 1, 0.1, 3)
         rt = runtime(0)
         assert kpbs_hybrid(inst, code, rt) is None
@@ -734,7 +679,7 @@ class TestHybridDescent:
             f = random_ksat(8, 20, 3, rng)
             center = random_assignment(8, rng)
             radius = rng.randrange(2, 5)
-            code = repair_code(3, radius, seed=1)
+            code = repair_code(3, seed=1)
             inst = PbsInstance(f, pack(center), radius, 1, 0.1, 3)
             got = kpbs_hybrid(inst, code, runtime(6))
             if got is not None:
@@ -780,7 +725,7 @@ class TestHybridDescent:
             radius = rng.randrange(r_max + 1, 6)
             inst = PbsInstance(f, pack(random_assignment(12, rng)), radius, r_max, 0.2, 3)
             rt = runtime(rng.randrange(2**32), retries=1)
-            kpbs_hybrid(inst, repair_code(3, radius), rt)
+            kpbs_hybrid(inst, repair_code(3), rt)
             assert {rec.radius for rec in rt.records} <= {r_max}
             radii |= {rec.radius for rec in rt.records}
         assert radii == {1, 2, 3} and jumps
@@ -797,7 +742,7 @@ class TestHybridDescent:
 
         monkeypatch.setattr(pbs, "modify_assignment", counting)
         rng = random.Random(20261018)
-        codes = {k: prune_cover(repair_code(k, 1, seed=k)) for k in (3, 4)}
+        codes = {k: prune_cover(repair_code(k, seed=k)) for k in (3, 4)}
         found = 0
         for _ in range(3000):
             k, n = rng.choice((3, 4)), rng.randrange(5, 10)

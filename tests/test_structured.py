@@ -1,7 +1,8 @@
-"""The structured corpus: pigeonhole and Tseitin parity against the exhaustive oracle.
+"""The structured corpus against the exhaustive oracle.
 
-At n <= 16 the oracle is `brute_sat`; past that, the family's known
-status (PHP(p -> h) is UNSAT iff p > h).
+Pigeonhole and Tseitin parity formulas, planted 3-SAT and 4-SAT, and
+mixed-width random formulas.  At n <= 16 the oracle is `brute_sat`;
+past that, the family's known status (PHP(p -> h) is UNSAT iff p > h).
 """
 
 import random
@@ -12,7 +13,7 @@ from ballsat import evaluate
 from ballsat.orchestrator import SolveConfig, solve
 from ballsat.oracle import brute_sat
 
-from helpers import pigeonhole, tseitin_parity
+from helpers import mixed_formula, pigeonhole, planted_ksat, tseitin_parity
 
 # pigeon i in hole j is x(3i + j): the PHP(4->3) the CI console step writes out
 PHP43 = (
@@ -40,6 +41,13 @@ def corpus():
     for vertices in (6, 8, 10):
         out.append((f"tseitin-{vertices}-odd", tseitin_parity(vertices, rng)))
         out.append((f"tseitin-{vertices}-even", tseitin_parity(vertices, rng, odd=False)))
+    # planted models lie beyond r_max of some sweep centers, so descents find them
+    for i in range(3):
+        out.append((f"planted-3-{i}", planted_ksat(14, 60, 3, rng)[0]))
+    for i in range(3):
+        out.append((f"planted-4-{i}", planted_ksat(12, 100, 4, rng)[0]))
+    for n, m in ((10, 20), (12, 24), (14, 28), (14, 42)):
+        out.append((f"mixed-{n}-{m}", mixed_formula(n, m, rng)))
     out = [(name, f, brute_sat(f) is not None) for name, f in out]
     return out + [("php-5-4", pigeonhole(5, 4), False)]
 
@@ -98,3 +106,24 @@ class TestAgainstBruteSat:
             quantum += res.stats.quantum_calls
         # hybrid solves reach the amplified leaf, classical ones never do
         assert (quantum > 0) == (mode == "hybrid"), quantum
+
+    def test_a_planted_model_is_found_inside_a_descent(self):
+        # a solve whose last leaf hits below its dispatch root, at a radius under the
+        # sweep radius, found its model in a descent that the sweep center alone missed
+        inside = 0
+        for name, f, _ in CORPUS:
+            if not name.startswith("planted"):
+                continue
+            n, alphabet = f.num_vars, max(3, f.max_width)
+            for r_max in (1, 2):
+                for k in (0, 2, -(-n // 3)):
+                    res = solve(f, SolveConfig(k=k, r_max=r_max, seed=1, workers=1))
+                    assert res.status == "SAT" and evaluate(f, res.model) == 1, name
+                    last = res.stats.records[-1] if res.stats.records else None
+                    inside += (
+                        res.stats.branches > 0
+                        and last is not None
+                        and last.outcome == "sat"
+                        and last.radius < (n - k) // alphabet
+                    )
+        assert inside > 0

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from ballsat import CONFLICT, parse_dimacs, pbs
+from ballsat import CONFLICT, parse_dimacs
 from ballsat.codes import build_kary_cover
 from ballsat.fliptree import _narrowed_flips, marked_mask, walk
 from ballsat.formula import (
@@ -27,11 +27,9 @@ from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
     _state,
-    descent_t,
     kpbs_hybrid,
     kqcpbs,
     modify_assignment,
-    quantum_kpbs,
 )
 
 from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
@@ -199,8 +197,7 @@ class TestDifferential:
                 return pack(random_assignment(f.num_vars, rng)) & ~fixed | px
 
             for radius in range(1, 6):
-                t = descent_t(K, radius)
-                code = build_kary_cover(K, t, t // K, seed=radius)
+                code = build_kary_cover(K, K, 1, seed=radius)
                 for r_max in range(4):
                     x = center()
                     if K == 3 and r_max % 2:
@@ -222,56 +219,6 @@ class TestDifferential:
         # the sample reaches branching, the leaf, both answers and held prefixes
         assert all(seen.values()), seen
         assert seen["models"] < seen["runs"]
-
-
-class TestLeafHandOff:
-    """A descent node's hand-off to the leaf against the leaf of an instance built on the node."""
-
-    @staticmethod
-    def handed_nodes(rng, monkeypatch):
-        """(instance, state, radius) of every node the descents over `descent_roots` hand off."""
-        nodes, real = [], pbs.quantum_kpbs
-
-        def record(inst, rt, state=None, radius=0):
-            nodes.append((inst, state, radius))
-            return real(inst, rt, state, radius)
-
-        monkeypatch.setattr(pbs, "quantum_kpbs", record)
-        for K, f, fixed, px in descent_roots(rng):
-            for radius, r_max in ((2, 1), (3, 2), (4, 3), (5, 3)):
-                t = descent_t(K, radius)
-                code = build_kary_cover(K, t, t // K, seed=radius)
-                x = pack(random_assignment(f.num_vars, rng)) & ~fixed | px
-                inst = PbsInstance(f, x, radius, r_max, 0.2, K, fixed)
-                kqcpbs(inst, PbsRuntime(seed=(0,)))
-                kpbs_hybrid(inst, code, PbsRuntime(seed=(0,)))
-        monkeypatch.undo()
-        return nodes
-
-    def test_node_and_instance_leaves_agree(self, monkeypatch):
-        rng = random.Random(28)
-        seen = {"bound": 0, "held prefix": 0, "proved empty": 0, "trie": 0, "models": 0}
-        for inst, state, radius in self.handed_nodes(rng, monkeypatch):
-            f, (x, free, _) = inst.formula, state
-            held = ((1 << f.num_vars) - 1) ^ free
-            seed, retries = rng.randrange(2**32), rng.choice((1, 3, 5))
-            node, built = PbsRuntime((seed,), retries), PbsRuntime((seed,), retries)
-            got = quantum_kpbs(inst, node, state, radius)
-            want = quantum_kpbs(
-                PbsInstance(f, x, radius, inst.r_max, inst.epsilon, inst.alphabet, held), built
-            )
-            assert got == want
-            assert node.records == built.records and node.records
-            assert node.groups_failed == built.groups_failed
-            assert node.rng.bit_generator.state == built.rng.bit_generator.state
-            empty = kqcpbs(PbsInstance(f, x, radius, 0, 0.2, inst.alphabet, held), PbsRuntime(()))
-            seen["bound"] += held != inst.fixed
-            seen["held prefix"] += inst.fixed != 0
-            seen["proved empty"] += empty is None
-            seen["trie"] += empty is not None
-            seen["models"] += got is not None
-        # the nodes hold bound variables and prefixes, both leaf paths and leaf hits
-        assert min(seen.values()) > 10, seen
 
 
 class TestHeldPrefix:
@@ -335,7 +282,7 @@ class TestHeldConflict:
         assert restrict(f, {1: 0}) is CONFLICT
         assert walk(f, 0, (1, 2, 3), fixed=0b1) == 0
         assert not marked_mask(f, 0, 2, 3, fixed=0b1).any()
-        assert quantum_kpbs(PbsInstance(f, 0, 2, 2, 0.1, 3, 0b1), PbsRuntime(seed=(0,))) is None
+        assert searches_find_nothing(PbsInstance(f, 0, 2, 2, 0.1, 3, 0b1), self.CODE)
         with pytest.raises(ValueError, match="clause 0 "):
             modify_assignment(f, 0, [0], (1,), fixed=0b1)
 
@@ -369,10 +316,10 @@ class TestHeldConflict:
             assert not marked_mask(f, x, radius, 3, fixed).any()
             with pytest.raises(ValueError, match=f"clause {emptied[0]} "):
                 modify_assignment(f, x, [emptied[0]], (1,), fixed)
-            r_max = rng.randrange(radius)
-            inst = PbsInstance(f, x, radius, r_max, 0.2, 3, fixed)
-            assert quantum_kpbs(inst, PbsRuntime(seed=(seed,))) is None
-            assert searches_find_nothing(inst, self.CODE)
+            # r_max = radius would hand the root to the leaf
+            for r_max in (rng.randrange(radius), radius):
+                inst = PbsInstance(f, x, radius, r_max, 0.2, 3, fixed)
+                assert searches_find_nothing(inst, self.CODE)
             seen["jumps"] += len(max_disjoint_unsat(f, falsified, fixed)) > 3
         # the sample holds conflicts the walk meets first and nodes that would jump
         assert all(seen.values()), seen
