@@ -287,17 +287,17 @@ def read_cover(text: str) -> CoveringCode:
     return replace(code, codewords=tuple(words))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _build_cover(alphabet: int, length: int, radius: int, text: str | None = None) -> CoveringCode:
-    """The code of a shape, cached per process: read from a cover file's text, else built.
+    """The code of a shape, kept per process: read from a cover file's text, else built.
 
     A text is shape-checked and verified; a built K-ary code is seeded by
     its shape.  Every code is pruned here, once per process and text: each
     binary word is a dispatched ball, each K-ary word a descent branch.
-    Building and pruning takes about 3 ms for (4, 4, 1), 0.4 s for
-    (6, 6, 1) and 7.1 s for (7, 7, 1).  A binary sweep cover (2, L, L // 3)
-    builds in 0.03, 0.09, 0.24, 0.60 and 1.7 s at L = 13..17; verifying and
-    pruning it take at most 2 and 5 ms (2 vCPU, CPython 3.11).
+    Nothing is evicted: check_space caps a sweep cover (2, L, L // K) at
+    L <= 23 and a repair code (K, K, 1) at K <= 7, so the shapes are few,
+    and a rebuild would cost the whole build again, 1.7 s at (2, 17, 5)
+    and 7.1 s at (7, 7, 1) (2 vCPU, CPython 3.11).
     """
     if text is None and alphabet == 2:
         code = build_binary_cover(length, radius=radius)

@@ -1,7 +1,11 @@
 import dataclasses
+import json
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,19 @@ UNSAT3 = parse_dimacs(
     )
     + "\n"
 )
+
+
+# a child's ru_maxrss also counts the peak of the process that started it,
+# so the child reads its own peak, VmHWM in KiB (Linux)
+PEAK_OF_A_K21_SOLVE = r"""
+import json, re, sys
+from pathlib import Path
+from ballsat import parse_dimacs
+from ballsat.orchestrator import SolveConfig, solve
+res = solve(parse_dimacs(sys.stdin.read()), SolveConfig(k=21, mode="classical"))
+peak = re.search(r"VmHWM:\s*(\d+) kB", Path("/proc/self/status").read_text())[1]
+print(json.dumps([res.status, res.stats.dispatches, int(peak)]))
+"""
 
 
 class TestExponent:
@@ -252,6 +269,39 @@ class TestSolve:
             if sub is not CONFLICT
         }
 
+    def test_prefixes_visited_in_the_seeded_order(self, monkeypatch):
+        # 2^13 prefixes, more than one slice of the order: every full assignment
+        # of this UNSAT formula empties a clause, so the solve reads each prefix
+        # (twice: held alone and with the free variables) and dispatches none
+        f = random_ksat(13, 130, 3, random.Random(0))
+        read, seen = f.read, []
+        monkeypatch.setitem(f.__dict__, "read", lambda x: seen.append(x) or read(x))
+        res = solve(f, SolveConfig(k=13, mode="classical", seed=3))
+        assert (res.status, res.stats.dispatches) == ("FALSE", 0)
+        bit_vars = list(reversed(orchestrator.top_k_vars(f, 13)))
+        order = np.random.default_rng(np.random.SeedSequence([3, 0])).permutation(1 << 13)
+        expect = [
+            sum(1 << (v - 1) for j, v in enumerate(bit_vars) if pos >> j & 1)
+            for pos in order.tolist()
+        ]
+        assert seen[::2] == seen[1::2] == expect
+
+    def test_prefix_order_in_bounded_memory(self):
+        # UNSAT at k = n = 21: every prefix empties a clause, so the child's peak
+        # is the prefix order; converting all 2^21 entries to Python ints at once
+        # peaked at 131 MB, converting 4,096 at a time at 51 MB
+        f = random_ksat(21, 210, 3, random.Random(0))
+        src = str(Path(orchestrator.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_OF_A_K21_SOLVE], input=f.to_dimacs(),
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        status, dispatches, peak_kib = json.loads(proc.stdout)
+        assert (status, dispatches) == ("FALSE", 0)
+        assert peak_kib < 90 * 1024
+
     def test_solves_call_no_clause_by_clause_reference(self, monkeypatch):
         # restrict, unsat_count and first_unsat_clause are test references only:
         # in every ballsat namespace that holds one, a call now fails the solve
@@ -463,6 +513,27 @@ class TestCoverCache:
         kary.write_text(kary.read_text() + "\n")
         assert solve(UNSAT3, cfg).stats == first.stats
         assert len(checks) == 6
+
+    def test_every_shape_built_once_per_process(self, monkeypatch):
+        # 19 sweep shapes (L, L // K): 3-SAT at L = 0..12 and 4-SAT where
+        # L // 4 differs from L // 3; each is built once, also on the second pass
+        built = []
+        real = codes.build_binary_cover
+        monkeypatch.setattr(
+            codes, "build_binary_cover",
+            lambda length, radius: built.append((length, radius)) or real(length, radius=radius),
+        )
+        codes._build_cover.cache_clear()
+        runs = [(3, n) for n in range(13)] + [(4, n) for n in (3, 6, 7, 9, 10, 11)]
+        for _ in range(2):
+            for width, length in runs:
+                clause = " ".join(map(str, range(1, width + 1)))
+                f = parse_dimacs(f"p cnf 12 1\n{clause} 0\n")
+                res = solve(f, SolveConfig(k=12 - length, mode="classical"))
+                assert res.status == "SAT"
+        shapes = {(length, length // width) for width, length in runs}
+        assert len(shapes) == 19
+        assert sorted(built) == sorted(shapes)
 
     def test_cache_file_wins_over_earlier_build(self, tmp_path):
         cfg = SolveConfig(k=3, r_max=1)
