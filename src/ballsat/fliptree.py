@@ -30,13 +30,22 @@ def _narrowed_flips(f: Formula, idx: int, fixed: int) -> list[int]:
 
 
 def walk(f: Formula, center: int, seq: FlipSequence, fixed: int = 0) -> int:
-    """Run the walk for one choice word from the packed center and return its packed endpoint."""
-    read, x = f.read, center
+    """Run the walk for one choice word from the packed center and return its packed endpoint.
+
+    Each step flips a variable of the first falsified clause, narrowed
+    to its variables outside `fixed`: `_narrowed_flips`, inlined.  The
+    flip and clause tables are read once per walk, and a clause is
+    narrowed only when it holds a variable of `fixed`.
+    """
+    read, clause_flips, clause_vars, x = f.read, f.flips, f.clause_vars, center
     for choice in seq:
         unsat = read(x)
         if not unsat:
             break
-        flips = _narrowed_flips(f, (unsat & -unsat).bit_length() - 1, fixed)
+        idx = (unsat & -unsat).bit_length() - 1
+        flips = clause_flips[idx]
+        if clause_vars[idx] & fixed:
+            flips = [b for b in flips if not b & fixed]
         if not flips:
             break
         x ^= flips[(choice - 1) % len(flips)]

@@ -199,7 +199,10 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     # each sweep codeword packed onto the free variables, once per solve
     lifted = [sum(bit << (v - 1) for v, bit in zip(free_vars, word)) for word in sweep.codewords]
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    order = order_rng.permutation(1 << cfg.k)
+    # shuffled in place: permutation(1 << k) shuffles an int64 arange, and this
+    # draws the same swaps on half the bytes
+    order = np.arange(1 << cfg.k, dtype=np.uint32)
+    order_rng.shuffle(order)
     # decompose's entry at prefix_pos, packed: bit j of prefix_pos holds kvars[k - 1 - j];
     # one table per half of the prefix bits (k <= 23, so at most 4,096 entries each)
     half = cfg.k // 2

@@ -42,8 +42,15 @@ from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F4
 from .fpsearch import _uniform_cdf, make_schedule, measure, word_cdf
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PbsInstance:
+    """One ball search: the formula, the ball, the leaf cap and the held mask.
+
+    Plain data that no code assigns to after construction.  It has slots
+    and is not frozen: a dispatch builds one per sweep codeword, and a
+    frozen dataclass's __init__ pays an object.__setattr__ per field.
+    """
+
     formula: Formula
     center: int          # packed assignment, x_v at bit v - 1
     radius: int
@@ -75,6 +82,17 @@ class QuantumCallRecord:
 # records are frozen, so equal ones can be one value: records repeat within a
 # solve (150 of the first unsat3-hybrid solve's 246 builds hit) and across solves
 _record = functools.lru_cache(maxsize=4096)(QuantumCallRecord)
+
+
+@functools.lru_cache(maxsize=4096)
+def _false_records(
+    prefix: str, codeword: int, radius: int, L: int, queries: int, retries: int
+) -> tuple[QuantumCallRecord, ...]:
+    """The `_record` values of a leaf whose every retry misses, attempts 0..retries-1."""
+    return tuple(
+        _record(prefix, codeword, radius, L, queries, "false", attempt)
+        for attempt in range(retries)
+    )
 
 
 @functools.lru_cache(maxsize=1024)
@@ -130,6 +148,11 @@ class PbsRuntime:
         return np.random.default_rng(np.random.PCG64(_CachedSeedSequence(self.seed)))
 
 
+# the runtime every leaf's emptiness proof runs on: at r_max 0 no leaf runs, so it
+# never draws or records, and the branch count it gathers is read by no one
+_PROOF_RUNTIME = PbsRuntime(())
+
+
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -> int | None:
     """Quantum leaf: amplify once, measure up to `retries` times, verify.
 
@@ -140,33 +163,43 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     measures a word from p/M per marked and (1-p)/(N-M) per unmarked
     word.  Retries multiply only the query count.  A walk flips at most
     r unheld variables, so its endpoint lies in the ball: when the
-    descent from the state at r_max 0 (on a scratch runtime, so no leaf
-    runs and the dispatch counts no branch) finds no model, M = 0 and
-    the register is uniform, with no trie pass; otherwise the trie pass
-    marks the words whose walk succeeds.
-    `measure` draws all retries at once; the draws past a hit go unused,
-    and the dispatch ends there.  Each measured word up to the first hit
-    is walked again: its endpoint satisfies f iff the word is marked,
-    and one that does in a ball proved empty raises.  The draws come
-    from `rt.rng`, whose seed words are cached per seed, and each retry
-    logs a record through a bounded cache, so equal records are one
-    shared frozen value.
+    descent from the state at r_max 0 finds no model, M = 0 and the
+    register is uniform, with no trie pass; otherwise the trie pass
+    marks the words whose walk succeeds.  The proof runs on one shared
+    scratch runtime, so no leaf runs inside it and the dispatch counts
+    no branch of it.
+    `measure` draws all retries at once from `rt.rng`, whose seed words
+    are cached per seed.  Each measured word is walked again: its
+    endpoint satisfies f iff the word is marked.  In a ball proved
+    empty every measured word is walked, and one that reaches a model
+    raises; then the leaf appends its `retries` "false" records as one
+    cached tuple.  In a trie leaf the draws past a hit go unused, the
+    dispatch ends there, and each retry up to the hit logs a record
+    through a bounded cache, so equal records are one shared frozen
+    value on both paths.
     """
     f, k = inst.formula, inst.alphabet
     x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
     check_space(k, radius)
     schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
-    if _descend(inst, None, PbsRuntime(()), state, radius, 0) is None:
-        marked, cdf = None, _uniform_cdf(k**radius)
-    else:
-        marked = marked_mask(f, x, radius, k, held)
-        cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
-    for attempt, index in enumerate(measure(cdf, rt.rng, max(1, rt.retries))):
+    retries = max(1, rt.retries)
+    if _descend(inst, None, _PROOF_RUNTIME, state, radius, 0) is None:
+        read = f.read
+        for index in measure(_uniform_cdf(k**radius), rt.rng, retries):
+            if not read(walk(f, x, _leaf_word(index, k, radius), held)):
+                raise RuntimeError(f"walk of word {index} disagrees with the empty-ball proof")
+        rt.records.extend(
+            _false_records(rt.prefix, rt.codeword, radius, schedule.L, schedule.queries, retries)
+        )
+        rt.groups_failed += 1
+        return None
+    marked = marked_mask(f, x, radius, k, held)
+    cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
+    for attempt, index in enumerate(measure(cdf, rt.rng, retries)):
         candidate = walk(f, x, _leaf_word(index, k, radius), held)
         hit = not f.read(candidate)
-        if hit != (marked is not None and marked[index]):
-            basis = "its trie mark" if marked is not None else "the empty-ball proof"
-            raise RuntimeError(f"walk of word {index} disagrees with {basis}")
+        if hit != marked[index]:
+            raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
         rt.records.append(
             _record(
                 rt.prefix,

@@ -4,13 +4,34 @@ from itertools import product
 import pytest
 
 from ballsat import CONFLICT, parse_dimacs, restrict
-from ballsat.fliptree import marked_fraction, marked_mask, walk
+from ballsat.fliptree import _narrowed_flips, marked_fraction, marked_mask, walk
 from ballsat.formula import first_unsat_clause, pack
 from ballsat.oracle import ball_promise
 
 from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
 
 SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
+
+
+def reference_walk(f, center, seq, fixed=0, steps=None):
+    """The walk with one `_narrowed_flips` call per step, the rule `walk` inlines.
+
+    `steps`, a list if given, gets "narrowed" for each step whose clause held a
+    variable of `fixed` and kept another, and "emptied" where the walk stops
+    at a clause with none outside `fixed`."""
+    x = center
+    for choice in seq:
+        unsat = f.read(x)
+        if not unsat:
+            break
+        idx = (unsat & -unsat).bit_length() - 1
+        flips = _narrowed_flips(f, idx, fixed)
+        if steps is not None and f.clause_vars[idx] & fixed:
+            steps.append("narrowed" if flips else "emptied")
+        if not flips:
+            break
+        x ^= flips[(choice - 1) % len(flips)]
+    return x
 
 
 class TestWalk:
@@ -48,6 +69,35 @@ class TestWalk:
             seq = tuple(rng.randrange(1, 4) for _ in range(r))
             end = walk(f, pack(center), seq)
             assert (end ^ pack(center)).bit_count() <= r
+
+
+class TestInlineNarrowing:
+    """`walk` narrows each clause inline; the per-step `_narrowed_flips` walk is its reference."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_walk_matches_the_per_step_reference(self, seed):
+        # mixed formulas (widths 1-4, tautologies, a repeated literal) and K-SAT;
+        # held masks of any density, centers that need not keep them satisfiable
+        rng = random.Random(900 + seed)
+        steps, stopped = [], 0
+        for i in range(400):
+            n = rng.randrange(4, 10)
+            if i % 2:
+                f = mixed_formula(n, rng.randrange(n, 4 * n), rng)
+            else:
+                f = random_ksat(n, rng.randrange(n, 5 * n), rng.choice((3, 4)), rng)
+            center = rng.randrange(1 << n)
+            fixed = rng.randrange(1 << n)
+            if i % 3:
+                fixed &= rng.randrange(1 << n)
+            alphabet = rng.choice((3, 4))
+            word = tuple(rng.randrange(1, alphabet + 1) for _ in range(rng.randrange(7)))
+            before = len(steps)
+            want = reference_walk(f, center, word, fixed, steps)
+            assert walk(f, center, word, fixed) == want, (f, center, word, fixed)
+            stopped += "emptied" in steps[before:]
+        # the sample narrows clauses and stops at clauses the held mask empties
+        assert steps.count("narrowed") > 200 and stopped > 30, (steps.count("narrowed"), stopped)
 
 
 class TestMarkedFraction:

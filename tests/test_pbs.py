@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
-from ballsat.codes import CoveringCode, build_kary_cover, prune_cover
+from ballsat.codes import CoveringCode, _kary_word, build_kary_cover, prune_cover
 from ballsat.fliptree import marked_mask, walk
 from ballsat.formula import max_disjoint_unsat, pack, unpack
 from ballsat.orchestrator import MAX_RETRIES, SolveConfig, solve
@@ -223,6 +223,7 @@ DISPATCH_SEEDS = [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)]
 def clear_caches():
     pbs._seed_words.cache_clear()
     pbs._record.cache_clear()
+    pbs._false_records.cache_clear()
 
 
 class TestBatchedDraws:
@@ -302,6 +303,8 @@ class TestCacheState:
             pbs._seed_words((99, i, 0))
         for i in range(pbs._record.cache_info().maxsize):
             pbs._record("9", i, 1, 1, 1, "false", 0)
+        for i in range(pbs._false_records.cache_info().maxsize):
+            pbs._false_records("9", i, 1, 1, 1, 1)
 
     @pytest.mark.parametrize("case", ["planted", "unsat"])
     def test_cleared_warm_and_filled_caches_give_one_result(self, case):
@@ -326,6 +329,13 @@ class TestCacheState:
         [(_, _, stats)] = self.outcomes(self.unsat())
         values = {id(rec) for rec in stats.records}
         assert len(values) == len(set(stats.records)) < len(stats.records)
+
+    def test_equal_records_of_both_leaf_paths_are_one_value(self):
+        # a proved-empty leaf's cached records and a trie leaf's misses share values
+        clear_caches()
+        records = [rec for _, _, stats in self.outcomes(self.planted()) for rec in stats.records]
+        values = {id(rec) for rec in records}
+        assert len(values) == len(set(records)) < len(records)
 
     @pytest.mark.parametrize("cleared", [False, True])
     def test_a_runtime_that_has_drawn_pickles_with_its_stream(self, cleared):
@@ -360,6 +370,41 @@ class TestLeafFromTheNode:
         assert res.status == "FALSE" and res.stats.branches > 0
         assert len(walks) == res.stats.quantum_calls > 100
         assert {rec.outcome for rec in res.stats.records} == {"false"}
+
+
+class TestEveryWordOfALeaf:
+    """Every word of a leaf's ball walks as its trie mark says, and none reaches a model in a
+    ball proved empty: the check a proved-empty leaf needs before it stops walking its words."""
+
+    def test_every_leaf_of_seeded_solves(self, monkeypatch):
+        leaves, real = [], pbs.quantum_kpbs
+
+        def spy(inst, rt, state, radius):
+            leaves.append((inst, state, radius))
+            return real(inst, rt, state, radius)
+
+        monkeypatch.setattr(pbs, "quantum_kpbs", spy)
+        # an UNSAT formula, every leaf proved empty, and planted 3- and 4-SAT
+        # in planted-pool's shapes, whose leaves before the model are mostly
+        # proved empty, and the leaf that finds it marked
+        solve(unsat3_hybrid_formula(), SolveConfig(k=1, r_max=3, seed=4))
+        for s in range(48):
+            n, m, width = (12, 138, 4) if s % 8 == 7 else (13, 70, 3)
+            f, _ = planted_ksat(n, m, width, random.Random(40 + s))
+            solve(f, SolveConfig(k=2, r_max=3, seed=s))
+        empty = marked_leaves = 0
+        for inst, state, radius in leaves:
+            f, k = inst.formula, inst.alphabet
+            x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
+            proved = _descend(inst, None, runtime(0), state, radius, 0) is None
+            marks = marked_mask(f, x, radius, k, held)
+            for index in range(k**radius):
+                hit = not f.read(walk(f, x, _kary_word(index, k, radius), held))
+                assert hit == marks[index], (f, x, held, radius, index)
+                assert not (proved and hit), (f, x, held, radius, index)
+            empty += proved
+            marked_leaves += bool(marks.any())
+        assert empty > 300 and marked_leaves > 30, (empty, marked_leaves)
 
 
 class TestEmptyBallProof:
