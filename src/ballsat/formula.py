@@ -83,13 +83,20 @@ class Formula:
         for idx, clause in enumerate(self.clauses):
             for lit in clause:
                 holding[n + lit] |= 1 << idx
-        rows = []
-        for lo in range(1, n + 1, 8):
+
+        def half(lo: int, hi: int) -> list[int]:
+            # entry b: the clauses x_lo..x_{hi-1} satisfy at the bits of b, x_lo at bit 0
             row = [0]
-            for v in range(lo, min(lo + 8, n + 1)):
+            for v in range(lo, hi):
                 if0, if1 = holding[n - v], holding[n + v]
                 row = [m | if0 for m in row] + [m | if1 for m in row]
-            rows.append(tuple(row))
+            return row
+
+        rows = []
+        for lo in range(1, n + 1, 8):
+            mid, hi = min(lo + 4, n + 1), min(lo + 8, n + 1)
+            low = half(lo, mid)
+            rows.append(tuple([h | m for h in half(mid, hi) for m in low]))
         return tuple(rows)
 
     @cached_property
@@ -104,9 +111,16 @@ class Formula:
     def flips(self) -> tuple[tuple[int, ...], ...]:
         """Per clause, the bit (x_v at bit v - 1) of each of its variables once, in
         order of first occurrence: a repeated literal is one repair choice."""
-        return tuple(
-            tuple(dict.fromkeys(1 << abs(lit) - 1 for lit in clause)) for clause in self.clauses
-        )
+        bit: dict[int, int] = {}   # literal -> its variable's bit
+        for v in range(1, self.num_vars + 1):
+            bit[v] = bit[-v] = 1 << v - 1
+        rows = []
+        for clause in self.clauses:
+            row = tuple(map(bit.__getitem__, clause))
+            if sum(row).bit_count() < len(row):   # a carry: some variable repeats
+                row = tuple(dict.fromkeys(row))
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def clause_vars(self) -> tuple[int, ...]:
@@ -289,8 +303,12 @@ def top_k_vars(f: Formula, k: int) -> list[int]:
     """The k most-occurring variables, ties broken by lowest index."""
     if not 0 <= k <= f.num_vars:
         raise ValueError(f"k={k} out of range for {f.num_vars} variables")
-    order = sorted(range(1, f.num_vars + 1), key=lambda v: (-m_metric(f, v), v))
-    return order[:k]
+    count = [0] * (f.num_vars + 1)   # m_metric of each variable, in one pass
+    for clause in f.clauses:
+        for lit in clause:
+            count[abs(lit)] += 1
+    # a stable sort: reversed, equal counts keep their ascending order
+    return sorted(range(1, f.num_vars + 1), key=count.__getitem__, reverse=True)[:k]
 
 
 Prefix = tuple[int, ...]

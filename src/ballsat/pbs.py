@@ -17,10 +17,11 @@ clause-repair choices; the solver's code is (K, K, 1), so t = K.  A
 hybrid node with at most t such clauses drops the code and branches on
 literals; the paper enumerates vbl(G) there instead.  The
 descent alone hands nodes to the leaf: each whose radius, 0 included,
-fits a positive r_max.  The leaf first runs the descent at r_max 0
-over its ball, from the node's state: when that finds no model, no
-flip word can reach one, and the leaf measures the uniform register
-without the flip-word trie.  A leaf draws all its retries in one call.
+fits a positive r_max.  The leaf first searches its ball for a model
+from the node's state, over the literal nodes the descent at r_max 0
+would visit, unsorted and uncounted: when it finds none, no flip word
+can reach one, and the leaf measures the uniform register without the
+flip-word trie.  A leaf draws all its retries in one call.
 FALSE returns are one-sided: each quantum group errs with probability
 at most eps^(2R).
 """
@@ -39,7 +40,7 @@ from .codes import CoveringCode, _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
 from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
-from .fpsearch import _uniform_cdf, make_schedule, measure, word_cdf
+from .fpsearch import SearchSchedule, _uniform_cdf, make_schedule, measure, word_cdf
 
 
 @dataclass(slots=True)
@@ -148,9 +149,14 @@ class PbsRuntime:
         return np.random.default_rng(np.random.PCG64(_CachedSeedSequence(self.seed)))
 
 
-# the runtime every leaf's emptiness proof runs on: at r_max 0 no leaf runs, so it
-# never draws or records, and the branch count it gathers is read by no one
-_PROOF_RUNTIME = PbsRuntime(())
+@functools.lru_cache(maxsize=64)
+def _leaf_constants(epsilon: float, k: int, radius: int) -> tuple[SearchSchedule, np.ndarray]:
+    """A leaf's schedule and uniform CDF over its K^r words, after the space check.
+
+    A space past the limit raises, and the failure is not cached.
+    """
+    check_space(k, radius)
+    return make_schedule(epsilon, 1.0 / k**radius), _uniform_cdf(k**radius)
 
 
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -> int | None:
@@ -162,12 +168,13 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     the closed form gives the marked probability p, and each retry
     measures a word from p/M per marked and (1-p)/(N-M) per unmarked
     word.  Retries multiply only the query count.  A walk flips at most
-    r unheld variables, so its endpoint lies in the ball: when the
-    descent from the state at r_max 0 finds no model, M = 0 and the
+    r unheld variables, so its endpoint lies in the ball: when
+    `_holds_model` finds no model there from the state, M = 0 and the
     register is uniform, with no trie pass; otherwise the trie pass
-    marks the words whose walk succeeds.  The proof runs on one shared
-    scratch runtime, so no leaf runs inside it and the dispatch counts
-    no branch of it.
+    marks the words whose walk succeeds.  That proof visits the nodes
+    of the descent at r_max 0 in clause order and counts none of them.
+    The space check, schedule and uniform CDF come cached per
+    (epsilon, K, radius).
     `measure` draws all retries at once from `rt.rng`, whose seed words
     are cached per seed.  Each measured word is walked again: its
     endpoint satisfies f iff the word is marked.  In a ball proved
@@ -179,13 +186,13 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     value on both paths.
     """
     f, k = inst.formula, inst.alphabet
-    x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
-    check_space(k, radius)
-    schedule = make_schedule(inst.epsilon, 1.0 / k**radius)
+    x, free, falsified = state
+    held = ((1 << f.num_vars) - 1) ^ free
+    schedule, uniform = _leaf_constants(inst.epsilon, k, radius)
     retries = max(1, rt.retries)
-    if _descend(inst, None, _PROOF_RUNTIME, state, radius, 0) is None:
-        read = f.read
-        for index in measure(_uniform_cdf(k**radius), rt.rng, retries):
+    read = f.read
+    if not _holds_model(read, f.clause_vars, f.flips, x, free, falsified, radius, read(x ^ free)):
+        for index in measure(uniform, rt.rng, retries):
             if not read(walk(f, x, _leaf_word(index, k, radius), held)):
                 raise RuntimeError(f"walk of word {index} disagrees with the empty-ball proof")
         rt.records.extend(
@@ -197,7 +204,7 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
     for attempt, index in enumerate(measure(cdf, rt.rng, retries)):
         candidate = walk(f, x, _leaf_word(index, k, radius), held)
-        hit = not f.read(candidate)
+        hit = not read(candidate)
         if hit != marked[index]:
             raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
         rt.records.append(
@@ -259,6 +266,39 @@ def _narrowest(
         if width < best_width:
             best, best_width = i, width
     return best, size
+
+
+def _holds_model(
+    read: Callable[[int], int],
+    clause_vars: tuple[int, ...],
+    flips: tuple[tuple[int, ...], ...],
+    x: int,
+    free: int,
+    falsified: int,
+    radius: int,
+    conflict: int,
+) -> bool:
+    """Whether the ball of a literal node (x, free, falsified) holds a model.
+
+    The existence form of `_descend` at r_max 0: the same cut, narrowest
+    clause and children, entered in clause order, unscored and
+    uncounted; True at the first model.  `conflict` is read(x ^ free),
+    which every literal child shares.  On an empty ball it visits the
+    nodes `_descend` visits, one call each.
+    """
+    if not falsified:
+        return True
+    if radius <= 0:
+        return False
+    clause, _ = _narrowest(clause_vars, falsified, free, radius)
+    if clause < 0:
+        return False
+    for b in flips[clause]:
+        if b & free and not (after := read(x ^ b)) & conflict and _holds_model(
+            read, clause_vars, flips, x ^ b, free ^ b, after, radius - 1, conflict
+        ):
+            return True
+    return False
 
 
 def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
@@ -355,10 +395,11 @@ def _descend(
     node reads it once.  A node with the code and a small G drops the
     code, so its subtree is the classical descent.
     Branches run fewest-falsified-clauses first, ties in order.  The
-    leaf cap `r_max` is inst.r_max in a dispatch and 0 in the leaf's
-    emptiness proof.  A falsified node whose radius, 0 included, fits a
-    positive r_max goes to the leaf before any other test; at r_max 0,
-    as in classical mode and in the proof, no node does.  The leaf runs
+    leaf cap `r_max` is inst.r_max.  A falsified node whose radius, 0
+    included, fits a positive r_max goes to the leaf before any other
+    test; at r_max 0, as in classical mode, no node does, and the
+    descent visits the nodes the leaf's emptiness proof `_holds_model`
+    visits on an empty ball.  The leaf runs
     on inst.formula, centered on x, with the variables outside `free`
     held, at the node's radius: its marks and draws are those of the
     restricted formula, and its model keeps the binding.

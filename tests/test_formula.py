@@ -20,7 +20,7 @@ from ballsat import (
 )
 from ballsat.formula import all_assignments, pack, unpack
 
-from helpers import random_ksat
+from helpers import mixed_formula, random_ksat
 
 EXAMPLE = "p cnf 4 3\n1 2 4 0\n2 3 4 0\n-1 2 -4 0\n"
 
@@ -343,6 +343,46 @@ def test_sat_table_reads_equal_clause_scans(n, m):
         assert first == first_unsat_clause(f, a)
         assert unsat.bit_count() == unsat_count(f, a)
         assert (unsat == 0) == (evaluate(f, a) == 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flip_tables_equal_the_first_occurrence_construction(seed):
+    # kernel formulas hold tautologies x v -x and repeated literals; the
+    # tables keep each variable once, in order of first occurrence
+    rng = random.Random(300 + seed)
+    repeats = 0
+    for _ in range(40):
+        n = rng.randrange(1, 30)
+        f = kernel_formula(n, rng.randrange(1, 60), rng)
+        want = tuple(
+            tuple(dict.fromkeys(1 << abs(lit) - 1 for lit in clause)) for clause in f.clauses
+        )
+        assert f.flips == want
+        assert f.clause_vars == tuple(sum(row) for row in want)
+        repeats += sum(len(row) < len(clause) for row, clause in zip(want, f.clauses))
+    assert repeats > 50, repeats
+
+
+def test_flip_tables_of_a_tautology_and_a_repeated_literal():
+    f = Formula(3, ((2, -2), (-3, 1, -3), (1, -1, 1, 3), (3, 2, 1)))
+    assert f.flips == ((0b10,), (0b100, 0b1), (0b1, 0b100), (0b100, 0b10, 0b1))
+    assert f.clause_vars == (0b10, 0b101, 0b101, 0b111)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_top_k_vars_is_the_occurrence_sort(seed):
+    rng = random.Random(900 + seed)
+    for i in range(60):
+        n = rng.randrange(2, 25)
+        if i % 3 == 0:
+            f = random_ksat(n, rng.randrange(1, 5 * n), min(3, n), rng)
+        elif i % 3 == 1:
+            f = mixed_formula(n, rng.randrange(1, 3 * n), rng)
+        else:
+            f = kernel_formula(n, rng.randrange(0, 4 * n), rng)
+        order = sorted(range(1, n + 1), key=lambda v: (-m_metric(f, v), v))
+        for k in {0, 1, rng.randrange(n + 1), n}:
+            assert top_k_vars(f, k) == order[:k]
 
 
 def test_readers_of_one_chunk_count_share_one_compiled_factory():

@@ -1,14 +1,16 @@
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, Formula, evaluate, parse_dimacs, pbs
+from ballsat import CONFLICT, Formula, evaluate, orchestrator, parse_dimacs, pbs
 from ballsat.codes import CoveringCode, _kary_word, build_kary_cover, prune_cover
 from ballsat.fliptree import marked_mask, walk
 from ballsat.formula import max_disjoint_unsat, pack, unpack
+from ballsat.fpsearch import _uniform_cdf, make_schedule
 from ballsat.orchestrator import MAX_RETRIES, SolveConfig, solve
 from ballsat.oracle import ball_promise
 from ballsat.pbs import (
@@ -69,6 +71,14 @@ def unsat3_hybrid_formula():
     rng = random.Random(26)
     return next(g for g in iter(lambda: random_ksat(13, 59, 3, rng), None)
                 if all(map(g.read, range(1 << 13))))
+
+
+def proved_empty(f, state, radius):
+    """The leaf's emptiness proof on a descent node's ball: True when it finds no model."""
+    x, free, falsified = state
+    return not pbs._holds_model(
+        f.read, f.clause_vars, f.flips, x, free, falsified, radius, f.read(x ^ free)
+    )
 
 
 def narrowed(f, rng):
@@ -159,7 +169,7 @@ class TestQuantumLeaf:
                 continue
             inst = PbsInstance(f, state[0], 0, 3, 0.1, rng.choice((3, 4)))
             radius = rng.randrange(4)
-            empty = _descend(inst, None, runtime(0), state, radius, 0) is None
+            empty = proved_empty(f, state, radius)
             runs.append((inst, state, radius, rng.randrange(1 << 30), empty))
         assert 10 < sum(empty for *_, empty in runs) < 50
 
@@ -174,7 +184,7 @@ class TestQuantumLeaf:
         proved = leaves()
         tries, real = [], pbs.marked_mask
         monkeypatch.setattr(pbs, "marked_mask", lambda *args: tries.append(args) or real(*args))
-        monkeypatch.setattr(pbs, "_descend", lambda *args: 0)   # any int: a model, so the trie
+        monkeypatch.setattr(pbs, "_holds_model", lambda *args: True)   # a model, so the trie
         assert proved == leaves()
         assert len(tries) == len(runs)
 
@@ -202,18 +212,41 @@ class TestQuantumLeaf:
     def test_a_walk_to_a_model_in_a_proved_empty_ball_disagrees(self, monkeypatch):
         f = Formula(1, ((1,),))
         assert marked_mask(f, 0, 1, 3).all()
-        monkeypatch.setattr(pbs, "_descend", lambda *args: None)   # the ball "proved" empty
+        monkeypatch.setattr(pbs, "_holds_model", lambda *args: False)   # the ball "proved" empty
         with pytest.raises(RuntimeError, match="disagrees"):
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), runtime(0, retries=1), (0, 1, 1), 1)
 
     def test_a_walk_to_a_model_in_a_batch_of_draws_disagrees(self, monkeypatch):
         # three retries of a proved-empty ball draw in one call; each word is still walked
         f = Formula(1, ((1,),))
-        monkeypatch.setattr(pbs, "_descend", lambda *args: None)   # the ball "proved" empty
+        monkeypatch.setattr(pbs, "_holds_model", lambda *args: False)   # the ball "proved" empty
         rt = runtime(0, retries=3)
         with pytest.raises(RuntimeError, match="disagrees with the empty-ball proof"):
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt, (0, 1, 1), 1)
         assert rt.records == []
+
+
+class TestLeafConstants:
+    """A leaf's space check, schedule and uniform CDF, cached per (epsilon, K, radius)."""
+
+    def test_an_oversized_register_raises_every_time(self):
+        # 3^15 words pass the space limit; a failed check is not cached
+        f = Formula(1, ((1,),))
+        before = pbs._leaf_constants.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too large"):
+                quantum_kpbs(PbsInstance(f, 0, 15, 15, 0.1, 3), runtime(0), (0, 1, 1), 15)
+        assert pbs._leaf_constants.cache_info().currsize == before
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("radius", range(6))
+    def test_cached_constants_are_the_uncached_ones(self, k, radius):
+        for epsilon in (0.1, 0.7):
+            schedule, cdf = pbs._leaf_constants(epsilon, k, radius)
+            assert schedule == make_schedule.__wrapped__(epsilon, 1.0 / k**radius)
+            assert cdf.tolist() == _uniform_cdf.__wrapped__(k**radius).tolist()
+            again = pbs._leaf_constants(epsilon, k, radius)
+            assert again[0] is schedule and again[1] is cdf
 
 
 # (2**63, 12, 5) spans two 32-bit entropy words
@@ -396,7 +429,7 @@ class TestEveryWordOfALeaf:
         for inst, state, radius in leaves:
             f, k = inst.formula, inst.alphabet
             x, held = state[0], ((1 << f.num_vars) - 1) ^ state[1]
-            proved = _descend(inst, None, runtime(0), state, radius, 0) is None
+            proved = proved_empty(f, state, radius)
             marks = marked_mask(f, x, radius, k, held)
             for index in range(k**radius):
                 hit = not f.read(walk(f, x, _kary_word(index, k, radius), held))
@@ -432,6 +465,98 @@ class TestEmptyBallProof:
             conflicts += sub is CONFLICT
             models += not proved
         assert conflicts > 10 and empty - conflicts > 30 and models > 30, (conflicts, empty, models)
+
+
+class TestExistenceSearch:
+    """The leaf's emptiness proof `_holds_model` against `_descend` at r_max 0 from the same node.
+
+    Both answer alike on every ball and agree with `ball_promise`; on an
+    empty ball both visit the same (x, free, radius) nodes, one per
+    descent branch and the root.
+    """
+
+    @staticmethod
+    def visits(monkeypatch, name, node, run):
+        """run()'s result and the multiset of node(args) over its calls to pbs.<name>."""
+        nodes, real = Counter(), getattr(pbs, name)
+
+        def spy(*args):
+            nodes[node(args)] += 1
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(pbs, name, spy)
+            return run(), nodes
+
+    def empty(self, monkeypatch, f, state, radius):
+        """Check both searches on the ball of a descent node; True when it holds no model."""
+        x, free, _ = state
+        empty, searched = self.visits(
+            monkeypatch, "_holds_model", lambda a: (a[3], a[4], a[6]),
+            lambda: proved_empty(f, state, radius),
+        )
+        inst, rt = PbsInstance(f, x, radius, 0, 0.1, 3, ((1 << f.num_vars) - 1) ^ free), runtime(0)
+        model, descended = self.visits(
+            monkeypatch, "_descend", lambda a: (a[3][0], a[3][1], a[4]),
+            lambda: pbs._descend(inst, None, rt, state, radius, 0),
+        )
+        sub, center = held_root(inst)
+        witness = ball_promise(sub, center, radius)
+        assert empty == (model is None) == (witness is None), (f, state, radius)
+        if empty:
+            assert searched == descended, (f, state, radius)
+            assert searched.total() == rt.branches + 1
+        return empty
+
+    def test_every_ball_of_seeded_solves(self, monkeypatch):
+        # the leaves of solves in the hybrid workloads' shapes, and the dispatch roots
+        # of a classical solve in unsat3-classical's shape, which runs no leaf
+        balls, leaf, dispatch = [], pbs.quantum_kpbs, orchestrator.kqcpbs
+
+        def at_leaf(inst, rt, state, radius):
+            balls.append((inst.formula, state, radius))
+            return leaf(inst, rt, state, radius)
+
+        def at_root(inst, rt):
+            f = inst.formula
+            state = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
+            if state is not None:
+                balls.append((f, state, inst.radius))
+            return dispatch(inst, rt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pbs, "quantum_kpbs", at_leaf)
+            patch.setattr(orchestrator, "kqcpbs", at_root)
+            solve(unsat3_hybrid_formula(), SolveConfig(k=1, r_max=3, seed=4, workers=1))
+            solve(random_ksat(17, 77, 3, random.Random(8)), SolveConfig(k=4, mode="classical"))
+            for s in range(24):
+                n, m, width = (12, 138, 4) if s % 8 == 7 else (13, 70, 3)
+                f, _ = planted_ksat(n, m, width, random.Random(40 + s))
+                solve(f, SolveConfig(k=2, r_max=3, seed=s, workers=1))
+        empty = sum(self.empty(monkeypatch, *ball) for ball in balls)
+        roots = sum(f.num_vars == 17 for f, _, _ in balls)
+        assert empty > 600 and len(balls) - empty > 15 and roots > 50, (empty, len(balls), roots)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_random_held_ball(self, seed, monkeypatch):
+        # TestEmptyBallProof's balls, from each root whose held variables empty no clause
+        rng = random.Random(700 + seed)
+        empty = models = 0
+        for i in range(200):
+            n = rng.randrange(3, 9)
+            if i % 2:
+                base = mixed_formula(n, rng.randrange(n, 2 * n), rng)
+            else:
+                base = random_ksat(n, rng.randrange(n, 5 * n), 3, rng)
+            f = narrowed(base, rng)
+            fixed = rng.randrange(1 << n) & rng.randrange(1 << n)
+            radius, _ = rng.randrange(5), rng.choice((3, 4))   # the alphabet draw keeps the stream
+            state = _state(f.read, pack(random_assignment(n, rng)), ((1 << n) - 1) ^ fixed)
+            if state is not None:
+                got = self.empty(monkeypatch, f, state, radius)
+                empty += got
+                models += not got
+        assert empty > 30 and models > 30, (empty, models)
 
 
 class TestClassicalDescent:
