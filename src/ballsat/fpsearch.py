@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,8 +208,9 @@ def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarra
     p; each marked word gets p/M and each unmarked word (1-p)/(N-M).
     With M = 0 or M = N the distribution is uniform, and the read-only
     CDF is built once per N.  The arithmetic after the per-word
-    probabilities is that of `Generator.choice`, so `measure` draws the
-    word `sample_sequence` would draw from the state vector.
+    probabilities is that of `Generator.choice`, so `measure`, given the
+    doubles a Generator draws, picks the words `sample_sequence` draws
+    from the state vector with that Generator.
     """
     n = marked.size
     m = int(np.count_nonzero(marked))
@@ -219,9 +222,11 @@ def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarra
     return cdf
 
 
-def measure(cdf: np.ndarray, rng: np.random.Generator, count: int) -> list[int]:
-    """Indices of `count` measured words: one batch of uniform draws located in the CDF.
+def measure(cdf: Sequence[float], draws: Iterable[float]) -> list[int]:
+    """Indices of the measured words: each uniform draw in [0, 1) located in the CDF.
 
-    The batch draws the doubles, and leaves the Generator state, of `count` single draws.
+    The index counts the CDF's entries at or below the draw, as
+    `searchsorted(side="right")` does; the leaf passes the CDF as a list,
+    so each lookup compares Python floats.
     """
-    return cdf.searchsorted(rng.random(count), side="right").tolist()
+    return [bisect_right(cdf, u) for u in draws]

@@ -21,7 +21,8 @@ fits a positive r_max.  The leaf first searches its ball for a model
 from the node's state, over the literal nodes the descent at r_max 0
 would visit, unsorted and uncounted: when it finds none, no flip word
 can reach one, and the leaf measures the uniform register without the
-flip-word trie.  A leaf draws all its retries in one call.
+flip-word trie.  A leaf takes all its retries' draws at once, from
+its dispatch seed's stream, whose head is cached per seed.
 FALSE returns are one-sided: each quantum group errs with probability
 at most eps^(2R).
 """
@@ -34,7 +35,6 @@ from operator import itemgetter
 from typing import Callable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .codes import CoveringCode, _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
@@ -96,30 +96,20 @@ def _false_records(
     )
 
 
+# doubles per cached stream head: over 160 seed-4 instances a dispatch of
+# perfbench's unsat3-hybrid draws at most 18, one of planted-pool at most 3
+_HEAD = 24
+
+
 @functools.lru_cache(maxsize=1024)
-def _seed_words(seed: tuple[int, ...]) -> np.ndarray:
-    """The four uint64 words PCG64 draws from SeedSequence(seed), read-only."""
-    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    words.flags.writeable = False
-    return words
+def _stream_head(seed: tuple[int, ...]) -> tuple[float, ...]:
+    """The first `_HEAD` doubles of default_rng(SeedSequence(seed)).
 
-
-class _CachedSeedSequence(ISeedSequence):
-    """SeedSequence(seed) as PCG64 reads it, with its state words from `_seed_words`.
-
-    PCG64 asks its seed sequence for `generate_state(4, np.uint64)` once,
-    at construction; any other request is answered by SeedSequence(seed).
+    A dispatch's seed comes back in every solve with the same solver
+    seed, so a repeated seed costs a lookup, not a SeedSequence and a
+    Generator.
     """
-
-    __slots__ = ("seed",)
-
-    def __init__(self, seed: tuple[int, ...]):
-        self.seed = seed
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
-            return _seed_words(self.seed)
-        return np.random.SeedSequence(self.seed).generate_state(n_words, dtype)
+    return tuple(np.random.default_rng(np.random.SeedSequence(seed)).random(_HEAD).tolist())
 
 
 @dataclass
@@ -128,12 +118,10 @@ class PbsRuntime:
 
     The context is the seed of the leaf's randomness, the retry budget
     and the (prefix, codeword) the dispatch serves; the log is its leaf
-    records, branch count and failed quantum groups.  The Generator is
-    built on the first draw, so a dispatch whose descent never reaches
-    the leaf builds none.  It is PCG64 on the cached seed words of
-    SeedSequence(seed), so it draws what
-    `np.random.default_rng(np.random.SeedSequence(seed))` draws, and a
-    repeated seed costs a lookup, not a SeedSequence.
+    records, branch count and failed quantum groups.  The leaf's
+    randomness is the stream of default_rng(SeedSequence(seed)), and
+    `drawn` counts the doubles the dispatch has taken from it, so a
+    runtime carries its whole stream position and no Generator.
     """
 
     seed: tuple[int, ...]
@@ -143,20 +131,35 @@ class PbsRuntime:
     records: list[QuantumCallRecord] = field(default_factory=list)
     branches: int = 0
     groups_failed: int = 0   # quantum groups whose every retry missed
+    drawn: int = 0           # doubles taken from the seed's stream
 
-    @functools.cached_property
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.PCG64(_CachedSeedSequence(self.seed)))
+    def draws(self, count: int) -> tuple[float, ...]:
+        """The stream's next `count` doubles: the cached head, then a Generator past it.
+
+        The Generator is default_rng(SeedSequence(seed)) advanced to the
+        head's end, or to the position when that lies further on.
+        """
+        start = self.drawn
+        self.drawn = end = start + count
+        head = _stream_head(self.seed)
+        if end <= len(head):
+            return head[start:end]
+        skip = max(start, len(head))
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        rng.bit_generator.advance(skip)
+        return head[start:] + tuple(rng.random(end - skip).tolist())
 
 
 @functools.lru_cache(maxsize=64)
-def _leaf_constants(epsilon: float, k: int, radius: int) -> tuple[SearchSchedule, np.ndarray]:
+def _leaf_constants(
+    epsilon: float, k: int, radius: int
+) -> tuple[SearchSchedule, tuple[float, ...]]:
     """A leaf's schedule and uniform CDF over its K^r words, after the space check.
 
     A space past the limit raises, and the failure is not cached.
     """
     check_space(k, radius)
-    return make_schedule(epsilon, 1.0 / k**radius), _uniform_cdf(k**radius)
+    return make_schedule(epsilon, 1.0 / k**radius), tuple(_uniform_cdf(k**radius).tolist())
 
 
 def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -> int | None:
@@ -175,8 +178,9 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     of the descent at r_max 0 in clause order and counts none of them.
     The space check, schedule and uniform CDF come cached per
     (epsilon, K, radius).
-    `measure` draws all retries at once from `rt.rng`, whose seed words
-    are cached per seed.  Each measured word is walked again: its
+    The leaf takes all its retries' doubles at once from `rt.draws`,
+    whose stream head is cached per seed, and `measure` places each in
+    the CDF as a list.  Each measured word is walked again: its
     endpoint satisfies f iff the word is marked.  In a ball proved
     empty every measured word is walked, and one that reaches a model
     raises; then the leaf appends its `retries` "false" records as one
@@ -192,7 +196,7 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     retries = max(1, rt.retries)
     read = f.read
     if not _holds_model(read, f.clause_vars, f.flips, x, free, falsified, radius, read(x ^ free)):
-        for index in measure(uniform, rt.rng, retries):
+        for index in measure(uniform, rt.draws(retries)):
             if not read(walk(f, x, _leaf_word(index, k, radius), held)):
                 raise RuntimeError(f"walk of word {index} disagrees with the empty-ball proof")
         rt.records.extend(
@@ -201,8 +205,8 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
         rt.groups_failed += 1
         return None
     marked = marked_mask(f, x, radius, k, held)
-    cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min)
-    for attempt, index in enumerate(measure(cdf, rt.rng, retries)):
+    cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min).tolist()
+    for attempt, index in enumerate(measure(cdf, rt.draws(retries))):
         candidate = walk(f, x, _leaf_word(index, k, radius), held)
         hit = not read(candidate)
         if hit != marked[index]:

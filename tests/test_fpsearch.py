@@ -266,7 +266,7 @@ class TestTwoLevelLeaf:
         _, cdf = two_level_cdf(f, center, radius, alphabet, eps)
         # one batch, as the production leaf draws its retries
         a, b = np.random.default_rng(11), np.random.default_rng(11)
-        for index in measure(cdf, a, 1000):
+        for index in measure(cdf.tolist(), a.random(1000).tolist()):
             assert _kary_word(index, alphabet, radius) == sample_sequence(state, b)
         assert a.bit_generator.state == b.bit_generator.state
 

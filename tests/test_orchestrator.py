@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, Formula, codes, decompose, evaluate, orchestrator, parse_dimacs
+from ballsat import CONFLICT, Formula, codes, decompose, evaluate, orchestrator, parse_dimacs, pbs
 from ballsat.codes import build_kary_cover, write_cover
 from ballsat.orchestrator import (
     MAX_RETRIES,
@@ -589,16 +589,24 @@ class TestGenerators:
             for _ in range(200)
         )
         sample = [f for f in mixed if brute_sat(f) is None][:10]
-        leaf_dispatches = dispatches = 0
-        for f in sample:
-            before = len(built)
-            res = solve(f, SolveConfig(k=1, r_max=r_max))
-            leaf = {(rec.prefix, rec.codeword) for rec in res.stats.records}
-            assert res.status == "FALSE"
-            assert len(built) - before == 1 + len(leaf)
-            leaf_dispatches += len(leaf)
-            dispatches += res.stats.dispatches
+        # one solver seed and k fix each (prefix, codeword)'s dispatch seed, so a
+        # leaf dispatch builds a Generator, for its stream head, only the first
+        # time the process meets it, and the warm pass builds none
+        pbs._stream_head.cache_clear()
+        seen, leaf_dispatches, dispatches = set(), 0, 0
+        for warm in (False, True):
+            for f in sample:
+                before = len(built)
+                res = solve(f, SolveConfig(k=1, r_max=r_max))
+                leaf = {(rec.prefix, rec.codeword) for rec in res.stats.records}
+                assert res.status == "FALSE"
+                assert len(built) - before == 1 + len(leaf - seen)
+                assert not warm or leaf <= seen
+                seen |= leaf
+                leaf_dispatches += len(leaf)
+                dispatches += res.stats.dispatches
         assert len(sample) == 10 and leaf_dispatches < dispatches
+        assert bool(seen) == bool(r_max)
 
 
 class TestMessageTypes:

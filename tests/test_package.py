@@ -1,10 +1,15 @@
 """Package-wide checks on the source of `ballsat` itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ballsat").glob("*.py"))
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "ballsat").glob("*.py"))
 # numpy is the one runtime dependency; anything else installed here
 # (scipy, pytest-benchmark) must stay optional
 RUNTIME_DEPS = {"numpy"}
@@ -29,3 +34,22 @@ def test_imports_only_stdlib_and_numpy():
         if name not in sys.stdlib_module_names and name not in RUNTIME_DEPS
     ]
     assert not stray, stray
+
+
+def modules_after(statement):
+    """Whether `numpy.random` is loaded after `statement` in a fresh interpreter."""
+    probe = f"import sys; {statement}; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use; a process that only imports,
+    # parses or brute-forces need not pay for it
+    if modules_after("import numpy"):
+        pytest.skip("this numpy loads numpy.random at import")
+    assert not modules_after("import ballsat")

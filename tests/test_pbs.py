@@ -178,7 +178,7 @@ class TestQuantumLeaf:
             for inst, state, radius, dseed, _ in runs:
                 rt = runtime(dseed)
                 got = quantum_kpbs(inst, rt, state, radius)
-                out.append((got, rt.records, rt.groups_failed, rt.rng.bit_generator.state))
+                out.append((got, rt.records, rt.groups_failed, rt.drawn))
             return out
 
         proved = leaves()
@@ -244,7 +244,7 @@ class TestLeafConstants:
         for epsilon in (0.1, 0.7):
             schedule, cdf = pbs._leaf_constants(epsilon, k, radius)
             assert schedule == make_schedule.__wrapped__(epsilon, 1.0 / k**radius)
-            assert cdf.tolist() == _uniform_cdf.__wrapped__(k**radius).tolist()
+            assert cdf == tuple(_uniform_cdf.__wrapped__(k**radius).tolist())
             again = pbs._leaf_constants(epsilon, k, radius)
             assert again[0] is schedule and again[1] is cdf
 
@@ -254,7 +254,7 @@ DISPATCH_SEEDS = [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)]
 
 
 def clear_caches():
-    pbs._seed_words.cache_clear()
+    pbs._stream_head.cache_clear()
     pbs._record.cache_clear()
     pbs._false_records.cache_clear()
 
@@ -265,50 +265,75 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
     @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
     def test_one_call_draws_what_n_calls_draw(self, seed, n):
-        # the stream PbsRuntime.rng draws (TestSeedWords)
+        # the stream a runtime's head and continuation draw (TestStreamHead)
         batched, single = (np.random.default_rng(np.random.SeedSequence(seed)) for _ in range(2))
         assert batched.random(n).tolist() == [single.random() for _ in range(n)]
         assert batched.bit_generator.state == single.bit_generator.state
 
 
-class TestSeedWords:
-    """A runtime's Generator, built on cached seed words, is SeedSequence(seed)'s stream."""
+class TestStreamHead:
+    """A runtime draws SeedSequence(seed)'s stream: the cached head, then a Generator past it."""
+
+    # counts inside the head, across its end and wholly past it
+    SPLITS = [
+        (1,), (3,), (MAX_RETRIES,), (1, 1, 1), (pbs._HEAD,), (20, 10),
+        (pbs._HEAD - 1, 1, 1), (pbs._HEAD, 5), (30, 3), (2, MAX_RETRIES), (0, 7, 0),
+    ]
 
     @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
-    @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
+    @pytest.mark.parametrize("split", SPLITS, ids=lambda split: "+".join(map(str, split)))
     @pytest.mark.parametrize("warm", [False, True])
-    def test_runtime_draws_the_seed_sequence_stream(self, seed, n, warm):
+    def test_runtime_draws_the_seed_sequence_stream(self, seed, split, warm):
         clear_caches()
         if warm:
-            PbsRuntime(seed).rng
-        before = pbs._seed_words.cache_info()
-        got = PbsRuntime(seed).rng
-        after = pbs._seed_words.cache_info()
-        # PCG64 took its words from the cache: a hit when warm, else a miss
-        assert (after.hits - before.hits, after.misses - before.misses) == (warm, not warm)
-        want = np.random.default_rng(np.random.SeedSequence(seed))
-        assert got.bit_generator.state == want.bit_generator.state
-        assert got.random(n).tolist() == want.random(n).tolist()
-        assert got.bit_generator.state == want.bit_generator.state
+            pbs._stream_head(seed)
+        before = pbs._stream_head.cache_info()
+        rt = PbsRuntime(seed)
+        pieces = [rt.draws(count) for count in split]
+        after = pbs._stream_head.cache_info()
+        assert after.misses - before.misses == (not warm)
+        assert [len(piece) for piece in pieces] == list(split)
+        want = np.random.default_rng(np.random.SeedSequence(seed)).random(sum(split))
+        assert [u for piece in pieces for u in piece] == want.tolist()
+        assert rt.drawn == sum(split)
 
     @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
-    def test_cached_words_are_read_only(self, seed):
-        words = pbs._seed_words(seed)
-        assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        assert not words.flags.writeable
-        with pytest.raises(ValueError):
-            words[0] = 0
-        assert pbs._seed_words(seed) is words
+    def test_cached_head_is_one_immutable_value(self, seed):
+        head = pbs._stream_head(seed)
+        want = np.random.default_rng(np.random.SeedSequence(seed)).random(pbs._HEAD)
+        assert isinstance(head, tuple) and list(head) == want.tolist()
+        assert pbs._stream_head(seed) is head
 
-    def test_any_other_request_is_the_seed_sequence_state(self):
-        seq = pbs._CachedSeedSequence((7, 1, 0))
-        want = np.random.SeedSequence((7, 1, 0))
-        assert seq.generate_state(8).tolist() == want.generate_state(8).tolist()
-        assert seq.generate_state(2, np.uint64).tolist() == want.generate_state(2, np.uint64).tolist()
+    @pytest.mark.parametrize("retries", [3, 30])
+    def test_solves_without_a_head_give_the_same_records(self, retries, monkeypatch):
+        # at 30 retries every leaf's draws cross the head's end, the first leaf's included
+        assert 3 < pbs._HEAD < 30
+        problems = [
+            (f, replace(cfg, retries=retries))
+            for f, cfg in TestCacheState.planted() + TestCacheState.unsat()
+        ]
+        clear_caches()
+        headed = TestCacheState.outcomes(problems)
+        monkeypatch.setattr(pbs, "_stream_head", lambda seed: ())
+        assert TestCacheState.outcomes(problems) == headed
+        records = [rec for _, _, stats in headed for rec in stats.records]
+        assert any(rec.outcome == "sat" and rec.attempt > 0 for rec in records)
+
+    def test_a_runtime_past_its_head_pickles_its_position_only(self):
+        seed = (7, 1, 0)
+        rt = PbsRuntime(seed)
+        rt.draws(30)
+        data = pickle.dumps(rt)
+        assert b"numpy" not in data
+        clear_caches()   # as a process that never saw the seed
+        copy = pickle.loads(data)
+        assert copy == rt and copy.drawn == 30
+        want = np.random.default_rng(np.random.SeedSequence(seed)).random(40).tolist()
+        assert list(copy.draws(10)) == want[30:] == list(rt.draws(10))
 
 
 class TestCacheState:
-    """The seed-word and record caches never reach a result."""
+    """The stream-head and record caches never reach a result."""
 
     @staticmethod
     def planted():
@@ -332,8 +357,8 @@ class TestCacheState:
             for seed in (11, 12):
                 solve(f, replace(cfg, seed=seed))
         # up to each cache's bound, so the solve that follows evicts
-        for i in range(pbs._seed_words.cache_info().maxsize):
-            pbs._seed_words((99, i, 0))
+        for i in range(pbs._stream_head.cache_info().maxsize):
+            pbs._stream_head((99, i, 0))
         for i in range(pbs._record.cache_info().maxsize):
             pbs._record("9", i, 1, 1, 1, "false", 0)
         for i in range(pbs._false_records.cache_info().maxsize):
@@ -380,10 +405,9 @@ class TestCacheState:
         if cleared:
             clear_caches()   # as a process that never saw the seed
         copy = pickle.loads(data)
-        assert copy == rt
-        assert copy.rng.bit_generator.state == rt.rng.bit_generator.state
-        assert copy.rng.random(MAX_RETRIES).tolist() == rt.rng.random(MAX_RETRIES).tolist()
-        assert copy.rng.bit_generator.state == rt.rng.bit_generator.state
+        assert copy == rt and copy.drawn == rt.drawn > 0
+        assert copy.draws(MAX_RETRIES) == rt.draws(MAX_RETRIES)
+        assert copy.drawn == rt.drawn
 
 
 class TestLeafFromTheNode:
