@@ -265,25 +265,23 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
     @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
     def test_one_call_draws_what_n_calls_draw(self, seed, n):
-        # the stream a runtime's head and continuation draw (TestStreamHead)
+        # the stream a runtime's head and continuation draw (TestSeedWords)
         batched, single = (np.random.default_rng(np.random.SeedSequence(seed)) for _ in range(2))
         assert batched.random(n).tolist() == [single.random() for _ in range(n)]
         assert batched.bit_generator.state == single.bit_generator.state
 
 
-class TestStreamHead:
+class TestSeedWords:
     """A runtime draws SeedSequence(seed)'s stream: the cached head, then a Generator past it."""
 
-    # counts inside the head, across its end and wholly past it
+    # several calls: inside the head, across its end and wholly past it
     SPLITS = [
-        (1,), (3,), (MAX_RETRIES,), (1, 1, 1), (pbs._HEAD,), (20, 10),
-        (pbs._HEAD - 1, 1, 1), (pbs._HEAD, 5), (30, 3), (2, MAX_RETRIES), (0, 7, 0),
+        (1, 1, 1), (pbs._HEAD,), (20, 10), (pbs._HEAD - 1, 1, 1),
+        (pbs._HEAD, 5), (30, 3), (2, MAX_RETRIES), (0, 7, 0),
     ]
 
-    @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
-    @pytest.mark.parametrize("split", SPLITS, ids=lambda split: "+".join(map(str, split)))
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_runtime_draws_the_seed_sequence_stream(self, seed, split, warm):
+    @staticmethod
+    def check_draws(seed, split, warm):
         clear_caches()
         if warm:
             pbs._stream_head(seed)
@@ -298,10 +296,24 @@ class TestStreamHead:
         assert rt.drawn == sum(split)
 
     @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
-    def test_cached_head_is_one_immutable_value(self, seed):
+    @pytest.mark.parametrize("n", [1, 3, MAX_RETRIES])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_runtime_draws_the_seed_sequence_stream(self, seed, n, warm):
+        self.check_draws(seed, (n,), warm)
+
+    @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
+    @pytest.mark.parametrize("split", SPLITS, ids=lambda split: "+".join(map(str, split)))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_split_draws_are_the_seed_sequence_stream(self, seed, split, warm):
+        self.check_draws(seed, split, warm)
+
+    @pytest.mark.parametrize("seed", DISPATCH_SEEDS)
+    def test_cached_words_are_read_only(self, seed):
         head = pbs._stream_head(seed)
         want = np.random.default_rng(np.random.SeedSequence(seed)).random(pbs._HEAD)
         assert isinstance(head, tuple) and list(head) == want.tolist()
+        with pytest.raises(TypeError):
+            head[0] = 0.0
         assert pbs._stream_head(seed) is head
 
     @pytest.mark.parametrize("retries", [3, 30])
