@@ -192,12 +192,10 @@ def success_probability_exact(
     return 1.0 - miss * miss
 
 
-@lru_cache(maxsize=64)
 def _uniform_cdf(n: int) -> np.ndarray:
-    """Read-only CDF of the uniform distribution over n words, shared by every caller."""
+    """CDF of the uniform distribution over n words."""
     cdf = np.full(n, 1.0 / n).cumsum()
     cdf /= cdf[-1]
-    cdf.flags.writeable = False
     return cdf
 
 
@@ -206,8 +204,9 @@ def word_cdf(marked: np.ndarray, epsilon: float, lambda_min: float) -> np.ndarra
 
     With M of N words marked, the closed form gives the marked probability
     p; each marked word gets p/M and each unmarked word (1-p)/(N-M).
-    With M = 0 or M = N the distribution is uniform, and the read-only
-    CDF is built once per N.  The arithmetic after the per-word
+    With M = 0 or M = N the distribution is uniform; a leaf whose
+    emptiness proof finds no model reads its cached uniform CDF instead
+    of calling this.  The arithmetic after the per-word
     probabilities is that of `Generator.choice`, so `measure`, given the
     doubles a Generator draws, picks the words `sample_sequence` draws
     from the state vector with that Generator.

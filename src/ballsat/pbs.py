@@ -21,8 +21,11 @@ fits a positive r_max.  The leaf first searches its ball for a model
 from the node's state, over the literal nodes the descent at r_max 0
 would visit, unsorted and uncounted: when it finds none, no flip word
 can reach one, and the leaf measures the uniform register without the
-flip-word trie.  A leaf takes all its retries' draws at once, from
-its dispatch seed's stream, whose head is cached per seed.
+flip-word trie.  The search picks only the distribution and the marks;
+one measurement loop serves both kinds of leaf.  A leaf takes all its
+retries' draws at once, from its dispatch seed's stream, whose head is
+cached per seed, and logs its records from one cached tuple when it
+returns.
 FALSE returns are one-sided: each quantum group errs with probability
 at most eps^(2R).
 """
@@ -80,18 +83,15 @@ class QuantumCallRecord:
     attempt: int   # 0-based retry index
 
 
-# records are frozen, so equal ones can be one value: records repeat within a
-# solve (150 of the first unsat3-hybrid solve's 246 builds hit) and across solves
-_record = functools.lru_cache(maxsize=4096)(QuantumCallRecord)
-
-
+# records are frozen, so equal ones can be one value: every leaf logs its misses
+# as a prefix of the tuple cached for its key, which repeats within and across solves
 @functools.lru_cache(maxsize=4096)
 def _false_records(
     prefix: str, codeword: int, radius: int, L: int, queries: int, retries: int
 ) -> tuple[QuantumCallRecord, ...]:
-    """The `_record` values of a leaf whose every retry misses, attempts 0..retries-1."""
+    """The records of a leaf whose every retry misses, attempts 0..retries-1."""
     return tuple(
-        _record(prefix, codeword, radius, L, queries, "false", attempt)
+        QuantumCallRecord(prefix, codeword, radius, L, queries, "false", attempt)
         for attempt in range(retries)
     )
 
@@ -171,59 +171,50 @@ def quantum_kpbs(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -
     the closed form gives the marked probability p, and each retry
     measures a word from p/M per marked and (1-p)/(N-M) per unmarked
     word.  Retries multiply only the query count.  A walk flips at most
-    r unheld variables, so its endpoint lies in the ball: when
-    `_holds_model` finds no model there from the state, M = 0 and the
-    register is uniform, with no trie pass; otherwise the trie pass
-    marks the words whose walk succeeds.  That proof visits the nodes
-    of the descent at r_max 0 in clause order and counts none of them.
-    The space check, schedule and uniform CDF come cached per
+    r unheld variables, so its endpoint lies in the ball.  The emptiness
+    proof `_holds_model` decides only the distribution and the marks:
+    when it finds no model there from the state, M = 0, the register is
+    uniform and nothing is marked, with no trie pass; otherwise the trie
+    pass marks the words whose walk succeeds.  That proof visits the
+    nodes of the descent at r_max 0 in clause order and counts none of
+    them.  The space check, schedule and uniform CDF come cached per
     (epsilon, K, radius).
-    The leaf takes all its retries' doubles at once from `rt.draws`,
-    whose stream head is cached per seed, and `measure` places each in
-    the CDF as a list.  Each measured word is walked again: its
-    endpoint satisfies f iff the word is marked.  In a ball proved
-    empty every measured word is walked, and one that reaches a model
-    raises; then the leaf appends its `retries` "false" records as one
-    cached tuple.  In a trie leaf the draws past a hit go unused, the
-    dispatch ends there, and each retry up to the hit logs a record
-    through a bounded cache, so equal records are one shared frozen
-    value on both paths.
+    One loop serves both kinds of leaf.  The leaf takes all its
+    retries' doubles at once from `rt.draws`, whose stream head is
+    cached per seed, and `measure` places each in the CDF as a list.
+    Each measured word is walked again, and its endpoint must satisfy f
+    iff the word is marked; a disagreement raises before the leaf logs
+    anything.  The draws past a hit go unused, and the dispatch ends
+    there.  Every record comes from one cached tuple of "false" records:
+    a leaf whose retries all miss logs the whole tuple, and one that
+    hits at attempt a logs its first a entries and one "sat" record.
     """
     f, k = inst.formula, inst.alphabet
     x, free, falsified = state
     held = ((1 << f.num_vars) - 1) ^ free
-    schedule, uniform = _leaf_constants(inst.epsilon, k, radius)
+    schedule, cdf = _leaf_constants(inst.epsilon, k, radius)
     retries = max(1, rt.retries)
     read = f.read
-    if not _holds_model(read, f.clause_vars, f.flips, x, free, falsified, radius, read(x ^ free)):
-        for index in measure(uniform, rt.draws(retries)):
-            if not read(walk(f, x, _leaf_word(index, k, radius), held)):
-                raise RuntimeError(f"walk of word {index} disagrees with the empty-ball proof")
-        rt.records.extend(
-            _false_records(rt.prefix, rt.codeword, radius, schedule.L, schedule.queries, retries)
-        )
-        rt.groups_failed += 1
-        return None
-    marked = marked_mask(f, x, radius, k, held)
-    cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min).tolist()
+    marked = None
+    if _holds_model(read, f.clause_vars, f.flips, x, free, falsified, radius, read(x ^ free)):
+        marked = marked_mask(f, x, radius, k, held)
+        cdf = word_cdf(marked, inst.epsilon, schedule.lambda_min).tolist()
+    misses = _false_records(rt.prefix, rt.codeword, radius, schedule.L, schedule.queries, retries)
     for attempt, index in enumerate(measure(cdf, rt.draws(retries))):
         candidate = walk(f, x, _leaf_word(index, k, radius), held)
         hit = not read(candidate)
-        if hit != marked[index]:
-            raise RuntimeError(f"walk of word {index} disagrees with its trie mark")
-        rt.records.append(
-            _record(
-                rt.prefix,
-                rt.codeword,
-                radius,
-                schedule.L,
-                schedule.queries,
-                "sat" if hit else "false",
-                attempt,
-            )
-        )
+        if hit != (marked is not None and marked[index]):
+            source = "the empty-ball proof" if marked is None else "its trie mark"
+            raise RuntimeError(f"walk of word {index} disagrees with {source}")
         if hit:
+            rt.records += misses[:attempt]
+            rt.records.append(
+                QuantumCallRecord(
+                    rt.prefix, rt.codeword, radius, schedule.L, schedule.queries, "sat", attempt
+                )
+            )
             return candidate
+    rt.records += misses
     rt.groups_failed += 1
     return None
 
@@ -370,7 +361,7 @@ def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int
     """The descent from inst's center and held mask; None at once if they empty a clause."""
     f = inst.formula
     root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
-    return None if root is None else _descend(inst, code, rt, root, inst.radius, inst.r_max)
+    return None if root is None else _descend(inst, code, rt, root, inst.radius)
 
 
 def _descend(
@@ -379,7 +370,6 @@ def _descend(
     rt: PbsRuntime,
     state: State,
     radius: int,
-    r_max: int,
 ) -> int | None:
     """The ball search on restrict(inst.formula, the binding x holds off `free`).
 
@@ -398,9 +388,9 @@ def _descend(
     variable flipped, which is the same assignment for every child: the
     node reads it once.  A node with the code and a small G drops the
     code, so its subtree is the classical descent.
-    Branches run fewest-falsified-clauses first, ties in order.  The
-    leaf cap `r_max` is inst.r_max.  A falsified node whose radius, 0
-    included, fits a positive r_max goes to the leaf before any other
+    Branches run fewest-falsified-clauses first, ties in order.  A
+    falsified node whose radius, 0 included, fits a positive
+    inst.r_max goes to the leaf before any other
     test; at r_max 0, as in classical mode, no node does, and the
     descent visits the nodes the leaf's emptiness proof `_holds_model`
     visits on an empty ball.  The leaf runs
@@ -412,6 +402,7 @@ def _descend(
     if not falsified:
         return x
     # r_max 0 means no leaf; a jump needs radius > t, so only roots and literal children reach 0
+    r_max = inst.r_max
     if 0 <= radius <= r_max and r_max:
         return quantum_kpbs(inst, rt, state, radius)
     if radius <= 0:
@@ -438,7 +429,7 @@ def _descend(
     branches.sort(key=_by_score)
     for _, child in branches:
         rt.branches += 1
-        model = _descend(inst, code, rt, child, rest, r_max)
+        model = _descend(inst, code, rt, child, rest)
         if model is not None:
             return model
     return None

@@ -225,6 +225,21 @@ class TestQuantumLeaf:
             quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt, (0, 1, 1), 1)
         assert rt.records == []
 
+    def test_a_later_disagreement_of_a_trie_leaf_leaves_no_log(self, monkeypatch):
+        # center 0, radius 1: x2 = 1 is the only model, so only word 1 of (1, 2, 3) is
+        # marked; word 2 wraps to x1, which falsifies clause 1, yet is marked here too
+        f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
+        real = marked_mask
+        assert real(f, 0, 1, 3).tolist() == [False, True, False]
+        monkeypatch.setattr(pbs, "marked_mask", lambda *args: real(*args) | [False, False, True])
+        # attempt 0 measures word 0, a miss its mark agrees with; attempt 1 measures word 2
+        monkeypatch.setattr(pbs, "measure", lambda cdf, draws: [0, 2, 0][: len(draws)])
+        rt = runtime(0, retries=3)
+        root = (0, 0b11, f.read(0))
+        with pytest.raises(RuntimeError, match="disagrees with its trie mark"):
+            quantum_kpbs(PbsInstance(f, 0, 1, 1, 0.1, 3), rt, root, 1)
+        assert rt.records == [] and rt.groups_failed == 0
+
 
 class TestLeafConstants:
     """A leaf's space check, schedule and uniform CDF, cached per (epsilon, K, radius)."""
@@ -244,7 +259,7 @@ class TestLeafConstants:
         for epsilon in (0.1, 0.7):
             schedule, cdf = pbs._leaf_constants(epsilon, k, radius)
             assert schedule == make_schedule.__wrapped__(epsilon, 1.0 / k**radius)
-            assert cdf == tuple(_uniform_cdf.__wrapped__(k**radius).tolist())
+            assert cdf == tuple(_uniform_cdf(k**radius).tolist())
             again = pbs._leaf_constants(epsilon, k, radius)
             assert again[0] is schedule and again[1] is cdf
 
@@ -255,7 +270,6 @@ DISPATCH_SEEDS = [(0,), (7, 1, 0), (2**63, 12, 5), (1, 2**31, 99)]
 
 def clear_caches():
     pbs._stream_head.cache_clear()
-    pbs._record.cache_clear()
     pbs._false_records.cache_clear()
 
 
@@ -371,8 +385,6 @@ class TestCacheState:
         # up to each cache's bound, so the solve that follows evicts
         for i in range(pbs._stream_head.cache_info().maxsize):
             pbs._stream_head((99, i, 0))
-        for i in range(pbs._record.cache_info().maxsize):
-            pbs._record("9", i, 1, 1, 1, "false", 0)
         for i in range(pbs._false_records.cache_info().maxsize):
             pbs._false_records("9", i, 1, 1, 1, 1)
 
@@ -534,7 +546,7 @@ class TestExistenceSearch:
         inst, rt = PbsInstance(f, x, radius, 0, 0.1, 3, ((1 << f.num_vars) - 1) ^ free), runtime(0)
         model, descended = self.visits(
             monkeypatch, "_descend", lambda a: (a[3][0], a[3][1], a[4]),
-            lambda: pbs._descend(inst, None, rt, state, radius, 0),
+            lambda: pbs._descend(inst, None, rt, state, radius),
         )
         sub, center = held_root(inst)
         witness = ball_promise(sub, center, radius)
@@ -693,7 +705,7 @@ class TestNarrowestClause:
         assert state[2] == 0b110
         assert _narrowest(f.clause_vars, state[2], state[1], 1) == (2, 1)
         rt = runtime(0)
-        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1, 0) is None
+        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1) is None
         assert rt.branches == 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -738,7 +750,7 @@ class TestDisjointBound:
         assert rt.branches == 0
         rt = runtime(0)
         state = _state(f.read, 0, 0b110)   # x1 bound to 0
-        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), None, rt, state, 1, 0) is None
+        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), None, rt, state, 1) is None
         assert rt.branches == 0
         # free, x1 joins the clauses: one group clause, and binding x1 repairs both
         rt = runtime(0)
