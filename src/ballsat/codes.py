@@ -8,8 +8,10 @@ a union-bound size and repaired if the draw leaves holes.  prune_cover
 drops the words of a cover that the others make redundant.
 Construction and pruning always verify coverage before returning.
 Every code reads its Hamming balls from one enumeration, _balls.
-cover() is the solver's one entry point: it picks the builder and seed
-for a shape, prunes, and keeps the in-memory and on-disk caches.
+cover() is the solver's one entry point: it builds the binary sweep
+cover of a shape, prunes it, and keeps the in-memory and on-disk
+caches.  The solver uses no K-ary code: its descent branches on
+literals, so build_kary_cover serves the tests and library callers.
 """
 
 from __future__ import annotations
@@ -288,55 +290,48 @@ def read_cover(text: str) -> CoveringCode:
 
 
 @functools.cache
-def _build_cover(alphabet: int, length: int, radius: int, text: str | None = None) -> CoveringCode:
-    """The code of a shape, kept per process: read from a cover file's text, else built.
+def _build_cover(length: int, radius: int, text: str | None = None) -> CoveringCode:
+    """The sweep cover of a shape, kept per process: read from a cover file's text, else built.
 
-    A text is shape-checked and verified; a built K-ary code is seeded by
-    its shape.  Every code is pruned here, once per process and text: each
-    binary word is a dispatched ball, each K-ary word a descent branch.
-    Nothing is evicted: check_space caps a sweep cover (2, L, L // K) at
-    L <= 23 and a repair code (K, K, 1) at K <= 7, so the shapes are few,
-    and a rebuild would cost the whole build again, 1.7 s at (2, 17, 5)
-    and 7.1 s at (7, 7, 1) (2 vCPU, CPython 3.11).
+    A text is shape-checked and verified.  Every code is pruned here,
+    once per process and text: each word is a dispatched ball.  Nothing
+    is evicted: check_space caps a sweep cover (2, L, L // K) at L <= 23,
+    so the shapes are few, and a rebuild would cost the whole greedy
+    again, 1.7 s at (2, 17, 5) (2 vCPU, CPython 3.11).
     """
-    if text is None and alphabet == 2:
+    if text is None:
         code = build_binary_cover(length, radius=radius)
-    elif text is None:
-        code = build_kary_cover(alphabet, length, radius, alphabet * 10007 + length * 101 + radius)
     else:
         code = read_cover(text)
         shape = (code.alphabet, code.word_length, code.radius)
-        if shape != (alphabet, length, radius):
-            raise ValueError(f"shape does not match: {shape}, want {(alphabet, length, radius)}")
+        if shape != (2, length, radius):
+            raise ValueError(f"shape does not match: {shape}, want {(2, length, radius)}")
         ok, witness = verify_cover(code)
         if not ok:
             raise ValueError(f"does not cover {witness}")
     return prune_cover(code)
 
 
-def cover(alphabet: int, length: int, radius: int, cache_dir: str | Path | None = None) -> CoveringCode:
-    """The solver's code of this shape: the greedy sweep cover at alphabet 2, else the repair code.
+def cover(length: int, radius: int, cache_dir: str | Path | None = None) -> CoveringCode:
+    """The solver's sweep cover of {0,1}^length at this radius: the pruned greedy code.
 
-    A file in `cache_dir` always wins: it is read on every call and checked
-    once per text per process, so an edited file is checked again; a
-    missing one is built and written.  A file is pruned like a built code;
-    pruning is idempotent, so a file of the unpruned draw gives the same
-    code.  A cache path that cannot be used raises ValueError naming it.
+    A file `bin-<length>-r<radius>.cover` in `cache_dir` always wins: it
+    is read on every call and checked once per text per process, so an
+    edited file is checked again; a missing one is built and written.  A
+    file is pruned like a built code; pruning is idempotent, so a file
+    of the unpruned greedy gives the same code.  A cache path that
+    cannot be used raises ValueError naming it.
     """
     if cache_dir is None:
-        return _build_cover(alphabet, length, radius)
-    if alphabet == 2:
-        name = f"bin-{length}-r{radius}.cover"
-    else:
-        name = f"kary-{alphabet}-t{length}-s{radius}.cover"
-    path = Path(cache_dir) / name
+        return _build_cover(length, radius)
+    path = Path(cache_dir) / f"bin-{length}-r{radius}.cover"
     try:
-        return _build_cover(alphabet, length, radius, path.read_text())
+        return _build_cover(length, radius, path.read_text())
     except FileNotFoundError:
         pass
     except (OSError, ValueError) as exc:
         raise ValueError(f"cover cache {path}: {exc}") from None
-    code = _build_cover(alphabet, length, radius)
+    code = _build_cover(length, radius)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(write_cover(code))

@@ -2,16 +2,16 @@
 
 The formula splits over the most-occurring variables into prefix
 subproblems; each codeword of a binary covering code over the free
-variables seeds a ball search.  codes.cover supplies that sweep cover
-and the K-ary repair code, built or read from the cover cache.  Each
-dispatch is an independent subproblem whose messages carry only the
-parsed formula, packed assignments and counts: a `PbsInstance` whose
-center holds the prefix bits under its `fixed` mask goes in, and a
-`PbsRuntime` holding a seed and a log comes back; no prefix formula is
-built.  Every dispatch enters the descent: `kqcpbs` in classical mode,
-`kpbs_hybrid` with the repair code in hybrid mode, and only the
-descent hands a node to the quantum leaf.  Dispatches run one at a
-time in a seeded order, and the first verified model ends the solve.
+variables seeds a ball search.  codes.cover supplies that sweep cover,
+built or read from the cover cache.  Each dispatch is an independent
+subproblem whose messages carry only the parsed formula, packed
+assignments and counts: a `PbsInstance` whose center holds the prefix
+bits under its `fixed` mask goes in, and a `PbsRuntime` holding a seed
+and a log comes back; no prefix formula is built.  Every dispatch
+enters the descent `kqcpbs`, at r_max 0 in classical mode and at the
+radius cap in hybrid mode, and only the descent hands a node to the
+quantum leaf.  Dispatches run one at a time in a seeded order, and the
+first verified model ends the solve.
 A FALSE answer is one-sided with an explicit failure-probability bound.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 from .codes import check_space, cover
 from .formula import Assignment, Formula, evaluate, top_k_vars, unpack
 from .fpsearch import make_schedule
-from .pbs import PbsInstance, PbsRuntime, QuantumCallRecord, kpbs_hybrid, kqcpbs
+from .pbs import PbsInstance, PbsRuntime, QuantumCallRecord, kqcpbs
 
 
 # retries per quantum group; each retry walks one word and writes one record
@@ -176,18 +176,14 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         raise ConfigError("need a resource model or an explicit r_max")
     if r_cap < 0:
         raise ConfigError(f"r_max={r_cap} negative")
-    # the word spaces the sweep cover, repair code and quantum leaf enumerate, then the covers
-    repair = None
+    # the word spaces the sweep cover and quantum leaf enumerate, then the sweep cover
     try:
         check_space(2, word_length)
         check_space(2, cfg.k)  # the prefix order permutes all 2^k prefixes
         if cfg.mode == "hybrid":
-            check_space(alphabet, alphabet)
             check_space(alphabet, min(radius, r_cap))
             make_schedule(cfg.epsilon, 1.0)  # log2(2/epsilon) must be finite
-        sweep = cover(2, word_length, radius, cfg.cover_cache)
-        if cfg.mode == "hybrid":
-            repair = cover(alphabet, alphabet, 1, cfg.cover_cache)
+        sweep = cover(word_length, radius, cfg.cover_cache)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -237,7 +233,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         for _, ci, center in scored:
             inst = PbsInstance(f, center, radius, r_cap, cfg.epsilon, alphabet, fixed)
             rt = PbsRuntime((seed, 1 + prefix_pos, ci), cfg.retries, prefix_str, ci)
-            got = kqcpbs(inst, rt) if repair is None else kpbs_hybrid(inst, repair, rt)
+            got = kqcpbs(inst, rt)
             stats.add(rt)
             if got is not None and evaluate(f, model := unpack(got, n)):
                 return finish("SAT", model)

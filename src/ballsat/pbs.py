@@ -11,13 +11,12 @@ hybrid search.  Every node returns at once when more of its falsified
 clauses than its radius are pairwise variable-disjoint: each needs a
 flip of its own, so its ball is empty.  Any other node branches on
 literals of its narrowest falsified clause (fewest unbound variables,
-ties to the lowest index) or, given the K-ary repair code of length t
-and more than t such clauses, steers a long jump through the code over
-clause-repair choices; the solver's code is (K, K, 1), so t = K.  A
-hybrid node with at most t such clauses drops the code and branches on
-literals; the paper enumerates vbl(G) there instead.  The
-descent alone hands nodes to the leaf: each whose radius, 0 included,
-fits a positive r_max.  The leaf first searches its ball for a model
+ties to the lowest index).  The paper jumps through a K-ary repair
+code instead; its short (K, K, 1) code takes 6 branches per unit of
+radius at K = 3, where a literal node takes at most K, so the descent
+has no jump.  The descent alone hands nodes to the leaf: each whose
+radius, 0 included, fits a positive r_max; hybrid mode is the descent
+with a positive r_max.  The leaf first searches its ball for a model
 from the node's state, over the literal nodes the descent at r_max 0
 would visit, unsorted and uncounted: when it finds none, no flip word
 can reach one, and the leaf measures the uniform register without the
@@ -39,10 +38,10 @@ from typing import Callable
 
 import numpy as np
 
-from .codes import CoveringCode, _kary_word, check_space
+from .codes import _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
-from .formula import Formula, first_unsat_clause, max_disjoint_unsat  # noqa: F401
+from .formula import Formula, first_unsat_clause  # noqa: F401
 from .fpsearch import SearchSchedule, _uniform_cdf, make_schedule, measure, word_cdf
 
 
@@ -233,17 +232,15 @@ def _state(read: Callable[[int], int], x: int, free: int) -> State | None:
     return None if falsified & read(x ^ free) else (x, free, falsified)
 
 
-def _narrowest(
-    clause_vars: tuple[int, ...], falsified: int, free: int, cap: int
-) -> tuple[int, int]:
-    """(narrowest falsified clause, size of the greedy disjoint group), one scan.
+def _narrowest(clause_vars: tuple[int, ...], falsified: int, free: int, cap: int) -> int:
+    """The narrowest falsified clause, or -1 when the node is cut, in one scan.
 
     The narrowest clause has the fewest variables in `free`, ties to the
-    lowest index.  The group is `max_disjoint_unsat(f, falsified, ~free)`:
-    the lowest-index greedy set of falsified clauses pairwise disjoint on
-    `free`.  The scan stops once the group exceeds `cap`, and then the
-    index is -1: the descent caps it at the node's radius, past which
-    the node's ball is empty.
+    lowest index.  The scan grows `max_disjoint_unsat(f, falsified, ~free)`
+    alongside: the lowest-index greedy set of falsified clauses pairwise
+    disjoint on `free`.  It stops once that set exceeds `cap` and returns
+    -1: the descent caps it at the node's radius, past which the node's
+    ball is empty.
     """
     best, best_width = -1, free.bit_count() + 1
     used = size = 0
@@ -256,11 +253,11 @@ def _narrowest(
             used |= cvars
             size += 1
             if size > cap:
-                return -1, size
+                return -1
         width = cvars.bit_count()
         if width < best_width:
             best, best_width = i, width
-    return best, size
+    return best
 
 
 def _holds_model(
@@ -285,7 +282,7 @@ def _holds_model(
         return True
     if radius <= 0:
         return False
-    clause, _ = _narrowest(clause_vars, falsified, free, radius)
+    clause = _narrowest(clause_vars, falsified, free, radius)
     if clause < 0:
         return False
     for b in flips[clause]:
@@ -297,7 +294,7 @@ def _holds_model(
 
 
 def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
-    """Classical descent: branch on literals of the narrowest falsified clause.
+    """The descent: branch on literals of the narrowest falsified clause.
 
     The narrowest clause has the fewest unbound variables, ties to the
     lowest index, so a forced literal gets no siblings; the search stays
@@ -307,12 +304,22 @@ def kqcpbs(inst: PbsInstance, rt: PbsRuntime) -> int | None:
     ball and takes no branch.  Each branch binds one literal true and
     recurses at radius - 1 (the bound variable leaves the formula, and a
     ball witness loses one disagreement with the center).  At radius
-    <= r_max > 0 the quantum leaf takes over at that radius.  Every
-    assignment the descent returns is a packed model of inst.formula.
+    <= r_max > 0 the quantum leaf takes over at that radius: classical
+    mode is r_max 0, hybrid mode a positive r_max.  Every assignment
+    the descent returns is a packed model of inst.formula.
     """
-    return _search(inst, None, rt)
+    f = inst.formula
+    root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
+    return None if root is None else _descend(inst, rt, root, inst.radius)
 
 
+# hybrid mode is kqcpbs with a positive r_max; the name stays because
+# perfbench/tracer.py looks it up in this namespace
+kpbs_hybrid = kqcpbs
+
+
+# unused by the descent, which has no repair-code jump; it stays because
+# perfbench/tracer.py looks it up in this namespace
 def modify_assignment(
     f: Formula, x: int, clause_indices: list[int], word: tuple[int, ...], fixed: int = 0
 ) -> int:
@@ -337,99 +344,51 @@ def modify_assignment(
     return x
 
 
-def kpbs_hybrid(inst: PbsInstance, code: CoveringCode, rt: PbsRuntime) -> int | None:
-    """Hybrid descent over a greedy maximal disjoint set G of falsified clauses.
-
-    The repair code over {1..K}^t at radius t/K is the only parameter;
-    the solver passes the (K, K, 1) code, so t = K.
-    G larger than the radius: the ball is empty and the node returns
-    None, as a literal node does.  Large G (t < |G| <= radius): jump the
-    center through the code's words on the first t clauses, shrinking
-    the radius by t/K, so the first radius at or below r_max lies within
-    t/K of it; a jump thus needs radius > t.  Small G: the node drops
-    the code and goes on as `kqcpbs` from there.  This
-    departs from the paper, which enumerates the assignments of vbl(G)
-    within the radius and runs the classical descent from each: the
-    literal descent is complete by itself, and on the first 40 seed-4
-    instances of perfbench's unsat3-hybrid it takes 75.9 branches per
-    solve where the enumeration took 287.5 (README has the tables).
-    """
-    return _search(inst, code, rt)
-
-
-def _search(inst: PbsInstance, code: CoveringCode | None, rt: PbsRuntime) -> int | None:
-    """The descent from inst's center and held mask; None at once if they empty a clause."""
-    f = inst.formula
-    root = _state(f.read, inst.center, ((1 << f.num_vars) - 1) ^ inst.fixed)
-    return None if root is None else _descend(inst, code, rt, root, inst.radius)
-
-
-def _descend(
-    inst: PbsInstance,
-    code: CoveringCode | None,
-    rt: PbsRuntime,
-    state: State,
-    radius: int,
-) -> int | None:
+def _descend(inst: PbsInstance, rt: PbsRuntime, state: State, radius: int) -> int | None:
     """The ball search on restrict(inst.formula, the binding x holds off `free`).
 
     One scan (`_narrowest`, capped at the radius) finds the node's
-    narrowest falsified clause and counts its greedy group G of
-    falsified clauses disjoint on `free`.  When G outnumbers the radius,
-    the node returns None unbranched, with or without the repair code:
-    each group clause needs its own flip, so the subtree holds no model
-    and the other subtrees keep their order.  A node with the code and
-    t < |G| jumps through the code's words on the first t clauses of G,
-    and builds G's list only then.  Any other node branches on the
-    literals of its narrowest falsified clause: each is false at x, so
-    binding it true flips its variable; a binding that empties a clause
-    is skipped.  A child's binding empties a clause iff the clause is
-    falsified at the child and at x ^ free, the child with every free
-    variable flipped, which is the same assignment for every child: the
-    node reads it once.  A node with the code and a small G drops the
-    code, so its subtree is the classical descent.
-    Branches run fewest-falsified-clauses first, ties in order.  A
-    falsified node whose radius, 0 included, fits a positive
-    inst.r_max goes to the leaf before any other
-    test; at r_max 0, as in classical mode, no node does, and the
-    descent visits the nodes the leaf's emptiness proof `_holds_model`
-    visits on an empty ball.  The leaf runs
-    on inst.formula, centered on x, with the variables outside `free`
-    held, at the node's radius: its marks and draws are those of the
-    restricted formula, and its model keeps the binding.
+    narrowest falsified clause, or finds that its greedy group of
+    falsified clauses disjoint on `free` outnumbers the radius.  Then
+    the node returns None unbranched: each group clause needs its own
+    flip, so the subtree holds no model and the other subtrees keep
+    their order.  Any other node branches on the literals of its
+    narrowest falsified clause: each is false at x, so binding it true
+    flips its variable; a binding that empties a clause is skipped.  A
+    child's binding empties a clause iff the clause is falsified at the
+    child and at x ^ free, the child with every free variable flipped,
+    which is the same assignment for every child: the node reads it
+    once.  Branches run fewest-falsified-clauses first, ties in order.
+    A falsified node whose radius, 0 included, fits a positive
+    inst.r_max goes to the leaf before any other test; at r_max 0, as
+    in classical mode, no node does, and the descent visits the nodes
+    the leaf's emptiness proof `_holds_model` visits on an empty ball.
+    The leaf runs on inst.formula, centered on x, with the variables
+    outside `free` held, at the node's radius: its marks and draws are
+    those of the restricted formula, and its model keeps the binding.
     """
     x, free, falsified = state
     if not falsified:
         return x
-    # r_max 0 means no leaf; a jump needs radius > t, so only roots and literal children reach 0
+    # r_max 0 means no leaf
     r_max = inst.r_max
     if 0 <= radius <= r_max and r_max:
         return quantum_kpbs(inst, rt, state, radius)
     if radius <= 0:
         return None
     f = inst.formula
-    clause, disjoint = _narrowest(f.clause_vars, falsified, free, radius)
+    clause = _narrowest(f.clause_vars, falsified, free, radius)
     if clause < 0:   # more disjoint falsified clauses than flips left
         return None
-    if code is not None and disjoint <= code.word_length:
-        code = None
-    if code is None:
-        read, branches, rest = f.read, [], radius - 1
-        conflict = read(x ^ free)
-        for b in f.flips[clause]:
-            if b & free and not (after := read(x ^ b)) & conflict:
-                branches.append((after.bit_count(), (x ^ b, free ^ b, after)))
-    else:
-        batch = max_disjoint_unsat(f, falsified, ~free)[: code.word_length]
-        branches, rest = [], radius - code.radius
-        for word in code.codewords:
-            moved = modify_assignment(f, x, batch, word, ~free)
-            after = f.read(moved)
-            branches.append((after.bit_count(), (moved, free, after)))
+    read, branches = f.read, []
+    conflict = read(x ^ free)
+    for b in f.flips[clause]:
+        if b & free and not (after := read(x ^ b)) & conflict:
+            branches.append((after.bit_count(), (x ^ b, free ^ b, after)))
     branches.sort(key=_by_score)
     for _, child in branches:
         rt.branches += 1
-        model = _descend(inst, code, rt, child, rest)
+        model = _descend(inst, rt, child, radius - 1)
         if model is not None:
             return model
     return None

@@ -1,16 +1,16 @@
-"""Restrict-based classical and hybrid descent on assignment tuples, kept as a test reference.
+"""Restrict-based descent on assignment tuples, kept as a test reference.
 
 This is the descent as written before the packed trail.  The root
 restricts the formula by the variables the instance holds, every
 candidate branch allocates `restrict(f, binding)` and scores it with
 `unsat_count`, and each level lifts and verifies its child's model.
-The repair flip and the greedy disjoint set are its own, clause by
-clause on tuples; the only production code it shares is the quantum
-leaf, which it enters as a descent node does: with its node's packed
-center, every variable free and the falsified clauses of its
-restricted formula, at the node's radius.
-The production `kqcpbs` and `kpbs_hybrid` must make the same choices in
-the same order, so models, branch counts and quantum attempts agree.
+The greedy disjoint set is its own, clause by clause on tuples; the
+only production code it shares is the quantum leaf, which it enters as
+a descent node does: with its node's packed center, every variable
+free and the falsified clauses of its restricted formula, at the
+node's radius.  The production `kqcpbs` must make the same choices in
+the same order, classical and hybrid, so models, branch counts and
+quantum attempts agree.
 """
 
 from dataclasses import replace
@@ -47,18 +47,6 @@ def ref_disjoint(f, center):
             used |= cvars
             picked.append(idx)
     return picked
-
-
-def ref_repair(f, center, clause_indices, word):
-    """Flip, in each listed clause, the variable its symbol picks, wrapping modulo width.
-
-    The width counts each variable once, so a repeated literal is one choice.
-    """
-    bits = list(center)
-    for idx, choice in zip(clause_indices, word):
-        variables = list(dict.fromkeys(abs(lit) for lit in f.clauses[idx]))
-        bits[variables[(choice - 1) % len(variables)] - 1] ^= 1
-    return tuple(bits)
 
 
 def lift_and_verify(f, model, binding):
@@ -119,31 +107,4 @@ def _ref_descend(f, center, inst, rt, bindings):
         model = lift_and_verify(f, _ref_kq(sub, center, radius, inst, rt), binding)
         if model is not None:
             return model
-    return None
-
-
-def ref_kpbs_hybrid(inst, code, rt):
-    f, center = held_root(inst)
-    return _packed(_ref_hybrid(f, center, inst.radius, inst, code, rt))
-
-
-def _ref_hybrid(f, center, radius, inst, code, rt):
-    group = ref_disjoint(f, center)
-    # a small group (also the empty one of a model) goes on without the code
-    if radius <= inst.r_max or len(group) <= code.word_length:
-        return _ref_kq(f, center, radius, inst, rt)
-    # more disjoint falsified clauses than flips left: the ball holds no model
-    if len(group) > radius:
-        return None
-    batch = group[: code.word_length]
-    moves = []
-    for ci, word in enumerate(code.codewords):
-        moved = ref_repair(f, center, batch, word)
-        moves.append((unsat_count(f, moved), ci, moved))
-    moves.sort(key=lambda m: (m[0], m[1]))
-    for _, _, moved in moves:
-        rt.branches += 1
-        got = _ref_hybrid(f, moved, radius - code.radius, inst, code, rt)
-        if got is not None:
-            return got
     return None

@@ -7,7 +7,7 @@ in [0, 1]), exit 0 with "s UNKNOWN", or exit 1 with the error on
 stderr only.  For n <= 8, classical mode agrees with brute force.
 
 Formulas stay at n <= 12, so no sweep cover past L = 12 is built, and
-at width <= 6, so no repair code past (6, 6, 1).
+at width <= 6.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ballsat import Formula, ParseError, brute_sat, evaluate, parse_dimacs
 from ballsat.cli import run
-from ballsat.codes import build_binary_cover, build_kary_cover, write_cover
+from ballsat.codes import build_binary_cover, write_cover
 
 MAX_VARS = 12
 MAX_WIDTH = 6
@@ -215,17 +215,12 @@ def cover_files(draw, code) -> str:
 @settings(BOUNDARY, max_examples=200)
 @given(formulas(8, 3), st.data())
 def test_any_cover_cache_file_gets_a_solver_answer(f, data):
-    # 3-SAT at n <= 8: the sweep reads bin-L-rR.cover with R = L // 3, and
-    # the hybrid descent reads the (3, 3, 1) repair code kary-3-t3-s1.cover
+    # 3-SAT at n <= 8: the sweep reads bin-L-rR.cover with R = L // 3, the
+    # solve's one cover file
     k = data.draw(st.integers(0, f.num_vars), label="k")
     length = f.num_vars - k
-    codes = {
-        f"bin-{length}-r{length // 3}.cover": build_binary_cover(length, radius=length // 3),
-        "kary-3-t3-s1.cover": build_kary_cover(3, 3, 1, seed=0),
-    }
-    # one file from outside; the solve builds and writes the other itself
-    name = data.draw(st.sampled_from(sorted(codes)), label="file")
-    cache = {name: data.draw(cover_files(codes[name]), label="text")}
+    sweep = build_binary_cover(length, radius=length // 3)
+    cache = {f"bin-{length}-r{length // 3}.cover": data.draw(cover_files(sweep), label="text")}
     modes = [["--mode", "classical"], ["--r-max", "0"], ["--r-max", "1"]]
     mode = data.draw(st.sampled_from(modes), label="mode")
     code, out, err = _solve(f.to_dimacs(), [f"--k={k}", "--seed=3", *mode], cache)

@@ -11,6 +11,7 @@ import pytest
 import ballsat
 from ballsat import evaluate, parse_dimacs
 from ballsat.cli import run
+from ballsat.codes import build_kary_cover, write_cover
 
 from helpers import planted_ksat
 
@@ -105,20 +106,27 @@ class TestExitCodes:
         assert code == 0
         assert "s UNKNOWN" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("oversize", ["free-vars", "width-8"])
+    @pytest.mark.parametrize("oversize", ["free-vars"])
     def test_unknown_on_oversize_input(self, oversize, tmp_path, capsys):
-        if oversize == "free-vars":
-            f, _ = planted_ksat(25, 100, 3, random.Random(0))
-            lines = [" ".join(map(str, c)) + " 0" for c in f.clauses]
-            text = f"p cnf 25 {len(lines)}\n" + "\n".join(lines) + "\n"
-        else:
-            text = "p cnf 10 2\n1 2 3 4 5 6 7 8 0\n-3 -4 -5 -6 -7 -8 -9 -10 0\n"
+        f, _ = planted_ksat(25, 100, 3, random.Random(0))
+        lines = [" ".join(map(str, c)) + " 0" for c in f.clauses]
+        text = f"p cnf 25 {len(lines)}\n" + "\n".join(lines) + "\n"
         p = tmp_path / "big.cnf"
         p.write_text(text)
         assert run(["--input", str(p)]) == 0
         out, err = capsys.readouterr()
         assert "s UNKNOWN" in out
         assert "too large" in err and "Traceback" not in err
+
+    def test_wide_clauses_are_answered(self, tmp_path, capsys):
+        # width 8: the leaf's 8^r words stay small, and no 8-ary code is built
+        text = "p cnf 10 2\n1 2 3 4 5 6 7 8 0\n-3 -4 -5 -6 -7 -8 -9 -10 0\n"
+        p = tmp_path / "wide.cnf"
+        p.write_text(text)
+        assert run(["--input", str(p)]) == 10
+        out, err = capsys.readouterr()
+        assert "s SATISFIABLE" in out and err == ""
+        assert evaluate(parse_dimacs(text), model_from_stdout(out)) == 1
 
     @pytest.mark.parametrize("flag,value", [("--A", "nan"), ("--B", "nan"), ("--A", "inf")])
     def test_unknown_on_non_finite_resource_constant(self, sat_file, flag, value, capsys):
@@ -262,7 +270,7 @@ class TestInterrupt:
 
 
 class TestCoverCache:
-    # SAT6 at k=3: a length-3, radius-1 sweep cover and a 3-ary repair code
+    # SAT6 at k=3: a length-3, radius-1 sweep cover, the solve's one cover file
     ARGV = ["--k", "3", "--r-max", "1", "--seed", "7"]
 
     def _run(self, sat_file, cache, capsys):
@@ -276,11 +284,10 @@ class TestCoverCache:
         assert "missing cover header" in err and "Traceback" not in err
 
     def test_misshapen_kary_cover_is_unknown(self, sat_file, tmp_path, capsys):
+        # a (3, 3, 1) code where the (2, 3, 1) sweep cover belongs
         assert self._run(sat_file, tmp_path, capsys)[0] == 10
-        [kary] = tmp_path.glob("kary-3-*.cover")
-        header, *body = kary.read_text().splitlines()
-        assert header.startswith("cover 3 3 1 ")
-        kary.write_text("\n".join([header.replace("cover 3 3 1 ", "cover 3 3 2 "), *body]))
+        assert sorted(p.name for p in tmp_path.glob("*.cover")) == ["bin-3-r1.cover"]
+        (tmp_path / "bin-3-r1.cover").write_text(write_cover(build_kary_cover(3, 3, 1)))
         code, out, err = self._run(sat_file, tmp_path, capsys)
         assert code == 0 and "s UNKNOWN" in out
         assert "shape does not match" in err
@@ -289,9 +296,9 @@ class TestCoverCache:
     def test_kary_cover_with_impossible_header_is_unknown(
         self, sat_file, tmp_path, header, capsys
     ):
+        # in the sweep cover's file, which the first run wrote
         assert self._run(sat_file, tmp_path, capsys)[0] == 10
-        [kary] = tmp_path.glob("kary-3-*.cover")
-        kary.write_text(f"{header}\n111\n")
+        (tmp_path / "bin-3-r1.cover").write_text(f"{header}\n111\n")
         code, out, err = self._run(sat_file, tmp_path, capsys)
         assert code == 0 and "s UNKNOWN" in out
         assert "outside" in err and "Traceback" not in err

@@ -9,9 +9,9 @@ model and the deterministic `SolveStats` counters are pinned, and so
 is a digest of each workload's leaf records, so a change that moves
 any of them fails here and has to update the table on purpose.  The
 unsat3-hybrid family keeps n = 13: at k = 1 that is the smallest size whose
-sweep radius exceeds r_max = 3, so the descent branches and jumps
-before it hands nodes to the quantum leaf, instead of handing it the
-dispatch root.
+sweep radius exceeds r_max = 3, so the descent branches before it
+hands nodes to the quantum leaf, instead of handing it the dispatch
+root.
 """
 
 import hashlib
@@ -41,12 +41,12 @@ FAMILIES = {
 
 # status, model bits, branches, quantum_calls, total_queries, dispatches, groups_failed
 GOLDEN = {
-    ("unsat3-hybrid", 0): ("SAT", "0010001110111", 57, 168, 3696, 17, 56),
-    ("unsat3-hybrid", 1): ("SAT", "1100100100100", 38, 112, 2464, 17, 37),
-    ("unsat3-hybrid", 2): ("SAT", "0110101100010", 37, 111, 2442, 16, 37),
-    ("unsat3-hybrid", 3): ("FALSE", None, 93, 279, 6138, 32, 93),
-    ("unsat3-hybrid", 4): ("FALSE", None, 85, 255, 5610, 32, 85),
-    ("unsat3-hybrid", 5): ("FALSE", None, 78, 234, 5148, 32, 78),
+    ("unsat3-hybrid", 0): ("SAT", "0010001110111", 33, 96, 2112, 17, 32),
+    ("unsat3-hybrid", 1): ("SAT", "1100100100100", 34, 100, 2200, 17, 33),
+    ("unsat3-hybrid", 2): ("SAT", "0110101100010", 33, 99, 2178, 16, 33),
+    ("unsat3-hybrid", 3): ("FALSE", None, 65, 195, 4290, 32, 65),
+    ("unsat3-hybrid", 4): ("FALSE", None, 65, 195, 4290, 32, 65),
+    ("unsat3-hybrid", 5): ("FALSE", None, 66, 198, 4356, 32, 66),
     ("unsat3-classical", 0): ("FALSE", None, 25, 0, 0, 160, 0),
     ("unsat3-classical", 1): ("SAT", "010010000011", 19, 0, 0, 34, 0),
     ("unsat3-classical", 2): ("SAT", "010100001100", 2, 0, 0, 1, 0),
@@ -70,7 +70,7 @@ GOLDEN = {
 # a leaf change that drops or reorders records fails here even when the
 # counters above still match
 RECORDS_SHA256 = {
-    "unsat3-hybrid": "e6fa703e1c849b4d5aca3e17c18e31a86b24e68f79fe479e4417b47c6e4adc29",
+    "unsat3-hybrid": "a5707eccf3f6e9e09f1af812be5bc7d0b28edb766120f7dfb06bfa25470ea403",
     # no quantum call: the digest of nothing
     "unsat3-classical": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "planted-pool": "c906b6446ab1fdd7d9da26cd902ec1a3ec5a52ba977193eb29629b6257bc1519",

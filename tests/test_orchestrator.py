@@ -349,13 +349,13 @@ class TestSolve:
             )
             assert got == GOLDEN[name, 0], name
 
-    def test_seeds_share_the_repair_code(self):
-        # the K-ary code depends on the shape (K, t, s) alone, not on the seed
+    def test_seeds_share_the_sweep_cover(self):
+        # the sweep cover depends on the shape (L, r) alone, not on the seed
         codes._build_cover.cache_clear()
         for seed in range(20):
             solve(UNSAT3, SolveConfig(k=1, r_max=1, seed=seed))
-        # one binary sweep cover and one repair code
-        assert codes._build_cover.cache_info().misses == 2
+        # one binary sweep cover, and no other code
+        assert codes._build_cover.cache_info().misses == 1
 
 
 class TestConfigErrors:
@@ -438,14 +438,19 @@ class TestCoverCache:
         after = {p.name: p.read_text() for p in tmp_path.glob("*.cover")}
         assert before == after
 
-    def test_kary_file_per_shape(self, tmp_path):
-        for seed in (1, 2):
-            solve(
-                UNSAT3,
-                SolveConfig(k=1, r_max=1, seed=seed, workers=1, cover_cache=tmp_path),
-            )
-        kary = sorted(p.name for p in tmp_path.glob("kary-*.cover"))
-        assert kary == ["kary-3-t3-s1.cover"]
+    def test_hybrid_solve_builds_and_writes_only_the_sweep_cover(self, tmp_path, monkeypatch):
+        # the descent branches on literals, so no width needs a K-ary code
+        def never(*args, **kwargs):
+            raise AssertionError("K-ary code built")
+
+        monkeypatch.setattr(codes, "build_kary_cover", never)
+        codes._build_cover.cache_clear()
+        for width in (3, 4):
+            f = random_ksat(8, 10 * width, width, random.Random(width))
+            res = solve(f, SolveConfig(k=1, r_max=1, seed=1, cover_cache=tmp_path))
+            assert res.stats.dispatches and res.stats.quantum_calls
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["bin-7-r1.cover", "bin-7-r2.cover"], names
 
     def test_corrupt_cache_rejected(self, tmp_path):
         (tmp_path / "bin-2-r0.cover").write_text("cover 2 2 0 1\n00\n")
@@ -471,47 +476,44 @@ class TestCoverCache:
             solve(UNSAT3, SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path))
 
     def test_misshapen_kary_cache_rejected(self, tmp_path):
-        cfg = SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path)
-        solve(UNSAT3, cfg)
-        [kary] = tmp_path.glob("kary-*.cover")
-        header, *body = kary.read_text().splitlines()
-        _, k, t, s, count = header.split()
-        kary.write_text("\n".join([f"cover {k} {t} {int(s) + 1} {count}", *body]) + "\n")
-        with pytest.raises(ConfigError, match="kary-"):
-            solve(UNSAT3, cfg)
+        # a K-ary code in the sweep cover's file is the wrong shape
+        (tmp_path / "bin-2-r0.cover").write_text(write_cover(build_kary_cover(3, 2, 0)))
+        with pytest.raises(ConfigError, match="bin-2-r0.cover: shape does not match"):
+            solve(UNSAT3, SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path))
 
     def test_memo_hit_still_writes_cache(self, tmp_path):
         cfg = SolveConfig(k=1, r_max=1, seed=7)
         first = solve(UNSAT3, cfg)
         again = solve(UNSAT3, dataclasses.replace(cfg, cover_cache=tmp_path))
         names = sorted(p.name for p in tmp_path.glob("*.cover"))
-        assert [n.split("-")[0] for n in names] == ["bin", "kary"], names
+        assert names == ["bin-2-r0.cover"], names
         assert again.status == first.status
         assert again.stats.records == first.stats.records
 
     def test_unpruned_cache_file_gives_the_uncached_result(self, tmp_path):
-        # four disjoint copies of UNSAT3: every center falsifies 4 > t = 3
-        # disjoint clauses; at k = 0 the radius is 4, so each dispatch jumps
-        # through the repair code (at k = 1, radius 3 < 4 cuts every root)
+        # four disjoint copies of UNSAT3: at k = 0 the radius is 4, so each
+        # dispatch branches before its nodes reach the leaf at r_max 3
         blocks = Formula(12, tuple(
             tuple(lit + b if lit > 0 else lit - b for lit in clause)
             for b in (0, 3, 6, 9)
             for clause in UNSAT3.clauses
         ))
-        # the 15-word (3, 3, 1) draw, as a cache written before pruning holds it
-        draw = build_kary_cover(3, 3, 1, 3 * 10007 + 3 * 101 + 1)
-        (tmp_path / "kary-3-t3-s1.cover").write_text(write_cover(draw))
+        # the (12, 4) sweep cover and 4 redundant words after it, as a hand-made file may hold it
+        sweep = codes.build_binary_cover(12, radius=4)
+        extra = tuple(tuple(1 - bit for bit in word) for word in sweep.codewords[:4])
+        unpruned = dataclasses.replace(sweep, codewords=sweep.codewords + extra)
+        (tmp_path / "bin-12-r4.cover").write_text(write_cover(unpruned))
         cfg = SolveConfig(k=0, r_max=3, seed=1)
         uncached = solve(blocks, cfg)
         cached = solve(blocks, dataclasses.replace(cfg, cover_cache=tmp_path))
-        assert len(draw.codewords) == 15 and uncached.stats.branches
+        assert len(set(unpruned.codewords)) == 20 and uncached.stats.branches
         assert (cached.status, cached.model) == (uncached.status, uncached.model)
         # every counter and record
         assert cached.stats == uncached.stats
 
     def test_unchanged_file_checked_once_per_process(self, tmp_path, monkeypatch):
         cfg = SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path)
-        first = solve(UNSAT3, cfg)   # writes bin-2-r0.cover and kary-3-t3-s1.cover
+        first = solve(UNSAT3, cfg)   # writes bin-2-r0.cover
         checks = []
         real = codes.verify_cover
         monkeypatch.setattr(codes, "verify_cover", lambda code: checks.append(code) or real(code))
@@ -520,13 +522,13 @@ class TestCoverCache:
         for _ in range(4):
             assert solve(UNSAT3, cfg).stats == first.stats
             counts.append(len(checks))
-        # each file's first read: verify_cover once, and once more in the prune
-        assert counts == [4, 4, 4, 4]
+        # the file's first read: verify_cover once, and once more in the prune
+        assert counts == [2, 2, 2, 2]
         # an edited file is a new text: checked again, the same code
-        kary = tmp_path / "kary-3-t3-s1.cover"
-        kary.write_text(kary.read_text() + "\n")
+        sweep = tmp_path / "bin-2-r0.cover"
+        sweep.write_text(sweep.read_text() + "\n")
         assert solve(UNSAT3, cfg).stats == first.stats
-        assert len(checks) == 6
+        assert len(checks) == 4
 
     def test_every_shape_built_once_per_process(self, monkeypatch):
         # 19 sweep shapes (L, L // K): 3-SAT at L = 0..12 and 4-SAT where

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ballsat import CONFLICT, Formula, evaluate, orchestrator, parse_dimacs, pbs
-from ballsat.codes import CoveringCode, _kary_word, build_kary_cover, prune_cover
+from ballsat.codes import _kary_word
 from ballsat.fliptree import marked_mask, walk
 from ballsat.formula import max_disjoint_unsat, pack, unpack
 from ballsat.fpsearch import _uniform_cdf, make_schedule
@@ -19,7 +19,6 @@ from ballsat.pbs import (
     _descend,
     _narrowest,
     _state,
-    kpbs_hybrid,
     kqcpbs,
     modify_assignment,
     quantum_kpbs,
@@ -47,11 +46,6 @@ FOUR_BLOCKS = Formula(12, tuple(
     for b in (0, 3, 6, 9)
     for clause in UNSAT3.clauses
 ))
-
-
-def repair_code(alphabet, seed=0):
-    """The solver's (K, K, 1) repair code, unpruned."""
-    return build_kary_cover(alphabet, alphabet, 1, seed)
 
 
 def runtime(seed=0, **kw):
@@ -545,8 +539,8 @@ class TestExistenceSearch:
         )
         inst, rt = PbsInstance(f, x, radius, 0, 0.1, 3, ((1 << f.num_vars) - 1) ^ free), runtime(0)
         model, descended = self.visits(
-            monkeypatch, "_descend", lambda a: (a[3][0], a[3][1], a[4]),
-            lambda: pbs._descend(inst, None, rt, state, radius),
+            monkeypatch, "_descend", lambda a: (a[2][0], a[2][1], a[3]),
+            lambda: pbs._descend(inst, rt, state, radius),
         )
         sub, center = held_root(inst)
         witness = ball_promise(sub, center, radius)
@@ -677,7 +671,7 @@ class TestNarrowestClause:
         # binding x3 satisfies clauses 0 and 1 and falsifies clause 2;
         # branching on clause 0 would take three children
         f = parse_dimacs("p cnf 3 3\n1 2 3 0\n3 0\n-3 1 0\n")
-        assert _narrowest(f.clause_vars, f.read(0), 0b111, 1) == (1, 1)
+        assert _narrowest(f.clause_vars, f.read(0), 0b111, 1) == 1
         assert self.root_children(f, 0) == 1
         # radius 2 binds the forced x3 first, then repairs clause 2 with x1
         assert kqcpbs(PbsInstance(f, 0, 2, 0, 0.1, 3), runtime(0)) == 0b101
@@ -686,14 +680,14 @@ class TestNarrowestClause:
         # clauses 0 and 1 are both 2 wide; binding x3 of clause 0 empties clause 2,
         # so clause 0 leaves one child where clause 1 would leave two
         f = parse_dimacs("p cnf 5 4\n3 4 0\n1 4 0\n-3 0\n-4 5 0\n")
-        assert _narrowest(f.clause_vars, f.read(0), 0b11111, 1) == (0, 1)
+        assert _narrowest(f.clause_vars, f.read(0), 0b11111, 1) == 0
         assert self.root_children(f, 0) == 1
 
     def test_held_variables_do_not_count(self):
         # x1 and x2 held at 0 leave clause 1 one variable wide;
         # counted in full, clause 0 is the narrower, with two children
         f = parse_dimacs("p cnf 5 3\n4 5 0\n1 2 4 0\n-4 5 0\n")
-        assert _narrowest(f.clause_vars, f.read(0), 0b11100, 1) == (1, 1)
+        assert _narrowest(f.clause_vars, f.read(0), 0b11100, 1) == 1
         assert self.root_children(f, 0, fixed=0b11) == 1
         assert self.root_children(f, 0) == 2
 
@@ -703,9 +697,9 @@ class TestNarrowestClause:
         f = parse_dimacs("p cnf 6 4\n1 2 0\n3 6 0\n-1 3 0\n-3 4 0\n")
         state = _state(f.read, 0b1, 0b111110)
         assert state[2] == 0b110
-        assert _narrowest(f.clause_vars, state[2], state[1], 1) == (2, 1)
+        assert _narrowest(f.clause_vars, state[2], state[1], 1) == 2
         rt = runtime(0)
-        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), None, rt, state, 1) is None
+        assert _descend(PbsInstance(f, 0b1, 1, 0, 0.1, 3), rt, state, 1) is None
         assert rt.branches == 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -720,7 +714,7 @@ class TestNarrowestClause:
             falsified = [i for i in range(len(f.clauses)) if state[2] >> i & 1]
             want = min(falsified, key=lambda i: ((f.clause_vars[i] & free).bit_count(), i))
             # a disjoint group never outnumbers the free variables, so the scan runs to the end
-            assert _narrowest(f.clause_vars, state[2], free, free.bit_count())[0] == want
+            assert _narrowest(f.clause_vars, state[2], free, free.bit_count()) == want
 
     def test_walk_and_marks_keep_the_first_clause(self):
         # the narrowest clause is the unit (1); the walk repairs clause 0 first
@@ -736,6 +730,10 @@ class TestDisjointBound:
         rt = runtime(0)
         assert kqcpbs(PbsInstance(THREE_BLOCKS, 0, 2, 0, 0.1, 3), rt) is None
         assert rt.branches == 0
+        # a node above r_max is cut before any leaf: 4 disjoint clauses > radius 3
+        rt = runtime(0)
+        assert kqcpbs(PbsInstance(FOUR_BLOCKS, 0, 3, 1, 0.1, 3), rt) is None
+        assert rt.branches == 0 and not rt.records
 
     def test_as_many_clauses_as_the_radius_branch(self):
         # one literal per block, lowest index first: x1, x4, x7
@@ -750,33 +748,12 @@ class TestDisjointBound:
         assert rt.branches == 0
         rt = runtime(0)
         state = _state(f.read, 0, 0b110)   # x1 bound to 0
-        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), None, rt, state, 1) is None
+        assert _descend(PbsInstance(f, 0, 1, 0, 0.1, 3), rt, state, 1) is None
         assert rt.branches == 0
         # free, x1 joins the clauses: one group clause, and binding x1 repairs both
         rt = runtime(0)
         assert kqcpbs(PbsInstance(f, 0, 1, 0, 0.1, 3), rt) == 0b1
         assert rt.branches == 1
-
-    def test_a_jump_node_with_more_clauses_than_the_radius_is_cut(self):
-        # |G| = 4 > t = 3 would jump, but 4 > radius 3 too: no jump, no leaf
-        rt = runtime(0)
-        inst = PbsInstance(FOUR_BLOCKS, 0, 3, 1, 0.1, 3)
-        assert kpbs_hybrid(inst, repair_code(3), rt) is None
-        assert rt.branches == 0 and not rt.records
-
-    def test_a_jump_node_within_the_radius_jumps(self, monkeypatch):
-        # t = 3 < |G| = 4 <= radius 4: the root jumps through every codeword,
-        # and each child, at radius 3 with its 4 blocks still falsified, is cut
-        centers = []
-        real = pbs.modify_assignment
-        monkeypatch.setattr(
-            pbs, "modify_assignment", lambda *args: centers.append(args[1]) or real(*args)
-        )
-        code = repair_code(3)
-        rt = runtime(0)
-        assert kpbs_hybrid(PbsInstance(FOUR_BLOCKS, 0, 4, 1, 0.1, 3), code, rt) is None
-        assert centers == [0] * len(code.codewords)
-        assert rt.branches == len(code.codewords) and not rt.records
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_counts_the_greedy_group(self, seed):
@@ -791,13 +768,12 @@ class TestDisjointBound:
                 continue
             radius = rng.randrange(1, 5)
             group = len(max_disjoint_unsat(f, state[2], ~free))
-            clause, size = _narrowest(f.clause_vars, state[2], free, radius)
-            if size <= radius:
-                assert size == group
-                kept += 1
-            else:
-                assert clause == -1 and size == radius + 1 and group > radius
+            clause = _narrowest(f.clause_vars, state[2], free, radius)
+            assert (clause == -1) == (group > radius)
+            if clause == -1:
                 cut += 1
+            else:
+                kept += 1
         assert cut > 30 and kept > 100, (cut, kept)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -808,7 +784,7 @@ class TestDisjointBound:
 
         def counting(clause_vars, falsified, free, radius):
             got = real(clause_vars, falsified, free, radius)
-            cuts.append(got[1] > radius)
+            cuts.append(got == -1)
             return got
 
         monkeypatch.setattr(pbs, "_narrowest", counting)
@@ -851,11 +827,10 @@ class TestRepeatedLiterals:
     def test_mixed_formulas_search_as_parsed(self, seed):
         # mixed_formula's (v, w, v) repeats v; parse_dimacs keeps each literal once
         rng = random.Random(seed)
-        code = repair_code(3)
 
-        def run(search, inst):
+        def run(inst):
             rt = runtime(seed)
-            return search(inst, rt), rt.branches, rt.records
+            return kqcpbs(inst, rt), rt.branches, rt.records
 
         for _ in range(60):
             n = rng.randrange(4, 10)
@@ -863,33 +838,32 @@ class TestRepeatedLiterals:
             g = parse_dimacs(f.to_dimacs())
             assert f.flips == g.flips and f.clause_vars == g.clause_vars
             inst = PbsInstance(f, pack(random_assignment(n, rng)), rng.randrange(1, 5), 1, 0.2, 3)
-            for search in (kqcpbs, lambda inst, rt: kpbs_hybrid(inst, code, rt)):
-                assert run(search, inst) == run(search, replace(inst, formula=g))
+            assert run(inst) == run(replace(inst, formula=g))
 
 
 class TestHybridDescent:
+    """Hybrid mode is the descent at a positive r_max: its nodes at radius <= r_max go to the leaf."""
+
     def test_small_group_path(self):
-        # one falsified clause -> |G| = 1 <= t: the node drops the code and branches on literals
+        # one falsified clause: the node branches on its literals
         f = parse_dimacs("p cnf 4 2\n1 2 3 0\n-4 0\n")
         inst = PbsInstance(f, pack((0, 0, 0, 1)), 3, 1, 0.1, 3)
         rt = runtime(11)
-        got = kpbs_hybrid(inst, repair_code(3, seed=0), rt)
+        got = kqcpbs(inst, rt)
         assert got is not None and satisfies(f, got)
 
     def test_large_group_path_descends(self):
-        # four disjoint falsified clauses force the codeword jump
+        # four disjoint falsified clauses: one literal of each, down to the leaf at r_max
         f = parse_dimacs("p cnf 12 4\n1 2 3 0\n4 5 6 0\n7 8 9 0\n10 11 12 0\n")
-        code = repair_code(3, seed=0)
         inst = PbsInstance(f, 0, 4, 1, 0.1, 3)
         rt = runtime(2)
-        got = kpbs_hybrid(inst, code, rt)
+        got = kqcpbs(inst, rt)
         assert got is not None and satisfies(f, got)
 
     def test_unsat_returns_none(self):
-        code = repair_code(3, seed=0)
         inst = PbsInstance(UNSAT3, 0, 3, 1, 0.1, 3)
         rt = runtime(0)
-        assert kpbs_hybrid(inst, code, rt) is None
+        assert kqcpbs(inst, rt) is None
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(31)
@@ -897,44 +871,16 @@ class TestHybridDescent:
             f = random_ksat(8, 20, 3, rng)
             center = random_assignment(8, rng)
             radius = rng.randrange(2, 5)
-            code = repair_code(3, seed=1)
             inst = PbsInstance(f, pack(center), radius, 1, 0.1, 3)
-            got = kpbs_hybrid(inst, code, runtime(6))
+            got = kqcpbs(inst, runtime(6))
             if got is not None:
                 assert satisfies(f, got)
             elif ball_promise(f, center, radius) is not None:
                 pytest.fail("hybrid missed a promised ball twice in a row")
 
-    def test_a_code_that_never_jumps_gives_the_classical_descent(self):
-        # a one-word code of length m, the clause count, covers every repair word
-        # and is never shorter than G: each node drops it and branches on literals
-        rng = random.Random(20261019)
-        leaves = 0
-        for _ in range(500):
-            k, n = rng.choice((3, 4)), rng.randrange(5, 10)
-            m = rng.randrange(n, 4 * n if k == 3 else 6 * n)
-            f = planted_ksat(n, m, k, rng)[0] if rng.random() < 0.5 else random_ksat(n, m, k, rng)
-            f = narrowed(f, rng)
-            code = CoveringCode(k, m, m, ((1,) * m,))
-            r_max = rng.randrange(3)
-            radius = rng.randrange(r_max + 1, 6)
-            inst = PbsInstance(f, pack(random_assignment(n, rng)), radius, r_max, 0.2, k)
-            seed = rng.randrange(2**32)
-            classical, hybrid = runtime(seed, retries=2), runtime(seed, retries=2)
-            assert kpbs_hybrid(inst, code, hybrid) == kqcpbs(inst, classical)
-            assert hybrid.branches == classical.branches
-            assert hybrid.records == classical.records
-            assert hybrid.groups_failed == classical.groups_failed
-            leaves += bool(classical.records)
-        # the sample reaches the amplified leaf below the literal branches
-        assert leaves > 100, leaves
-
-    def test_every_leaf_runs_at_r_max(self, monkeypatch):
-        # a literal branch and a jump of the (3, 3, 1) code each cut the radius by 1;
-        # FOUR_BLOCKS gives every center a group of 4 > t = 3
-        jumps = []
-        real = pbs.modify_assignment
-        monkeypatch.setattr(pbs, "modify_assignment", lambda *args: jumps.append(1) or real(*args))
+    def test_every_leaf_runs_at_r_max(self):
+        # a literal branch cuts the radius by 1, so a descent from above r_max
+        # reaches the leaf at r_max exactly
         rng = random.Random(5)
         radii = set()
         for i in range(40):
@@ -943,24 +889,15 @@ class TestHybridDescent:
             radius = rng.randrange(r_max + 1, 6)
             inst = PbsInstance(f, pack(random_assignment(12, rng)), radius, r_max, 0.2, 3)
             rt = runtime(rng.randrange(2**32), retries=1)
-            kpbs_hybrid(inst, repair_code(3), rt)
+            kqcpbs(inst, rt)
             assert {rec.radius for rec in rt.records} <= {r_max}
             radii |= {rec.radius for rec in rt.records}
-        assert radii == {1, 2, 3} and jumps
+        assert radii == {1, 2, 3}
 
-    def test_complete_at_r_max_zero(self, monkeypatch):
-        # at r_max = 0 no quantum leaf runs, so kpbs_hybrid is deterministic and
+    def test_complete_at_r_max_zero(self):
+        # at r_max = 0 no quantum leaf runs, so the descent is deterministic and
         # must find a model in every ball that holds one
-        jumps = []
-        real = pbs.modify_assignment
-
-        def counting(*args):
-            jumps.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(pbs, "modify_assignment", counting)
         rng = random.Random(20261018)
-        codes = {k: prune_cover(repair_code(k, seed=k)) for k in (3, 4)}
         found = 0
         for _ in range(3000):
             k, n = rng.choice((3, 4)), rng.randrange(5, 10)
@@ -969,12 +906,11 @@ class TestHybridDescent:
             f = narrowed(f, rng)
             center, radius = random_assignment(n, rng), rng.randrange(1, 6)
             inst = PbsInstance(f, pack(center), radius, 0, 0.1, k)
-            got = kpbs_hybrid(inst, codes[k], runtime())
+            got = kqcpbs(inst, runtime())
             if got is not None:
                 assert satisfies(f, got)
             if ball_promise(f, center, radius) is not None:
                 assert got is not None, (f, center, radius)
                 found += 1
-        # the sample holds many promised balls and takes the repair-code jumps
-        assert found > 1200 and len(jumps) > 200, (found, len(jumps))
-
+        # the sample holds many promised balls
+        assert found > 1200, found

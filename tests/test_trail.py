@@ -3,7 +3,7 @@
 Unit tests build states with `_state`, binding one variable at a time,
 and check each against `restrict` followed by
 `first_unsat_clause`/`unsat_count`, with and without a held prefix;
-differential tests run the production `kqcpbs` and `kpbs_hybrid`
+differential tests run the production `kqcpbs`, classical and hybrid,
 beside the restrict-based tuple reference in `reference_descent.py`.
 """
 
@@ -12,7 +12,6 @@ import random
 import pytest
 
 from ballsat import CONFLICT, parse_dimacs
-from ballsat.codes import build_kary_cover
 from ballsat.fliptree import _narrowed_flips, marked_mask, walk
 from ballsat.formula import (
     first_unsat_clause,
@@ -27,13 +26,12 @@ from ballsat.pbs import (
     PbsInstance,
     PbsRuntime,
     _state,
-    kpbs_hybrid,
     kqcpbs,
     modify_assignment,
 )
 
 from helpers import mixed_formula, planted_ksat, random_assignment, random_ksat
-from reference_descent import ref_disjoint, ref_kpbs_hybrid, ref_kqcpbs
+from reference_descent import ref_disjoint, ref_kqcpbs
 
 
 def bound(x, free, var, bit):
@@ -160,8 +158,8 @@ def descent_roots(rng):
 
     The prefix holds the top-k variables at bits that empty no clause,
     as the orchestrator's dispatches do.  At n = 14 a center can falsify
-    more than t = 3 variable-disjoint clauses, so kpbs_hybrid also takes
-    its repair-code jumps.
+    more variable-disjoint clauses than a small radius admits, so the
+    descent also cuts nodes.
     """
     shapes = {3: [(9, 45), (14, 56)], 4: [(10, 100), (12, 72)]}
     for K in (3, 4):
@@ -187,34 +185,28 @@ def run(fn, *args, seed):
 
 
 class TestDifferential:
-    def test_kqcpbs_and_kpbs_hybrid_match_the_reference(self):
+    def test_kqcpbs_matches_the_reference(self):
         rng = random.Random(7)
-        seen = {
-            "kq_branches": 0, "hy_branches": 0, "attempts": 0, "models": 0, "runs": 0, "held": 0,
-        }
+        seen = {"branches": 0, "attempts": 0, "models": 0, "runs": 0, "held": 0}
         for K, f, fixed, px in descent_roots(rng):
             def center():
                 return pack(random_assignment(f.num_vars, rng)) & ~fixed | px
 
             for radius in range(1, 6):
-                code = build_kary_cover(K, K, 1, seed=radius)
                 for r_max in range(4):
                     x = center()
                     if K == 3 and r_max % 2:
-                        # a center far from every model makes kpbs_hybrid jump
+                        # a center far from every model, whose disjoint group the radius may cut
                         draws = [center() for _ in range(20)]
                         x = max(draws, key=lambda y: len(max_disjoint_unsat(f, f.read(y), fixed)))
                     inst = PbsInstance(f, x, radius, r_max, 0.2, K, fixed)
                     seed = rng.randrange(2**32)
                     got = run(kqcpbs, inst, seed=seed)
                     assert got == run(ref_kqcpbs, inst, seed=seed)
-                    seen["kq_branches"] += got[1]
-                    hybrid = run(kpbs_hybrid, inst, code, seed=seed)
-                    assert hybrid == run(ref_kpbs_hybrid, inst, code, seed=seed)
-                    seen["hy_branches"] += hybrid[1]
-                    seen["attempts"] += len(got[3]) + len(hybrid[3])
-                    seen["models"] += (got[0] is not None) + (hybrid[0] is not None)
-                    seen["runs"] += 2
+                    seen["branches"] += got[1]
+                    seen["attempts"] += len(got[3])
+                    seen["models"] += got[0] is not None
+                    seen["runs"] += 1
                     seen["held"] += fixed != 0
         # the sample reaches branching, the leaf, both answers and held prefixes
         assert all(seen.values()), seen
@@ -263,40 +255,28 @@ class TestHeldPrefix:
         assert all(seen.values()), seen
 
 
-def searches_find_nothing(inst, code):
-    """kqcpbs and kpbs_hybrid both return None with no branch and no leaf record."""
-    for search in (lambda rt: kqcpbs(inst, rt), lambda rt: kpbs_hybrid(inst, code, rt)):
-        rt = PbsRuntime(seed=(0,))
-        if search(rt) is not None or rt.branches or rt.records:
-            return False
-    return True
+def searches_find_nothing(inst):
+    """kqcpbs returns None with no branch and no leaf record."""
+    rt = PbsRuntime(seed=(0,))
+    return kqcpbs(inst, rt) is None and not rt.branches and not rt.records
 
 
 class TestHeldConflict:
     """A held mask that empties a falsified clause is restrict's CONFLICT at every layer."""
-
-    CODE = build_kary_cover(3, 3, 1, seed=0)
 
     def test_emptied_unit_clause(self):
         f = parse_dimacs("p cnf 3 2\n1 0\n2 3 0\n")
         assert restrict(f, {1: 0}) is CONFLICT
         assert walk(f, 0, (1, 2, 3), fixed=0b1) == 0
         assert not marked_mask(f, 0, 2, 3, fixed=0b1).any()
-        assert searches_find_nothing(PbsInstance(f, 0, 2, 2, 0.1, 3, 0b1), self.CODE)
+        assert searches_find_nothing(PbsInstance(f, 0, 2, 2, 0.1, 3, 0b1))
         with pytest.raises(ValueError, match="clause 0 "):
             modify_assignment(f, 0, [0], (1,), fixed=0b1)
-
-    def test_jump_over_an_emptied_clause(self):
-        # five falsified disjoint clauses, more than t = 3: the node would jump
-        f = parse_dimacs("p cnf 13 5\n1 0\n2 3 4 0\n5 6 7 0\n8 9 10 0\n11 12 13 0\n")
-        assert restrict(f, {1: 0}) is CONFLICT
-        assert len(max_disjoint_unsat(f, f.read(0), 0b1)) > self.CODE.word_length
-        assert searches_find_nothing(PbsInstance(f, 0, 4, 1, 0.1, 3, 0b1), self.CODE)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_conflicts_agree_with_restrict(self, seed):
         rng = random.Random(900 + seed)
-        seen = {"conflicts": 0, "first_emptied": 0, "jumps": 0}
+        seen = {"conflicts": 0, "first_emptied": 0}
         for _ in range(150):
             n = rng.randrange(3, 14)
             f = mixed_formula(n, rng.randrange(n, 4 * n), rng)
@@ -319,7 +299,6 @@ class TestHeldConflict:
             # r_max = radius would hand the root to the leaf
             for r_max in (rng.randrange(radius), radius):
                 inst = PbsInstance(f, x, radius, r_max, 0.2, 3, fixed)
-                assert searches_find_nothing(inst, self.CODE)
-            seen["jumps"] += len(max_disjoint_unsat(f, falsified, fixed)) > 3
-        # the sample holds conflicts the walk meets first and nodes that would jump
+                assert searches_find_nothing(inst)
+        # the sample holds conflicts the walk meets first
         assert all(seen.values()), seen
