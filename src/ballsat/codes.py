@@ -5,8 +5,9 @@ assignments over symbols 0/1, larger alphabets are repair moves over
 symbols 1..K.  Binary covers of assignment space come from a greedy
 set-cover pass; K-ary covers of flip-word space are drawn at random to
 a union-bound size and repaired if the draw leaves holes.  prune_cover
-drops the words of a cover that the others make redundant.
-Construction and pruning always verify coverage before returning.
+drops the words of a cover that the others make redundant, after a
+count of every ball that rejects a code with a hole: a solve's only
+coverage check.  verify_cover is that check as a test oracle.
 Every code reads its Hamming balls from one enumeration, _balls.
 cover() is the solver's one entry point: it builds the binary sweep
 cover of a shape, prunes it, and keeps the in-memory and on-disk
@@ -161,18 +162,14 @@ def _greedy_cover_ints(length: int, radius: int) -> list[int]:
 
 
 def build_binary_cover(word_length: int, *, radius: int) -> CoveringCode:
-    """Greedy binary covering code of {0,1}^word_length at the given radius."""
+    """Greedy binary covering code of {0,1}^word_length; it covers by construction."""
     if word_length < 0:
         raise ValueError("negative word length")
     if not 0 <= radius <= word_length:
         raise ValueError(f"radius={radius} outside [0, {word_length}]")
     check_space(2, word_length)
     codewords = tuple(_word(x, 2, word_length, 0) for x in _greedy_cover_ints(word_length, radius))
-    code = CoveringCode(2, word_length, radius, codewords)
-    ok, witness = verify_cover(code)
-    if not ok:
-        raise RuntimeError(f"greedy cover failed to cover {witness}")
-    return code
+    return CoveringCode(2, word_length, radius, codewords)
 
 
 def kary_draw_bound(alphabet: int, word_length: int, radius: int) -> int:
@@ -209,27 +206,34 @@ def build_kary_cover(
     return code
 
 
+def _first_hole(code: CoveringCode, count: np.ndarray) -> Word | None:
+    """The lexicographically first word no ball holds, by _ball_counts' count, or None."""
+    hole = int(count.argmin())
+    return None if count[hole] else _word(hole, code.alphabet, code.word_length, code.first)
+
+
 def verify_cover(code: CoveringCode) -> tuple[bool, Word | None]:
     """Exhaustive coverage check; returns (ok, first uncovered word or None).
 
-    Counts every codeword's ball over the full word space, then scans it in
-    lexicographic order.
+    The test oracle, and build_kary_cover's hole finder; no solve calls
+    it, since prune_cover's own count checks every sweep cover.
     """
-    count = _ball_counts(code)
-    hole = int(count.argmin())
-    word = None if count[hole] else _word(hole, code.alphabet, code.word_length, code.first)
-    return word is None, word
+    hole = _first_hole(code, _ball_counts(code))
+    return hole is None, hole
 
 
 def prune_cover(code: CoveringCode) -> CoveringCode:
     """The code without its redundant words: irredundant, and idempotent.
 
-    Walks the codewords last first and drops each whose ball the other
-    words still in the code cover, then verifies the result.  A kept
-    word covers some word no other kept word covers, so pruning the
-    result again drops nothing.  The kept words keep their order.
+    Counts every ball once; a code with a hole raises ValueError naming
+    the first.  Then walks the codewords last first and drops each whose
+    ball the other words still in the code cover.  A kept word covers
+    some word no other kept word covers, so pruning the result again
+    drops nothing.  The kept words keep their order.
     """
     count = _ball_counts(code)
+    if (hole := _first_hole(code, count)) is not None:
+        raise ValueError(f"does not cover {hole}")
     keep = [True] * len(code.codewords)
     last_first = _balls(replace(code, codewords=code.codewords[::-1]))
     for i, ball in zip(reversed(range(len(keep))), last_first):
@@ -237,11 +241,7 @@ def prune_cover(code: CoveringCode) -> CoveringCode:
             keep[i] = False
             count[ball] -= 1
     words = tuple(cw for cw, kept in zip(code.codewords, keep) if kept)
-    pruned = replace(code, codewords=words)
-    ok, witness = verify_cover(pruned)
-    if not ok:
-        raise RuntimeError(f"pruned cover fails to cover {witness}")
-    return pruned
+    return replace(code, codewords=words)
 
 
 def write_cover(code: CoveringCode) -> str:
@@ -293,11 +293,12 @@ def read_cover(text: str) -> CoveringCode:
 def _build_cover(length: int, radius: int, text: str | None = None) -> CoveringCode:
     """The sweep cover of a shape, kept per process: read from a cover file's text, else built.
 
-    A text is shape-checked and verified.  Every code is pruned here,
-    once per process and text: each word is a dispatched ball.  Nothing
-    is evicted: check_space caps a sweep cover (2, L, L // K) at L <= 23,
-    so the shapes are few, and a rebuild would cost the whole greedy
-    again, 1.7 s at (2, 17, 5) (2 vCPU, CPython 3.11).
+    A text is shape-checked; prune_cover's count checks a text's and a
+    build's coverage.  Every code is pruned here, once per process and
+    text: each word is a dispatched ball.  Nothing is evicted: check_space
+    caps a sweep cover (2, L, L // K) at L <= 23, so the shapes are few,
+    and a rebuild would cost the whole greedy again, 1.7 s at (2, 17, 5)
+    (2 vCPU, CPython 3.11).
     """
     if text is None:
         code = build_binary_cover(length, radius=radius)
@@ -306,9 +307,6 @@ def _build_cover(length: int, radius: int, text: str | None = None) -> CoveringC
         shape = (code.alphabet, code.word_length, code.radius)
         if shape != (2, length, radius):
             raise ValueError(f"shape does not match: {shape}, want {(2, length, radius)}")
-        ok, witness = verify_cover(code)
-        if not ok:
-            raise ValueError(f"does not cover {witness}")
     return prune_cover(code)
 
 

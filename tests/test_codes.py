@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,7 @@ from ballsat.codes import (
     _greedy_cover_ints,
     build_binary_cover,
     build_kary_cover,
+    cover,
     kary_draw_bound,
     prune_cover,
     read_cover,
@@ -102,6 +104,22 @@ def test_binary_construction_pinned(length, radius):
     code = build_binary_cover(length, radius=radius)
     digest = hashlib.sha256(write_cover(code).encode()).hexdigest()
     assert digest == BINARY_PINS[length, radius]
+
+
+# sha256 of write_cover(cover(L, r)) at the shapes where pruning drops
+# greedy words: (11, 2) 56 -> 50, (12, 2) 115 -> 107, (14, 3) 101 -> 100
+PRUNED_PINS = {
+    (11, 2): "4633398484b70ce849184a9cb8b7ea121ff3bb13deaa94084a2698de5700ad9e",
+    (12, 2): "6270af55ad0c746a27ff27d9c2cbc8848e4ebcc14d5a9e945f90500ca8c5f978",
+    (14, 3): "35ecf5b3fe31d95c386c58fd806a67ad829ad21f30f75bd86fa8a70cc114b2ce",
+}
+
+
+@pytest.mark.parametrize("length,radius", sorted(PRUNED_PINS))
+def test_pruned_sweep_cover_pinned(length, radius):
+    code = cover(length, radius)
+    digest = hashlib.sha256(write_cover(code).encode()).hexdigest()
+    assert digest == PRUNED_PINS[length, radius]
 
 
 class TestKaryCover:
@@ -345,7 +363,8 @@ def _reference_prune(code, within):
 )
 def test_ball_engine_against_hamming_distance(alphabet, length):
     # random codes with repeated words, at every radius: verify_cover's
-    # answer and prune_cover's kept words equal a distance brute force
+    # answer, prune_cover's kept words and the hole prune_cover names
+    # equal a distance brute force
     first = 0 if alphabet == 2 else 1
     space = _space(alphabet, first, length)
     rng = random.Random(alphabet * 100 + length)
@@ -364,5 +383,5 @@ def test_ball_engine_against_hamming_distance(alphabet, length):
         expect = _reference_prune(full, _within(full, space))
         assert prune_cover(full).codewords == expect
         if not ok:
-            with pytest.raises(RuntimeError, match="fails to cover"):
+            with pytest.raises(ValueError, match=re.escape(f"does not cover {hole}")):
                 prune_cover(code)

@@ -454,7 +454,7 @@ class TestCoverCache:
 
     def test_corrupt_cache_rejected(self, tmp_path):
         (tmp_path / "bin-2-r0.cover").write_text("cover 2 2 0 1\n00\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"bin-2-r0\.cover: does not cover \(0, 1\)"):
             solve(
                 UNSAT3,
                 SolveConfig(k=1, r_max=1, seed=7, workers=1, cover_cache=tmp_path),
@@ -515,20 +515,24 @@ class TestCoverCache:
         cfg = SolveConfig(k=1, r_max=1, seed=7, cover_cache=tmp_path)
         first = solve(UNSAT3, cfg)   # writes bin-2-r0.cover
         checks = []
-        real = codes.verify_cover
-        monkeypatch.setattr(codes, "verify_cover", lambda code: checks.append(code) or real(code))
+        real = codes._ball_counts
+        monkeypatch.setattr(codes, "_ball_counts", lambda code: checks.append(code) or real(code))
         codes._build_cover.cache_clear()
         counts = []
         for _ in range(4):
             assert solve(UNSAT3, cfg).stats == first.stats
             counts.append(len(checks))
-        # the file's first read: verify_cover once, and once more in the prune
-        assert counts == [2, 2, 2, 2]
+        # the file's first read: one exhaustive count, prune_cover's
+        assert counts == [1, 1, 1, 1]
         # an edited file is a new text: checked again, the same code
         sweep = tmp_path / "bin-2-r0.cover"
         sweep.write_text(sweep.read_text() + "\n")
         assert solve(UNSAT3, cfg).stats == first.stats
-        assert len(checks) == 4
+        assert len(checks) == 2
+        # a built cover is counted once too: the greedy is not checked again
+        codes._build_cover.cache_clear()
+        codes.cover(12, 4)
+        assert len(checks) == 3
 
     def test_every_shape_built_once_per_process(self, monkeypatch):
         # 19 sweep shapes (L, L // K): 3-SAT at L = 0..12 and 4-SAT where
