@@ -3,7 +3,7 @@
 Prints "s SATISFIABLE" with a "v" model line (exit 10), "s
 UNSATISFIABLE" with a one-sided failure-probability comment (exit 20),
 or "s UNKNOWN" when the configuration is unusable or an interrupt
-(SIGINT) arrives before the answer (exit 0).  Input or flag errors,
+(SIGINT or SIGTERM) arrives before the answer (exit 0).  Input or flag errors,
 input that is not UTF-8 among them, and failed output writes exit 1.
 The failure probability is a union bound over the quantum groups
 whose every retry missed, capped at 1.
@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import signal
 import sys
 import warnings
 from pathlib import Path
@@ -81,18 +82,26 @@ def _write_stats(fh, path: str, records) -> bool:
     return True
 
 
+def _terminate(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_UNKNOWN if exc.code in (0, None) else EXIT_ERROR
+    # SIGTERM interrupts the run as SIGINT does, until the answer is known
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         lines, code = _answer(args)
     except KeyboardInterrupt:
         # no "s" line is out yet, and an interrupted solve has written no record
         print("c interrupted", file=sys.stderr)
         lines, code = ["s UNKNOWN"], EXIT_UNKNOWN
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     for line in lines:
         print(line)
     return code

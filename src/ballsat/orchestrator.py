@@ -10,8 +10,9 @@ bits under its `fixed` mask goes in, and a `PbsRuntime` holding a seed
 and a log comes back; no prefix formula is built.  Every dispatch
 enters the descent `kqcpbs`, at r_max 0 in classical mode and at the
 radius cap in hybrid mode, and only the descent hands a node to the
-quantum leaf.  Dispatches run one at a time in a seeded order, and the
-first verified model ends the solve.
+quantum leaf.  Dispatches run one at a time in a seeded order, the
+permutation `stream` computes as numpy's Generator would, and the first
+verified model ends the solve.
 A FALSE answer is one-sided with an explicit failure-probability bound.
 """
 
@@ -19,11 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
+from . import stream
 from .codes import check_space, cover
 from .formula import Assignment, Formula, evaluate, top_k_vars, unpack
 from .fpsearch import make_schedule
@@ -194,11 +193,8 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
     free_vars = [v for v in range(1, n + 1) if free_mask >> (v - 1) & 1]
     # each sweep codeword packed onto the free variables, once per solve
     lifted = [sum(bit << (v - 1) for v, bit in zip(free_vars, word)) for word in sweep.codewords]
-    order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    # shuffled in place: permutation(1 << k) shuffles an int64 arange, and this
-    # draws the same swaps on half the bytes
-    order = np.arange(1 << cfg.k, dtype=np.uint32)
-    order_rng.shuffle(order)
+    # default_rng(SeedSequence([seed, 0])).permutation(1 << k), at 4 bytes a prefix
+    order = stream.permutation((seed, 0), 1 << cfg.k)
     # decompose's entry at prefix_pos, packed: bit j of prefix_pos holds kvars[k - 1 - j];
     # one table per half of the prefix bits (k <= 23, so at most 4,096 entries each)
     half = cfg.k // 2
@@ -214,9 +210,7 @@ def solve(f: Formula, cfg: SolveConfig, rm: ResourceModel | None = None) -> Solv
         return SolveResult(status, model, stats)
 
     read = f.read
-    # the order as Python ints 4,096 at a time: all 2^23 at once held 420 MB
-    slices = (order[lo : lo + 4096].tolist() for lo in range(0, order.size, 4096))
-    for prefix_pos in chain.from_iterable(slices):
+    for prefix_pos in order:
         px = low_px[prefix_pos & low_bits] | high_px[prefix_pos >> half]
         # a clause falsified whatever the free variables hold is one the prefix empties
         if read(px) & read(px | free_mask):

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
-import numpy as np
-
+from . import stream
 from .codes import _kary_word, check_space
 from .fliptree import _narrowed_flips, marked_mask, walk
 # first_unsat_clause is unused here; perfbench's tracer test expects to patch it in this namespace
@@ -102,13 +101,12 @@ _HEAD = 24
 
 @functools.lru_cache(maxsize=1024)
 def _stream_head(seed: tuple[int, ...]) -> tuple[float, ...]:
-    """The first `_HEAD` doubles of default_rng(SeedSequence(seed)).
+    """The first `_HEAD` doubles of default_rng(SeedSequence(seed)), from `stream`.
 
     A dispatch's seed comes back in every solve with the same solver
-    seed, so a repeated seed costs a lookup, not a SeedSequence and a
-    Generator.
+    seed, so a repeated seed costs a lookup, not a seeding and 24 steps.
     """
-    return tuple(np.random.default_rng(np.random.SeedSequence(seed)).random(_HEAD).tolist())
+    return stream.doubles(seed, 0, _HEAD)
 
 
 @dataclass
@@ -118,9 +116,10 @@ class PbsRuntime:
     The context is the seed of the leaf's randomness, the retry budget
     and the (prefix, codeword) the dispatch serves; the log is its leaf
     records, branch count and failed quantum groups.  The leaf's
-    randomness is the stream of default_rng(SeedSequence(seed)), and
-    `drawn` counts the doubles the dispatch has taken from it, so a
-    runtime carries its whole stream position and no Generator.
+    randomness is the stream of default_rng(SeedSequence(seed)), which
+    `stream` computes without numpy.random, and `drawn` counts the
+    doubles the dispatch has taken from it, so a runtime carries its
+    whole stream position and no generator.
     """
 
     seed: tuple[int, ...]
@@ -133,9 +132,9 @@ class PbsRuntime:
     drawn: int = 0           # doubles taken from the seed's stream
 
     def draws(self, count: int) -> tuple[float, ...]:
-        """The stream's next `count` doubles: the cached head, then a Generator past it.
+        """The stream's next `count` doubles: the cached head, then `stream` past it.
 
-        The Generator is default_rng(SeedSequence(seed)) advanced to the
+        Past the head the stream is seeded again and jumped to the
         head's end, or to the position when that lies further on.
         """
         start = self.drawn
@@ -144,9 +143,7 @@ class PbsRuntime:
         if end <= len(head):
             return head[start:end]
         skip = max(start, len(head))
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-        rng.bit_generator.advance(skip)
-        return head[start:] + tuple(rng.random(end - skip).tolist())
+        return head[start:] + stream.doubles(self.seed, skip, end - skip)
 
 
 @functools.lru_cache(maxsize=64)

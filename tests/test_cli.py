@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,28 @@ class TestInterrupt:
         monkeypatch.setattr("ballsat.cli.brute_sat", self.interrupt)
         assert run(["--input", unsat_file, "--mode", "brute"]) == 0
         assert capsys.readouterr() == ("s UNKNOWN\n", "c interrupted\n")
+
+    def test_sigterm_answers_unknown_and_restores_the_handler(
+        self, unsat_file, tmp_path, monkeypatch, capsys
+    ):
+        def terminated(*args, **kwargs):
+            signal.raise_signal(signal.SIGTERM)
+            raise AssertionError("SIGTERM did not interrupt the solve")
+
+        def outer(signum, frame):
+            raise AssertionError("the handler from before the run took the signal")
+
+        monkeypatch.setattr("ballsat.cli.solve", terminated)
+        stats = tmp_path / "calls.jsonl"
+        argv = ["--input", unsat_file, "--k", "1", "--r-max", "1", "--stats", str(stats)]
+        before = signal.signal(signal.SIGTERM, outer)
+        try:
+            assert run(argv) == 0
+            assert signal.getsignal(signal.SIGTERM) is outer
+        finally:
+            signal.signal(signal.SIGTERM, before)
+        assert capsys.readouterr() == ("s UNKNOWN\n", "c interrupted\n")
+        assert stats.read_text() == ""
 
 
 class TestCoverCache:

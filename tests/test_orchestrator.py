@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballsat import CONFLICT, Formula, codes, decompose, evaluate, orchestrator, parse_dimacs, pbs
+from ballsat import (
+    CONFLICT, Formula, codes, decompose, evaluate, orchestrator, parse_dimacs, pbs, stream,
+)
 from ballsat.codes import build_kary_cover, write_cover
 from ballsat.orchestrator import (
     MAX_RETRIES,
@@ -289,15 +291,12 @@ class TestSolve:
     @pytest.mark.parametrize("k", [0, 1, 5, 13, 21])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_prefix_order_shuffle_is_the_seeded_permutation(self, k, seed):
-        # solve shuffles a uint32 arange in place; Generator.permutation(1 << k)
-        # shuffles an int64 one: the same swaps, and the same stream left behind
-        shuffled, permuted = (
-            np.random.default_rng(np.random.SeedSequence([seed, 0])) for _ in range(2)
-        )
-        order = np.arange(1 << k, dtype=np.uint32)
-        shuffled.shuffle(order)
-        assert order.tolist() == permuted.permutation(1 << k).tolist()
-        assert shuffled.bit_generator.state == permuted.bit_generator.state
+        # solve's order comes from the stream module, 4 bytes a prefix, and is
+        # numpy's Generator.permutation(1 << k) of the same seed
+        order = stream.permutation((seed, 0), 1 << k)
+        assert order.itemsize == 4
+        want = np.random.default_rng(np.random.SeedSequence([seed, 0])).permutation(1 << k)
+        assert order.tolist() == want.tolist()
 
     def test_prefix_order_in_bounded_memory(self):
         # UNSAT at k = n = 21: every prefix empties a clause, so the child's peak
@@ -565,15 +564,15 @@ class TestCoverCache:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Arguments of every numpy Generator built while the test runs."""
+    """The entropy of every stream the stream module seeds while the test runs."""
     calls = []
-    real = np.random.default_rng
+    real = stream.pcg64
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(entropy):
+        calls.append(entropy)
+        return real(entropy)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(stream, "pcg64", counting)
     return calls
 
 
@@ -582,7 +581,7 @@ class TestGenerators:
         # classical dispatches never reach the leaf, so they draw nothing
         res = solve(UNSAT3, SolveConfig(k=1, mode="classical"))
         assert res.status == "FALSE" and res.stats.dispatches > 1
-        assert len(built) == 1
+        assert built == [(0, 0)]
 
     @pytest.mark.parametrize("r_max", [0, 1])
     def test_hybrid_dispatch_seeds_a_generator_only_at_the_leaf(self, built, r_max):
@@ -596,8 +595,8 @@ class TestGenerators:
         )
         sample = [f for f in mixed if brute_sat(f) is None][:10]
         # one solver seed and k fix each (prefix, codeword)'s dispatch seed, so a
-        # leaf dispatch builds a Generator, for its stream head, only the first
-        # time the process meets it, and the warm pass builds none
+        # leaf dispatch seeds its stream, for the cached head, only the first
+        # time the process meets it, and the warm pass seeds none
         pbs._stream_head.cache_clear()
         seen, leaf_dispatches, dispatches = set(), 0, 0
         for warm in (False, True):

@@ -352,6 +352,42 @@ class TestSeedWords:
         assert list(copy.draws(10)) == want[30:] == list(rt.draws(10))
 
 
+class TestStreamPosition:
+    """A dispatch's leaves read on in one stream, whatever kind each leaf is."""
+
+    @pytest.mark.parametrize("retries", [3, 30])
+    def test_a_trie_leaf_after_an_empty_one_draws_from_position_retries(
+        self, retries, monkeypatch
+    ):
+        # at radius 3 and r_max 1 the descent's first leaf is proved empty and
+        # its second marks a word; at 30 retries the first leaf's draws cross
+        # the head's end and the second's lie past it
+        f, _ = planted_ksat(10, 42, 3, random.Random(19))
+        leaves, real_mask, real_measure = [], pbs.marked_mask, pbs.measure
+
+        def mask(*args):
+            leaves.append("trie")
+            return real_mask(*args)
+
+        def measure(cdf, draws):
+            leaves.append(draws)
+            return real_measure(cdf, draws)
+
+        monkeypatch.setattr(pbs, "marked_mask", mask)
+        monkeypatch.setattr(pbs, "measure", measure)
+        seed = (7, 1, 0)
+        clear_caches()
+        rt = PbsRuntime(seed, retries=retries)
+        assert kqcpbs(PbsInstance(f, 0, 3, 1, 0.1, 3), rt) is not None
+        # the first leaf measures with no trie pass, then the second marks and measures
+        empty, marked, trie = leaves[:3]
+        assert marked == "trie" and not isinstance(empty, str) and not isinstance(trie, str)
+        want = np.random.default_rng(np.random.SeedSequence(seed)).random(2 * retries).tolist()
+        assert list(empty) == want[:retries]
+        assert list(trie) == want[retries:]
+        assert {rec.outcome for rec in rt.records[:retries]} == {"false"}
+
+
 class TestCacheState:
     """The stream-head and record caches never reach a result."""
 
